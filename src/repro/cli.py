@@ -166,7 +166,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     config = get_experiment(args.id)
     if config.m == 0:
         raise SystemExit(f"{args.id} is not a simulated figure; see `repro-ibft list`")
-    validate_shards(args.engine, args.shards, config.m, config.n)
     print(config.describe())
     from repro.ib.config import SimConfig
 
@@ -285,50 +284,22 @@ def _cmd_draw(args: argparse.Namespace) -> int:
 
 def _cmd_probe(args: argparse.Namespace) -> int:
     from repro.ib.config import SimConfig
+    from repro.ib.instrumentation import probe_fabric, routing_pressure
+    from repro.ib.subnet import build_subnet
+    from repro.traffic import make_pattern
 
     cfg = SimConfig(num_vls=args.vls, **resolve_engine(args))
-    if cfg.engine == "sharded":
-        from repro.sim.sharded import run_sharded_probe
-
-        res, report, pressure_rows = run_sharded_probe(
-            args.m,
-            args.n,
-            args.scheme,
-            args.pattern,
-            args.load,
-            cfg=cfg,
-            warmup_ns=15_000,
-            measure_ns=60_000,
-        )
-    else:
-        from repro.ib.instrumentation import probe_fabric, routing_pressure
-        from repro.ib.subnet import build_subnet
-        from repro.traffic import make_pattern
-
-        net = build_subnet(args.m, args.n, args.scheme, cfg)
-        kwargs = (
-            {"hot_pid": 0, "fraction": 0.5} if args.pattern == "centric" else {}
-        )
-        net.attach_pattern(make_pattern(args.pattern, net.num_nodes, **kwargs))
-        res = net.run_measurement(args.load, warmup_ns=15_000, measure_ns=60_000)
-        report = probe_fabric(net)
-        pressure_rows = routing_pressure(net)
+    net = build_subnet(args.m, args.n, args.scheme, cfg)
+    kwargs = {"hot_pid": 0, "fraction": 0.5} if args.pattern == "centric" else {}
+    net.attach_pattern(make_pattern(args.pattern, net.num_nodes, **kwargs))
+    res = net.run_measurement(args.load, warmup_ns=15_000, measure_ns=60_000)
+    report = probe_fabric(net)
+    pressure_rows = routing_pressure(net)
     print(
         f"{args.scheme.upper()} on FT({args.m},{args.n}), {args.pattern} @ "
         f"{args.load}: accepted {res['accepted']:.4f} bytes/ns/node, "
         f"latency {res['latency_mean']:.0f} ns"
     )
-    if "window_profile" in res:
-        wp = res["window_profile"]
-        busy = wp["compute_ns"] + wp["transport_ns"]
-        print(
-            f"window profile: {wp['windows']} windows — "
-            f"compute {wp['compute_ns'] / 1e6:.1f} ms, "
-            f"sync-wait {wp['sync_wait_ns'] / 1e6:.1f} ms, "
-            f"transport {wp['transport_ns'] / 1e6:.1f} ms "
-            f"(busy {busy / max(wp['wall_ns'], 1):.0%} of "
-            f"{wp['wall_ns'] / 1e6:.1f} ms shard-wall)"
-        )
     print(render_table(report.layer_stats(), title="\nutilization by layer"))
     print("hottest channels:")
     for link in report.hottest(5):
@@ -519,109 +490,34 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 
 #: Engine backends the CLI accepts (single shared definition so every
 #: subcommand — sweep, probe, failover, figure — stays in step).
-ENGINE_CHOICES = ("wheel", "heap", "sharded")
+ENGINE_CHOICES = ("wheel", "heap")
 
 
 def add_engine_args(p: argparse.ArgumentParser) -> None:
-    """The shared ``--engine`` / ``--shards`` options."""
+    """The shared ``--engine`` option."""
     p.add_argument(
         "--engine",
         default="wheel",
-        metavar="{wheel,heap,sharded}",
+        metavar="{wheel,heap}",
         help=(
-            "event-scheduler backend: wheel|heap are single-process and "
-            "bit-identical (DESIGN.md §9); sharded runs K wheel shards "
-            "in parallel processes (DESIGN.md §12)"
+            "event-scheduler backend: the timing wheel (default) or the "
+            "binary heap it is bit-identical to (DESIGN.md §9)"
         ),
     )
-    p.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="shard-process count for --engine sharded (default: 1)",
-    )
-    p.add_argument(
-        "--transport",
-        default="shm",
-        choices=("shm", "pipe"),
-        help=(
-            "cross-shard data plane for --engine sharded: shm moves "
-            "payloads through shared-memory record rings (default), "
-            "pipe keeps the pickled-tuple oracle (DESIGN.md §14)"
-        ),
-    )
-    p.add_argument(
-        "--profile-windows",
-        action="store_true",
-        help=(
-            "collect the per-shard window profile (compute / sync-wait "
-            "/ transport ns) on sharded runs; probe prints it"
-        ),
-    )
-
-
-def validate_shards(engine: str, shards: int, m: int, n: int) -> None:
-    """Reject topology/shard combinations up front with a one-line
-    actionable error instead of failing deep inside
-    :func:`repro.topology.partition.partition_fattree`."""
-    if engine != "sharded":
-        return
-    if n < 2:
-        raise SystemExit(
-            f"--engine sharded cannot partition FT({m},{n}): subtree "
-            "partitioning needs n >= 2 (an FT(m,1) has a single switch "
-            "and nothing to cut)"
-        )
-    if shards > m:
-        raise SystemExit(
-            f"--shards {shards} exceeds the {m} top-level subtrees of "
-            f"FT({m},{n}); use at most {m}"
-        )
-    if m % shards:
-        divisors = [d for d in range(1, m + 1) if m % d == 0]
-        raise SystemExit(
-            f"--shards {shards} does not divide the {m} top-level "
-            f"subtrees of FT({m},{n}) evenly; use a divisor of {m} "
-            f"({', '.join(str(d) for d in divisors)})"
-        )
 
 
 def resolve_engine(args: argparse.Namespace) -> dict:
-    """Validate ``--engine``/``--shards``/``--transport`` into
-    SimConfig kwargs.
+    """Validate ``--engine`` into SimConfig kwargs.
 
-    Raises a readable ``SystemExit`` for unknown engine names or
-    topology/shard mismatches (when the command carries ``m``/``n``)
-    instead of an argparse choices traceback or a deep ValueError.
+    Raises a readable ``SystemExit`` for unknown engine names instead
+    of an argparse choices traceback or a deep ValueError.
     """
     if args.engine not in ENGINE_CHOICES:
         raise SystemExit(
             f"unknown engine {args.engine!r}: expected one of "
             + ", ".join(ENGINE_CHOICES)
         )
-    if args.shards < 1:
-        raise SystemExit(f"--shards must be >= 1, got {args.shards}")
-    if args.shards > 1 and args.engine != "sharded":
-        raise SystemExit(
-            f"--shards only applies to --engine sharded (got engine "
-            f"{args.engine!r})"
-        )
-    profile = getattr(args, "profile_windows", False)
-    if profile and args.engine != "sharded":
-        raise SystemExit(
-            "--profile-windows only applies to --engine sharded "
-            f"(got engine {args.engine!r})"
-        )
-    m = getattr(args, "m", None)
-    n = getattr(args, "n", None)
-    if m is not None and n is not None:
-        validate_shards(args.engine, args.shards, m, n)
-    return {
-        "engine": args.engine,
-        "shards": args.shards,
-        "shard_transport": getattr(args, "transport", "shm"),
-        "profile_windows": profile,
-    }
+    return {"engine": args.engine}
 
 
 def _add_mode_args(p: argparse.ArgumentParser) -> None:

@@ -34,7 +34,6 @@ grid for the scheme-vs-scheme comparison tables.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.fault import FaultSet, FaultTolerantTables
@@ -126,22 +125,6 @@ def run_failover(
         raise ValueError(
             f"run_until={run_until} must leave room past t_recover={t_recover}"
         )
-    if cfg.engine == "sharded":
-        return _run_failover_sharded(
-            m,
-            n,
-            scheme,
-            link=link,
-            t_fail=t_fail,
-            t_recover=t_recover,
-            run_until=run_until,
-            load=load,
-            pattern=pattern,
-            cfg=cfg,
-            seed=seed,
-            drain=drain,
-            scalar_repair=scalar_repair,
-        )
     # A fresh (uncached) build: the runtime reprograms live LFTs, so the
     # shared artifact cache must not supply this subnet.
     net = build_subnet(m, n, scheme, cfg, seed=seed)
@@ -185,123 +168,6 @@ def run_failover(
             "generated": sum(nd.packets_generated for nd in net.endnodes),
             "delivered": sum(nd.packets_received for nd in net.endnodes),
             "backlog": sum(nd.backlog for nd in net.endnodes),
-            "repair_matches_offline": repair_ok,
-            "recovery_matches_initial": recovery_ok,
-        }
-    )
-    row["records"] = mgr.records
-    return row
-
-
-def _run_failover_sharded(
-    m: int,
-    n: int,
-    scheme: str,
-    *,
-    link: Optional[Tuple[SwitchLabel, int]],
-    t_fail: float,
-    t_recover: float,
-    run_until: float,
-    load: float,
-    pattern: str,
-    cfg: SimConfig,
-    seed: int,
-    drain: bool,
-    scalar_repair: bool,
-) -> dict:
-    """Failover on the sharded engine: control plane in-process, data
-    plane across shard processes.
-
-    The SM timeline (detection, delta programming, recovery) is
-    traffic-independent, so it is computed once on a monolithic
-    zero-load control subnet — with the manager's ``on_program`` hook
-    recording every live LFT swap — and replayed inside each shard as
-    a scripted event timeline (``ShardNet.apply_script``).  The
-    repair/recovery table checks and rerouting records come from the
-    control plane; the packet accounting (generated / delivered /
-    lost / backlog) merges exactly from the data-plane shards.
-
-    The victim link must be intra-shard: reviving a cut link would
-    need the remote input unit's live credit state (see DESIGN.md §12).
-    """
-    from repro.sim.sharded import ShardedRun, merge_conservation
-    from repro.topology.partition import partition_fattree
-
-    # --- control plane: monolithic, zero traffic -----------------------
-    ctl_cfg = replace(cfg, engine="wheel", shards=1)
-    net = build_subnet(m, n, scheme, ctl_cfg, seed=seed)
-    sw, port = link if link is not None else default_link(net.ft)
-    partition = partition_fattree(net.ft, cfg.shards)
-    ep = net.ft.peer(sw, port)
-    if partition.switch_shard[sw] != partition.switch_shard[ep.switch]:
-        raise ValueError(
-            f"victim link {sw}[{port}] crosses shards "
-            f"{partition.switch_shard[sw]} and "
-            f"{partition.switch_shard[ep.switch]}: scripted failover "
-            "needs an intra-shard link (cut-link revival would need "
-            "remote credit state)"
-        )
-    initial = {s: model.lft for s, model in net.switches.items()}
-    schedule = FaultSchedule(net.ft).fail_and_recover(
-        sw, port, t_fail, t_recover
-    )
-    mgr = DynamicSubnetManager(net, schedule, use_kernel=not scalar_repair)
-    programs: List[tuple] = []
-    mgr.on_program = lambda t, s, table: programs.append(
-        (t, s, [int(e) for e in table.as_array()])
-    )
-    mgr.arm()
-
-    engine = net.engine
-    engine.run(until=math.nextafter(t_recover, -math.inf))
-    repair_ok: Optional[bool] = None
-    if any(r.kind == "down" for r in mgr.records):
-        faults = FaultSet.from_pairs(net.ft, [(sw, port)])
-        expected = _expected_repair(net, faults)
-        live = mgr.live_lfts()
-        repair_ok = all(live[s] == expected[s] for s in net.ft.switches)
-    engine.run(until=run_until)
-    recovery_ok: Optional[bool] = None
-    if any(r.kind == "up" for r in mgr.records):
-        live = mgr.live_lfts()
-        recovery_ok = all(live[s] == initial[s] for s in net.ft.switches)
-
-    # --- data plane: scripted replay across shards ---------------------
-    script: List[tuple] = [
-        (t_fail, "fail", sw, port + 1),
-        (t_fail, "fail", ep.switch, ep.port + 1),
-    ]
-    script.extend((t, "lft", s, entries) for t, s, entries in programs)
-    script.append((t_recover, "revive", sw, port + 1))
-    script.append((t_recover, "revive", ep.switch, ep.port + 1))
-
-    with ShardedRun(
-        m,
-        n,
-        scheme,
-        cfg,
-        seed=seed,
-        pattern=pattern if load > 0 else None,
-        script=tuple(script),
-    ) as run:
-        if load > 0:
-            run.generate(load)
-        run.run_to(run_until)
-        if load > 0 and drain:
-            run.stop_generation()
-            run.drain()
-        parts = run.collect()
-
-    counts = merge_conservation(parts)
-    row = {"scheme": scheme, "offered": load}
-    row.update(mgr.metrics().as_row())
-    # The control net carried no traffic; loss comes from the shards.
-    row["packets_lost"] = counts["lost"]
-    row.update(
-        {
-            "generated": counts["generated"],
-            "delivered": counts["delivered"],
-            "backlog": counts["backlog"],
             "repair_matches_offline": repair_ok,
             "recovery_matches_initial": recovery_ok,
         }

@@ -543,8 +543,7 @@ def _shm_attach(name, shape, dtype):
     if mp.get_start_method() != "fork":  # pragma: no cover - linux forks
         try:
             # The creating process owns the segment; don't let this
-            # process's resource tracker unlink it on exit (same
-            # convention as repro.ib.wire.ShmRing.attach).
+            # process's resource tracker unlink it on exit.
             resource_tracker.unregister(shm._name, "shared_memory")
         except Exception:
             pass

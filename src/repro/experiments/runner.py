@@ -112,26 +112,6 @@ def run_point(
     produce bit-identical measurements.
     """
     cfg = cfg or SimConfig()
-    if cfg.engine == "sharded":
-        from repro.sim.sharded import run_sharded_point
-
-        if not isinstance(scheme, str):
-            raise TypeError(
-                "the sharded engine takes a scheme name, not an instance "
-                "(each shard process builds its own)"
-            )
-        return run_sharded_point(
-            m,
-            n,
-            scheme,
-            pattern,
-            offered,
-            cfg=cfg,
-            hotspot_fraction=hotspot_fraction,
-            warmup_ns=warmup_ns,
-            measure_ns=measure_ns,
-            seed=seed,
-        )
     artifacts = None
     if cache and isinstance(scheme, str):
         artifacts = get_artifacts(m, n, scheme, cfg)

@@ -97,23 +97,8 @@ class SimConfig:
     #: Event-engine backend: "wheel" (hierarchical timing wheel with
     #: pooled events and the fused hop fast path — the default) or
     #: "heap" (the original binary-heap calendar queue, kept as the
-    #: bit-identical oracle).  ``"sharded"`` runs K wheel engines in
-    #: separate processes under the conservative barrier-window
-    #: protocol (repro.sim.sharded, DESIGN.md §12).
+    #: bit-identical oracle).
     engine: str = "wheel"
-    #: Shard-process count for ``engine="sharded"`` (ignored otherwise).
-    shards: int = 1
-    #: Cross-shard data plane for ``engine="sharded"``: "shm" moves
-    #: packet/credit payloads through shared-memory record rings
-    #: (repro.ib.wire; the pipes carry only control frames), "pipe"
-    #: keeps the original pickled-tuple transport (the oracle, and the
-    #: only transport that can carry ``record_routes`` traces —
-    #: ``ShardedRun`` falls back to it automatically in that case).
-    shard_transport: str = "shm"
-    #: Collect a per-shard window profile (compute / sync-wait /
-    #: transport ns, DESIGN.md §14) and attach it to sharded result
-    #: rows as ``row["window_profile"]``.
-    profile_windows: bool = False
 
     def __post_init__(self) -> None:
         if self.flying_time_ns < 0 or self.routing_time_ns < 0:
@@ -166,22 +151,9 @@ class SimConfig:
             raise ValueError("detection_latency_ns must be non-negative")
         if self.sm_program_time_ns < 0:
             raise ValueError("sm_program_time_ns must be non-negative")
-        if self.engine not in ("wheel", "heap", "sharded"):
+        if self.engine not in ("wheel", "heap"):
             raise ValueError(
-                f"unknown engine backend {self.engine!r} "
-                "(wheel|heap|sharded)"
-            )
-        if self.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.shards}")
-        if self.shard_transport not in ("shm", "pipe"):
-            raise ValueError(
-                f"unknown shard_transport {self.shard_transport!r} "
-                "(shm|pipe)"
-            )
-        if self.engine == "sharded" and self.flying_time_ns <= 0:
-            raise ValueError(
-                "engine='sharded' needs flying_time_ns > 0: the link "
-                "flying time is the conservative protocol's lookahead"
+                f"unknown engine backend {self.engine!r} (wheel|heap)"
             )
 
     @property

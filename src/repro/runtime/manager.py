@@ -60,6 +60,7 @@ from repro.ib.sm import SubnetManager
 from repro.ib.subnet import Subnet
 from repro.runtime.detection import TrapDetector
 from repro.runtime.schedule import FaultEvent, FaultSchedule
+from repro.sim.engine import Event
 from repro.topology.labels import SwitchLabel
 
 __all__ = ["DynamicSubnetManager", "FailoverMetrics", "ReroutingRecord"]
@@ -180,6 +181,9 @@ class DynamicSubnetManager:
         self.sm = SubnetManager(net.scheme)
         #: physical state: links currently down.
         self.down_links: Set[LinkId] = set()
+        #: physical state: switches downed by a ``switch_down`` event
+        #: and not yet recovered.
+        self.down_switches: Set[SwitchLabel] = set()
         #: the fault set the currently-programmed tables route around.
         self.programmed_faults: frozenset = frozenset()
         self.records: List[ReroutingRecord] = []
@@ -202,6 +206,8 @@ class DynamicSubnetManager:
             frozen.setflags(write=False)
             self._baseline[sw] = frozen
         self._armed = False
+        # (fault event, engine handle) per armed event, in time order.
+        self._scheduled: List[Tuple[FaultEvent, Event]] = []
         # In-flight delta programming (one sweep at a time; a newer
         # sweep supersedes an unfinished one).
         self._pending_ctx: Optional[dict] = None
@@ -209,10 +215,6 @@ class DynamicSubnetManager:
         self._generation = 0
         self._kernel: Optional[RouteKernel] = None
         self._kernel_generation = -1
-        #: Optional observer called as ``on_program(time, sw, table)``
-        #: after every live LFT swap (the sharded engine's control
-        #: plane records the programming timeline through this).
-        self.on_program: Optional[Callable[[float, SwitchLabel, LinearForwardingTable], None]] = None
         #: Optional observer called as ``on_sweep(record)`` after each
         #: detection→repair cycle completes (including zero-delta
         #: sweeps).  Fired from inside the engine's callback, after the
@@ -233,14 +235,42 @@ class DynamicSubnetManager:
         if self._armed:
             raise RuntimeError("schedule already armed")
         self._armed = True
-        events = self.schedule.sorted_events()
-        for event in events:
-            self.engine.schedule(
-                event.time,
-                lambda ev=event: self._fire(ev),
-                label=event.action,
+        self._scheduled = [
+            (
+                event,
+                self.engine.schedule(
+                    event.time,
+                    lambda ev=event: self._fire(ev),
+                    label=event.action,
+                ),
             )
-        return len(events)
+            for event in self.schedule.sorted_events()
+        ]
+        return len(self._scheduled)
+
+    def cancel_pending_faults(self) -> int:
+        """Cancel every armed fault event that has not fired yet, except
+        the first pending recovery of each link and switch that is down
+        now; returns how many were cancelled.
+
+        Running the engine dry afterwards ends the schedule early on a
+        fabric with those recoveries applied, instead of playing out
+        the rest of the timeline.  Call between engine runs: an event
+        counts as fired once the clock has reached its time.
+        """
+        now = self.engine.now
+        down = set(self.down_links) | self.down_switches
+        cancelled = 0
+        for event, handle in self._scheduled:
+            if handle.time <= now or handle.cancelled:
+                continue
+            target = event.link if event.link is not None else event.switch
+            if event.action.endswith("_up") and target in down:
+                down.discard(target)  # keep only the first recovery
+                continue
+            handle.cancel()
+            cancelled += 1
+        return cancelled
 
     def _fire(self, event: FaultEvent) -> None:
         if event.action == "link_down":
@@ -248,10 +278,12 @@ class DynamicSubnetManager:
         elif event.action == "link_up":
             self._link_up(event.link)
         elif event.action == "switch_down":
+            self.down_switches.add(event.switch)
             for link in self._switch_links(event.switch):
                 self._link_down(link, notice=False)
             self._notice("down")
         else:  # switch_up
+            self.down_switches.discard(event.switch)
             for link in self._switch_links(event.switch):
                 self._link_up(link, notice=False)
             self._notice("up")
@@ -380,8 +412,6 @@ class DynamicSubnetManager:
         self.net.switches[sw].lft = table
         self._live[sw] = table.as_array() - 1
         self._generation += 1  # live kernel is stale now
-        if self.on_program is not None:
-            self.on_program(self.engine.now, sw, table)
         ctx["programmed"] += 1
         if ctx["programmed"] == len(ctx["items"]):
             self._pending_ctx = None

@@ -31,6 +31,43 @@ __all__ = ["RouteQueryService", "RouteQueryServer", "MAX_FLOWS_LISTED"]
 MAX_FLOWS_LISTED = 64
 
 
+#: Longest request line the server reads, in bytes (asyncio's default
+#: ``StreamReader`` limit).
+_LINE_LIMIT = 64 * 1024
+
+
+async def _skip_line(reader: asyncio.StreamReader) -> None:
+    """Consume input through the next newline, or to EOF."""
+    while True:
+        try:
+            await reader.readuntil(b"\n")
+            return
+        except asyncio.LimitOverrunError as exc:
+            await reader.readexactly(exc.consumed)
+        except asyncio.IncompleteReadError:
+            return
+
+
+def _decode_request(line: bytes) -> Optional[dict]:
+    """The request object on one protocol line (``None`` for a blank
+    line); raises ``ValueError`` saying what is wrong with the line."""
+    try:
+        text = line.decode().strip()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"request is not UTF-8: {exc}") from None
+    if not text:
+        return None
+    try:
+        request = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"bad JSON: {exc}") from None
+    if not isinstance(request, dict):
+        raise ValueError(
+            f"request must be a JSON object, got {type(request).__name__}"
+        )
+    return request
+
+
 class RouteQueryService:
     """In-process route-query API over a snapshot store.
 
@@ -249,7 +286,7 @@ class RouteQueryServer:
     async def start(self) -> Tuple[str, int]:
         """Bind and start serving; returns the bound (host, port)."""
         self._server = await asyncio.start_server(
-            self._handle_client, self.host, self.port
+            self._handle_client, self.host, self.port, limit=_LINE_LIMIT
         )
         sock = self._server.sockets[0]
         self.host, self.port = sock.getsockname()[:2]
@@ -298,19 +335,33 @@ class RouteQueryServer:
         try:
             while not self._shutdown.is_set():
                 try:
-                    line = await reader.readline()
+                    line = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as exc:
+                    line = exc.partial  # EOF: an unterminated last line
+                except asyncio.LimitOverrunError:
+                    # Longer than the reader's limit.  Answer, drop the
+                    # line (closing on unread input would reset the
+                    # connection before the client reads the answer),
+                    # and hang up.
+                    response = {
+                        "ok": False,
+                        "error": f"request line too long (limit {_LINE_LIMIT} bytes)",
+                    }
+                    writer.write((json.dumps(response) + "\n").encode())
+                    await writer.drain()
+                    await _skip_line(reader)
+                    break
                 except ConnectionError:
                     break
                 if not line:
                     break
-                text = line.decode().strip()
-                if not text:
-                    continue
                 try:
-                    request = json.loads(text)
-                except json.JSONDecodeError as exc:
-                    response = {"ok": False, "error": f"bad JSON: {exc}"}
+                    request = _decode_request(line)
+                except ValueError as exc:
+                    response = {"ok": False, "error": str(exc)}
                 else:
+                    if request is None:
+                        continue
                     response = await self._dispatch(request, writer)
                     if response is None:  # shutdown acknowledged
                         writer.write(

@@ -122,11 +122,6 @@ class LinkFlapStorm:
         keep_lfts: bool = False,
     ):
         cfg = cfg or SimConfig()
-        if cfg.engine == "sharded":
-            raise ValueError(
-                "the storm drives a single in-process engine; use "
-                "engine='wheel' or 'heap'"
-            )
         # Fresh (uncached) build: the runtime reprograms live LFTs, so
         # the shared artifact cache must not supply this subnet.
         self.net: Subnet = build_subnet(m, n, scheme, cfg)
@@ -167,6 +162,10 @@ class LinkFlapStorm:
                 engine.run(until=min(engine.now + self.chunk_ns, self.horizon_ns))
                 if self.pace_s > 0:
                     time.sleep(self.pace_s)
+            if engine.now < self.horizon_ns:
+                # Stopped early: drop the rest of the flap schedule but
+                # keep the recoveries of whatever is down right now.
+                self.mgr.cancel_pending_faults()
             # Run down cleanly: fire whatever remains (recoveries, SM
             # programming) so the storm always ends on a healthy,
             # fully-repaired fabric with its final snapshot published.

@@ -16,7 +16,6 @@ through explicitly seeded generators.
 
 from repro.sim.engine import Engine, Event, SimulationError
 from repro.sim.rng import make_rng, spawn_rngs
-from repro.sim.sharded import ShardedRun, run_sharded_point
 from repro.sim.stats import LatencyStats, ThroughputMeter, WarmupFilter
 from repro.sim.wheel import WheelEngine, make_engine
 
@@ -28,8 +27,6 @@ __all__ = [
     "make_engine",
     "make_rng",
     "spawn_rngs",
-    "ShardedRun",
-    "run_sharded_point",
     "LatencyStats",
     "ThroughputMeter",
     "WarmupFilter",

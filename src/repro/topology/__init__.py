@@ -17,12 +17,6 @@ from repro.topology.labels import (
     validate_switch_label,
 )
 from repro.topology.fattree import FatTree, PortRef, Endpoint
-from repro.topology.partition import (
-    CutLink,
-    SubtreePartition,
-    partition_fattree,
-    top_stage_link_count,
-)
 from repro.topology.groups import (
     gcp,
     gcp_length,
@@ -45,10 +39,6 @@ __all__ = [
     "FatTree",
     "PortRef",
     "Endpoint",
-    "CutLink",
-    "SubtreePartition",
-    "partition_fattree",
-    "top_stage_link_count",
     "gcp",
     "gcp_length",
     "lca",

@@ -254,3 +254,28 @@ class TestMigrationAndLoss:
         assert row["packets_lost"] == 0
         assert row["time_to_detect"] >= 0
         assert row["time_to_repair"] >= row["time_to_detect"]
+
+
+class TestCancelPendingFaults:
+    def test_keeps_first_recovery_of_what_is_down(self):
+        net = make_net(4, 3)
+        root, other = net.ft.switches_at_level(0)[:2]
+        sched = (
+            FaultSchedule(net.ft)
+            .switch_down(1_000.0, root)
+            .link_down(2_000.0, other, 0)
+            .switch_up(5_000.0, root)
+            .link_up(6_000.0, other, 0)
+            .switch_down(20_000.0, root)
+            .switch_up(25_000.0, root)
+        )
+        mgr = DynamicSubnetManager(net, sched)
+        mgr.arm()
+        net.engine.run(until=3_000.0)
+        assert mgr.down_switches == {root}
+        # Only the later down/up pair goes; both recoveries stay.
+        assert mgr.cancel_pending_faults() == 2
+        net.engine.run()
+        assert not mgr.down_links and not mgr.down_switches
+        assert len(mgr.records) == 4
+        assert net.engine.now < 20_000.0

@@ -21,7 +21,13 @@ from repro.topology.labels import format_switch
 
 
 @pytest.fixture(scope="module")
-def served():
+def loop_errors():
+    """Every context the served loop's exception handler received."""
+    return []
+
+
+@pytest.fixture(scope="module")
+def served(loop_errors):
     """A static FT(4,2) service on an ephemeral port (module-scoped)."""
     art = get_artifacts(4, 2, "mlid")
     store = SnapshotStore()
@@ -32,6 +38,7 @@ def served():
 
     def run():
         loop = asyncio.new_event_loop()
+        loop.set_exception_handler(lambda _loop, ctx: loop_errors.append(ctx))
         asyncio.set_event_loop(loop)
         loop.run_until_complete(server.start())
         started.set()
@@ -164,6 +171,43 @@ class TestErrors:
             f.write(b'{"op": "ping"}\n')
             f.flush()
             assert json.loads(f.readline())["ok"] is True
+
+    @pytest.mark.parametrize(
+        "line, error, keeps_connection",
+        [
+            (b"[1, 2]\n", "must be a JSON object, got list", True),
+            (b"\xff\xfe{}\n", "not UTF-8", True),
+            (
+                b'{"op": "ping", "pad": "' + b"x" * 100_000 + b'"}\n',
+                "request line too long",
+                False,
+            ),
+        ],
+        ids=["non-object", "non-utf8", "oversized"],
+    )
+    def test_malformed_input_gets_error_frame(
+        self, served, loop_errors, line, error, keeps_connection
+    ):
+        _, _, server = served
+        errors_before = len(loop_errors)
+        with socket.create_connection(
+            ("127.0.0.1", server.port), timeout=10
+        ) as sock:
+            f = sock.makefile("rwb")
+            f.write(line)
+            f.flush()
+            resp = json.loads(f.readline())
+            assert resp["ok"] is False
+            assert error in resp["error"]
+            if keeps_connection:
+                f.write(b'{"op": "ping"}\n')
+                f.flush()
+                assert json.loads(f.readline())["ok"] is True
+            else:
+                assert f.readline() == b""  # the server hung up
+        with _client(server) as c:
+            assert c.ping()["ok"] is True
+        assert loop_errors[errors_before:] == []
 
     def test_errors_are_counted(self, served):
         _, service, server = served

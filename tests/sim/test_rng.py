@@ -67,10 +67,10 @@ def _child_consume(conn, seed, count, draws):
 
 
 def test_spawned_streams_match_across_processes():
-    """The sharded engine's reproducibility claim: a shard process that
-    spawns the full per-node RNG set from the same seed draws streams
-    bit-identical to the parent's (so per-node traffic is independent
-    of which process hosts the node)."""
+    """The ``--jobs`` pool's reproducibility claim: a worker process
+    that builds a subnet spawns the full per-node RNG set from the
+    point's seed and draws streams bit-identical to the parent's (so a
+    point measures the same traffic whichever process runs it)."""
     import multiprocessing as mp
 
     seed, count, draws = 1234, 8, 64

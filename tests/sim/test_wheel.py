@@ -253,8 +253,8 @@ def test_exhausted_advance_parks_cursor_at_now():
     cursor a rotation ahead of ``now`` — an overshot cursor sends
     every later insert below it through the merge-and-resort current-
     run path, making the first level-0 rotation of scheduling
-    quadratic (the sharded worker peeks its empty engine for the
-    ready frame before generation ever starts)."""
+    quadratic (``peek_time()`` is public Engine API, so a caller may
+    peek an empty engine before anything is scheduled)."""
     eng = WheelEngine()
     assert eng.peek_time() is None
     assert eng._cur == int(eng.now) >> _G  # parked, not slot _SPAN0

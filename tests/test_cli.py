@@ -322,50 +322,9 @@ def test_serve_in_parser():
 
 
 # ----------------------------------------------------------------------
-# Engine / shard validation (add_engine_args + resolve_engine)
+# Engine validation (add_engine_args + resolve_engine)
 # ----------------------------------------------------------------------
-def test_sweep_rejects_unknown_engine():
+@pytest.mark.parametrize("engine", ["warp", "sharded"])
+def test_sweep_rejects_unknown_engine(engine):
     with pytest.raises(SystemExit, match="unknown engine"):
-        main(["sweep", "4", "2", "--engine", "warp"])
-
-
-def test_sweep_rejects_shards_exceeding_subtrees():
-    with pytest.raises(SystemExit, match=r"exceeds the 4 top-level subtrees"):
-        main(["sweep", "4", "2", "--engine", "sharded", "--shards", "5"])
-
-
-def test_sweep_rejects_shards_not_dividing_subtrees():
-    with pytest.raises(
-        SystemExit, match=r"use a divisor of 8 \(1, 2, 4, 8\)"
-    ):
-        main(["sweep", "8", "2", "--engine", "sharded", "--shards", "3"])
-
-
-def test_probe_rejects_sharding_single_stage_tree():
-    with pytest.raises(SystemExit, match=r"needs n >= 2"):
-        main(["probe", "4", "1", "--engine", "sharded"])
-
-
-def test_profile_windows_requires_sharded_engine():
-    with pytest.raises(SystemExit, match="--profile-windows only applies"):
-        main(["probe", "4", "2", "--profile-windows"])
-
-
-def test_probe_sharded_profile_windows(capsys):
-    args = [
-        "probe", "4", "2", "--engine", "sharded", "--shards", "2",
-        "--profile-windows",
-    ]
-    assert main(args) == 0
-    out = capsys.readouterr().out
-    assert "window profile:" in out
-    assert "sync-wait" in out and "transport" in out
-
-
-def test_probe_sharded_pipe_transport(capsys):
-    args = [
-        "probe", "4", "2", "--engine", "sharded", "--shards", "2",
-        "--transport", "pipe",
-    ]
-    assert main(args) == 0
-    assert "busiest routing engine" in capsys.readouterr().out
+        main(["sweep", "4", "2", "--engine", engine])
