@@ -110,6 +110,7 @@ def main() -> int:
         if server.poll() is None:
             server.kill()
             server.wait()
+        server.stdout.close()
 
 
 if __name__ == "__main__":

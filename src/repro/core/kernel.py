@@ -23,6 +23,9 @@ with at most ``2n + 2`` vectorized hop steps (the scalar tracer's loop
 bound) and answers every static query by array indexing: delivery,
 minimality and up*/down* verification, LCA-usage histograms,
 all-to-one link loads, and channel-dependency-graph edge extraction.
+The hop stepper (:func:`trace_routes`) traces any set of routes to
+any hop budget; :meth:`RouteKernel.retraced` uses it to follow a table
+change by retracing only the DLID columns whose entries moved.
 
 **Scalar-oracle guarantee.**  The scalar tracer remains the oracle:
 whenever the kernel flags a route as invalid it *replays that route
@@ -43,9 +46,10 @@ stays visible to the kernel.
 
 from __future__ import annotations
 
+import copy
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -53,7 +57,15 @@ from repro.core.scheme import RoutingScheme
 from repro.topology.fattree import FatTree
 from repro.topology.labels import NodeLabel, SwitchLabel
 
-__all__ = ["FabricArrays", "fabric_arrays", "RouteKernel", "compile_kernel"]
+__all__ = [
+    "FabricArrays",
+    "fabric_arrays",
+    "TracedRoutes",
+    "trace_routes",
+    "trace_columns",
+    "RouteKernel",
+    "compile_kernel",
+]
 
 
 @dataclass(frozen=True)
@@ -187,6 +199,117 @@ def _selected_matrix(scheme: RoutingScheme) -> np.ndarray:
     return RoutingScheme.dlid_matrix(scheme)
 
 
+def _checked_port(
+    port_matrix: np.ndarray, num_switches: int, num_lids: int
+) -> np.ndarray:
+    """``port_matrix`` as a contiguous int64 (switches, LIDs) array."""
+    port = np.asarray(port_matrix, dtype=np.int64)
+    if port.shape != (num_switches, num_lids):
+        raise ValueError(
+            f"port matrix must be {(num_switches, num_lids)}, "
+            f"got {port.shape}"
+        )
+    return np.ascontiguousarray(port)
+
+
+class TracedRoutes(NamedTuple):
+    """Hop-by-hop routes, traced by :func:`trace_routes`.
+
+    The leading axes index the routes (one axis per route, or leaf row
+    by column from :func:`trace_columns`); the last axis of ``switch``
+    and ``port`` is the hop.
+    """
+
+    #: switch index at each hop, -1 past the route's end.
+    switch: np.ndarray
+    #: 0-based out-port at each hop, -1 past the route's end.
+    port: np.ndarray
+    #: hop count of delivered routes, 0 for the rest.
+    length: np.ndarray
+    #: node index reached, -1 if none within the hop budget.
+    delivered: np.ndarray
+    #: the route met a port outside [0, m) and stopped there.
+    bad_port: np.ndarray
+
+
+#: Routes stepped together by :func:`trace_routes`; bounds the size of
+#: each hop's temporary arrays.
+_TRACE_CHUNK = 8192
+
+
+def trace_routes(
+    arrays: FabricArrays,
+    port: np.ndarray,
+    start: np.ndarray,
+    cols: np.ndarray,
+    steps: int,
+) -> TracedRoutes:
+    """Trace route ``i``: leave switch ``start[i]`` and forward on
+    column ``cols[i]`` of the port matrix ``port`` (0-based ports, one
+    row per switch) for at most ``steps`` hops.
+
+    Batched hop stepping over the routes still active: each hop gathers
+    every active route's output port, resolves the peer through the
+    flattened adjacency, and retires the routes that reached a node or
+    met a port outside [0, m).  A route still active after ``steps``
+    hops stays undelivered.
+    """
+    count, m = len(start), arrays.m
+    route_switch = np.full((count, steps), -1, np.int32)
+    route_port = np.full((count, steps), -1, np.int32)
+    route_len = np.zeros(count, np.int32)
+    delivered = np.full(count, -1, np.int32)
+    bad_port = np.zeros(count, bool)
+
+    width = port.shape[1]
+    flat_port = port.reshape(-1)
+    peer_switch = arrays.peer_switch.reshape(-1)
+    peer_node = arrays.peer_node.reshape(-1)
+    start, cols = np.asarray(start), np.asarray(cols)
+    for lo in range(0, count, _TRACE_CHUNK):
+        hi = min(lo + _TRACE_CHUNK, count)
+        active = np.arange(lo, hi)
+        cur = start[lo:hi].astype(np.int64)
+        col = cols[lo:hi].astype(np.int64)
+        for step in range(steps):
+            hop = flat_port[cur * width + col]
+            ok = (hop >= 0) & (hop < m)
+            if not ok.all():
+                bad_port[active[~ok]] = True
+                active, cur, col, hop = active[ok], cur[ok], col[ok], hop[ok]
+            route_switch[active, step] = cur
+            route_port[active, step] = hop
+            link = cur * m + hop
+            node = peer_node[link]
+            arrived = node >= 0
+            if arrived.any():
+                done = active[arrived]
+                delivered[done] = node[arrived]
+                route_len[done] = step + 1
+                stay = ~arrived
+                active, col, link = active[stay], col[stay], link[stay]
+            if not active.size:
+                break
+            cur = peer_switch[link].astype(np.int64)
+    return TracedRoutes(route_switch, route_port, route_len, delivered, bad_port)
+
+
+def trace_columns(
+    arrays: FabricArrays, port: np.ndarray, lids: np.ndarray, steps: int
+) -> TracedRoutes:
+    """Trace DLID columns ``lids`` of ``port`` from every leaf switch:
+    :func:`trace_routes` shaped (leaf row, column[, hop])."""
+    F, K = arrays.num_leaves, len(lids)
+    routes = trace_routes(
+        arrays,
+        port,
+        np.repeat(arrays.leaf_switch, K),
+        np.tile(np.asarray(lids, np.int64), F),
+        steps,
+    )
+    return TracedRoutes(*(a.reshape(F, K, *a.shape[1:]) for a in routes))
+
+
 class RouteKernel:
     """Compiled routes of one scheme, queryable with array indexing."""
 
@@ -202,13 +325,7 @@ class RouteKernel:
         #: scalar parity: trace_path gives up after this many switches
         self.max_steps = 2 * ft.n + 2
 
-        port = np.asarray(port_matrix, dtype=np.int64)
-        if port.shape != (self.num_switches, self.num_lids):
-            raise ValueError(
-                f"port matrix must be {(self.num_switches, self.num_lids)}, "
-                f"got {port.shape}"
-            )
-        self.port = np.ascontiguousarray(port)
+        self.port = _checked_port(port_matrix, self.num_switches, self.num_lids)
 
         # -- adjacency, digits, levels (shared with flow-level) --------
         arrays = fabric_arrays(ft)
@@ -256,35 +373,48 @@ class RouteKernel:
     # ------------------------------------------------------------------
     def _trace_all(self) -> None:
         """Trace every (leaf, DLID) route with batched hop steps."""
-        F, L, m, steps = self.num_leaves, self.num_lids, self.m, self.max_steps
-        self.route_switch = np.full((F, L, steps), -1, np.int32)
-        self.route_port = np.full((F, L, steps), -1, np.int32)
-        self.route_len = np.zeros((F, L), np.int32)
-        self.delivered = np.full((F, L), -1, np.int32)
-        self.bad_port = np.zeros((F, L), bool)
+        (
+            self.route_switch,
+            self.route_port,
+            self.route_len,
+            self.delivered,
+            self.bad_port,
+        ) = trace_columns(
+            self.arrays, self.port, np.arange(self.num_lids), self.max_steps
+        )
 
-        cur = np.repeat(self.leaf_switch[:, None], L, axis=1).astype(np.int64)
-        lid_col = np.arange(L)
-        active = np.ones((F, L), bool)
-        for step in range(steps):
-            port = self.port[cur, lid_col[None, :]]
-            ok = (port >= 0) & (port < m)
-            newly_bad = active & ~ok
-            if newly_bad.any():
-                self.bad_port |= newly_bad
-                active = active & ok
-            self.route_switch[:, :, step][active] = cur[active]
-            self.route_port[:, :, step][active] = port[active]
-            safe = np.where(ok, port, 0)
-            nxt_switch = self.peer_switch[cur, safe]
-            nxt_node = self.peer_node[cur, safe]
-            arrived = active & (nxt_node >= 0)
-            self.delivered[arrived] = nxt_node[arrived]
-            self.route_len[arrived] = step + 1
-            active = active & (nxt_node < 0)
-            if not active.any():
-                break
-            cur[active] = nxt_switch[active]
+    def retraced(self, port_matrix: np.ndarray) -> "RouteKernel":
+        """The kernel of ``port_matrix``, retracing only changed columns.
+
+        A route depends only on its own DLID column of the port matrix,
+        so the result copies this kernel's route arrays and retraces the
+        columns where ``port_matrix`` differs from :attr:`port`.  It
+        equals ``RouteKernel(self.scheme, port_matrix)`` bit for bit,
+        whatever tables this kernel was compiled from.  This kernel is
+        never written, so a published snapshot holding it stays as it
+        was.  Scheme- and topology-derived caches (the DLID matrix, the
+        gcp table) carry over; route-derived ones start empty.
+        """
+        port = _checked_port(port_matrix, self.num_switches, self.num_lids)
+        cols = np.flatnonzero((port != self.port).any(axis=0))
+        new = copy.copy(self)
+        new.port = port
+        new.route_switch = self.route_switch.copy()
+        new.route_port = self.route_port.copy()
+        new.route_len = self.route_len.copy()
+        new.delivered = self.delivered.copy()
+        new.bad_port = self.bad_port.copy()
+        if cols.size:
+            routes = trace_columns(self.arrays, port, cols, self.max_steps)
+            new.route_switch[:, cols] = routes.switch
+            new.route_port[:, cols] = routes.port
+            new.route_len[:, cols] = routes.length
+            new.delivered[:, cols] = routes.delivered
+            new.bad_port[:, cols] = routes.bad_port
+        new._checks = None
+        new._sel_weights = None
+        new._sel_loads = None
+        return new
 
     # ------------------------------------------------------------------
     # Derived per-route properties (lazy)

@@ -69,6 +69,12 @@ class Subnet:
             raise ValueError(f"src == dst == {src_pid}")
         return int(self._dlid[src_pid * self.ft.num_nodes + dst_pid])
 
+    def dlid_matrix(self) -> np.ndarray:
+        """Every :meth:`dlid_for` answer as a (src, dst) PID matrix view
+        (the diagonal is unused)."""
+        num = self.ft.num_nodes
+        return self._dlid.reshape(num, num)
+
     @property
     def num_nodes(self) -> int:
         return self.ft.num_nodes

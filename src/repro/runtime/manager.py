@@ -32,14 +32,19 @@ failure lifecycle *inside* the discrete-event simulation:
 5. **Metrics** — each completed re-route appends a
    :class:`ReroutingRecord`; :meth:`DynamicSubnetManager.metrics`
    summarizes time-to-detect, time-to-repair, packets lost, flows
-   rerouted and post-repair path-length inflation.
+   rerouted and post-repair path-length inflation.  A route depends
+   only on (source leaf, DLID), so the flow statistics trace just the
+   flows whose DLID column the repair changed, before and after, in
+   one batched hop stepper (:func:`~repro.core.kernel.trace_routes`).
 
 Kernel coherence: the shared
 :class:`~repro.ib.artifacts.RoutingArtifacts` cache is never mutated
 (other subnets may hold the same instance); instead the manager owns a
-*live* :class:`~repro.core.kernel.RouteKernel`, invalidated on every
-reprogram and lazily recompiled from the switches' current LFTs by
-:meth:`DynamicSubnetManager.live_kernel`.
+*live* :class:`~repro.core.kernel.RouteKernel`.  After a reprogram,
+:meth:`DynamicSubnetManager.live_kernel` advances it with
+:meth:`~repro.core.kernel.RouteKernel.retraced`: a copy that retraces
+only the DLID columns whose forwarding entries changed, equal bit for
+bit to a fresh compile of the switches' current LFTs.
 """
 
 from __future__ import annotations
@@ -53,7 +58,12 @@ import numpy as np
 
 from repro.core.fault import FaultSet, FaultTolerantTables, LinkId, link_id
 from repro.core.fault_kernel import FaultRepairKernel
-from repro.core.kernel import RouteKernel
+from repro.core.kernel import (
+    RouteKernel,
+    fabric_arrays,
+    trace_columns,
+    trace_routes,
+)
 from repro.ib.lft import LinearForwardingTable
 from repro.ib.link import Transmitter
 from repro.ib.sm import SubnetManager
@@ -215,6 +225,10 @@ class DynamicSubnetManager:
         self._generation = 0
         self._kernel: Optional[RouteKernel] = None
         self._kernel_generation = -1
+        # Migration statistics: every flow's leaf row and DLID index,
+        # and the fault-free (leaf, DLID) route lengths; built on the
+        # first repair.
+        self._flows: Optional[Tuple[np.ndarray, ...]] = None
         #: Optional observer called as ``on_sweep(record)`` after each
         #: detection→repair cycle completes (including zero-delta
         #: sweeps).  Fired from inside the engine's callback, after the
@@ -472,31 +486,19 @@ class DynamicSubnetManager:
     # ------------------------------------------------------------------
     # Migration statistics
     # ------------------------------------------------------------------
-    def _walk(
-        self, tables: Tables, src_pid: int, dlid: int, max_hops: int
-    ) -> Optional[List[Tuple[SwitchLabel, int]]]:
-        """(switch, port) sequence of one table walk, None on non-delivery."""
-        ft = self.ft
-        sw = ft.node_attachment(ft.node_from_pid(src_pid)).switch
-        path: List[Tuple[SwitchLabel, int]] = []
-        for _ in range(max_hops):
-            port = int(tables[sw][dlid - 1])
-            path.append((sw, port))
-            ep = ft.peer(sw, port)
-            if ep.is_node:
-                return path
-            sw = ep.switch
-        return None
-
     def _migration_stats(
         self, before: Tables, known: frozenset
     ) -> Tuple[int, float]:
         """How many flows moved, and how much longer their paths got.
 
         A *flow* is a (src, dst) pair; its path is the walk of the
-        selected DLID through the tables.  Inflation compares the new
-        path length against the fault-free minimal one (the baseline
-        tables), averaged over rerouted flows.
+        selected DLID through the tables, from the source's leaf.  A
+        walk still undelivered after ``2n + 2·max(1, |known|) + 2`` hops
+        is "no path", and two of those count as the same path.  Only
+        flows whose DLID column changed can move: their paths through
+        ``before`` and through the live tables are traced side by side.
+        Inflation compares the new path length against the fault-free
+        one, averaged over rerouted flows that still have a path.
         """
         changed = np.zeros(self.scheme.num_lids, dtype=bool)
         for sw, old in before.items():
@@ -505,46 +507,98 @@ class DynamicSubnetManager:
                 np.logical_or(changed, old != live, out=changed)
         if not changed.any():
             return 0, 1.0
+        if self._flows is None:
+            self._index_flows()
+        arrays = fabric_arrays(self.ft)
+        flow_leaf, flow_lix, base_len = self._flows
+        hit = changed[flow_lix]
+        leaf, lix = flow_leaf[hit], flow_lix[hit]
+        start = arrays.leaf_switch[leaf]
+        cols = np.flatnonzero(changed)
+        col = np.searchsorted(cols, lix)
+        switches = self.ft.switches
+        port = np.concatenate(
+            [
+                np.stack([before[sw][cols] for sw in switches]),
+                np.stack([self._live[sw][cols] for sw in switches]),
+            ],
+            axis=1,
+        )
+        route_start = np.concatenate([start, start])
+        route_col = np.concatenate([col, col + len(cols)])
         max_hops = 2 * self.ft.n + 2 * max(1, len(known)) + 2
-        num = self.ft.num_nodes
-        flows = 0
-        ratios: List[float] = []
-        for src in range(num):
-            for dst in range(num):
-                if src == dst:
-                    continue
-                dlid = self.net.dlid_for(src, dst)
-                if not changed[dlid - 1]:
-                    continue
-                old = self._walk(before, src, dlid, max_hops)
-                new = self._walk(self._live, src, dlid, max_hops)
-                if old == new:
-                    continue
-                flows += 1
-                if new is not None:
-                    base = self._walk(self._baseline, src, dlid, max_hops)
-                    ratios.append(len(new) / len(base))
+        routes = trace_routes(arrays, port, route_start, route_col, max_hops)
+        compared = len(lix)
+        if routes.bad_port.any():
+            # A walk asks the fabric for the bad port's peer, which
+            # raises.  The first flow in (src, dst) order with a bad old
+            # or new walk raises, and its old walk comes first.
+            bad = routes.bad_port[:compared] | routes.bad_port[compared:]
+            i = int(np.argmax(bad))
+            i = i if routes.bad_port[i] else compared + i
+            hops = int((routes.switch[i] >= 0).sum())
+            sw = int(
+                arrays.peer_switch[
+                    routes.switch[i, hops - 1], routes.port[i, hops - 1]
+                ]
+                if hops
+                else route_start[i]
+            )
+            self.ft.peer(switches[sw], int(port[sw, route_col[i]]))
+        old_ok = routes.delivered[:compared] >= 0
+        new_ok = routes.delivered[compared:] >= 0
+        old_hops, new_hops = routes.port[:compared], routes.port[compared:]
+        same_hops = (old_hops == new_hops).all(axis=1)
+        moved = ~np.where(old_ok & new_ok, same_hops, old_ok == new_ok)
+        kept = moved & new_ok
+        ratios = (
+            routes.length[compared:][kept] / base_len[leaf[kept], lix[kept]]
+        ).tolist()
         inflation = sum(ratios) / len(ratios) if ratios else 1.0
-        return flows, inflation
+        return int(moved.sum()), inflation
+
+    def _index_flows(self) -> None:
+        """Map every flow to its (leaf row, DLID index) once, in (src,
+        dst) row-major order, and trace the fault-free length of every
+        (leaf, DLID) route; the initial sweep delivers each within
+        ``2n − 1`` hops."""
+        arrays = fabric_arrays(self.ft)
+        num = self.ft.num_nodes
+        src, dst = np.nonzero(~np.eye(num, dtype=bool))
+        baseline = np.stack([self._baseline[sw] for sw in self.ft.switches])
+        base_len = trace_columns(
+            arrays, baseline, np.arange(self.scheme.num_lids), 2 * self.ft.n + 2
+        ).length
+        self._flows = (
+            arrays.attach_leaf[src].astype(np.int64),
+            self.net.dlid_matrix()[src, dst].astype(np.int64) - 1,
+            base_len,
+        )
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def live_kernel(self) -> RouteKernel:
-        """Route kernel compiled from the *current* switch LFTs.
+        """Route kernel of the tables the switches forward with now.
 
-        Invalidated by every reprogram and recompiled lazily, so static
-        analyses stay coherent with what the fabric actually forwards
-        with.  The shared :mod:`repro.ib.artifacts` cache is left
-        untouched — its kernel describes the fault-free tables.
+        Advanced on demand after a reprogram: the previous live kernel
+        is :meth:`~repro.core.kernel.RouteKernel.retraced` over the live
+        tables, so only the DLID columns that changed are traced again,
+        and the result equals a fresh ``RouteKernel.from_lfts`` of the
+        live LFTs bit for bit.  Earlier kernels are never written.  The
+        shared :mod:`repro.ib.artifacts` cache is left untouched — its
+        kernel describes the fault-free tables.
 
         Note the kernel's hop budget is the fault-free bound
         (``2n + 2``); on deep trees a repaired route that detours past
         it shows up as undelivered rather than raising.
         """
         if self._kernel is None or self._kernel_generation != self._generation:
-            lfts = {sw: model.lft for sw, model in self.net.switches.items()}
-            self._kernel = RouteKernel.from_lfts(self.scheme, lfts)
+            port = np.stack([self._live[sw] for sw in self.ft.switches])
+            if self._kernel is None:
+                self._kernel = RouteKernel(self.scheme, port)
+            else:
+                self._kernel = self._kernel.retraced(port)
             self._kernel_generation = self._generation
         return self._kernel
 

@@ -3,7 +3,7 @@
 Everything else in this repo *simulates*; this package *serves*.  The
 compiled route tensor (:class:`~repro.core.kernel.RouteKernel`), the
 incremental fault-repair kernel and the generation-counted live
-recompile of the dynamic SM already hold every answer an online
+kernel of the dynamic SM already hold every answer an online
 consumer could ask of a fat-tree fabric — this package exposes them as
 a long-running server:
 

@@ -18,13 +18,18 @@ from __future__ import annotations
 import asyncio
 import json
 from collections import Counter
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.service.snapshot import SnapshotStore
 from repro.service.telemetry import telemetry_frame
 from repro.topology.labels import format_switch
 
-__all__ = ["RouteQueryService", "RouteQueryServer", "MAX_FLOWS_LISTED"]
+__all__ = [
+    "RouteQueryService",
+    "RouteQueryServer",
+    "MAX_FLOWS_LISTED",
+    "TELEMETRY_BACKLOG_BYTES",
+]
 
 #: ``flows`` responses list at most this many (src, dst) pairs unless
 #: the request narrows it with ``limit`` (the count is always exact).
@@ -34,6 +39,10 @@ MAX_FLOWS_LISTED = 64
 #: Longest request line the server reads, in bytes (asyncio's default
 #: ``StreamReader`` limit).
 _LINE_LIMIT = 64 * 1024
+
+#: Most telemetry bytes a subscriber may leave unsent; one that falls
+#: further behind is disconnected.
+TELEMETRY_BACKLOG_BYTES = 1024 * 1024
 
 
 async def _skip_line(reader: asyncio.StreamReader) -> None:
@@ -278,6 +287,8 @@ class RouteQueryServer:
         self.telemetry_interval_s = telemetry_interval_s
         self._server: Optional[asyncio.AbstractServer] = None
         self._subscribers: set = set()
+        # Open client connections: writer -> the task serving it.
+        self._clients: Dict[asyncio.StreamWriter, asyncio.Task] = {}
         self._shutdown = asyncio.Event()
         self._telemetry_task: Optional[asyncio.Task] = None
         self.connections = 0
@@ -299,7 +310,12 @@ class RouteQueryServer:
         await self.stop()
 
     async def stop(self) -> None:
-        """Close the listener, the telemetry loop and all clients."""
+        """Close the listener, the telemetry loop and all clients.
+
+        Every open connection is closed, so an idle client reads EOF
+        and its handler returns before the listener is awaited (which
+        waits for every connection from Python 3.12 on).
+        """
         self._shutdown.set()
         if self._telemetry_task is not None:
             self._telemetry_task.cancel()
@@ -310,11 +326,26 @@ class RouteQueryServer:
             self._telemetry_task = None
         if self._server is not None:
             self._server.close()
+            handlers = [
+                task
+                for task in self._clients.values()
+                if task is not asyncio.current_task()
+            ]
+            for writer in list(self._clients):
+                writer.close()
+            await asyncio.gather(*handlers, return_exceptions=True)
             await self._server.wait_closed()
             self._server = None
 
     # ------------------------------------------------------------------
     async def _telemetry_loop(self) -> None:
+        """Push one frame to every subscriber per interval.
+
+        Frames are queued on each connection without waiting for it to
+        drain, so one subscriber that stops reading delays nobody.  A
+        subscriber whose unsent bytes would pass
+        :data:`TELEMETRY_BACKLOG_BYTES` is disconnected instead.
+        """
         while True:
             await asyncio.sleep(self.telemetry_interval_s)
             if not self._subscribers:
@@ -322,16 +353,21 @@ class RouteQueryServer:
             frame = self.service.telemetry()
             line = (json.dumps(frame) + "\n").encode()
             for writer in list(self._subscribers):
-                try:
-                    writer.write(line)
-                    await writer.drain()
-                except (ConnectionError, RuntimeError):
+                if writer.is_closing():
                     self._subscribers.discard(writer)
+                    continue
+                unsent = writer.transport.get_write_buffer_size()
+                if unsent + len(line) > TELEMETRY_BACKLOG_BYTES:
+                    self._subscribers.discard(writer)
+                    writer.close()
+                    continue
+                writer.write(line)
 
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self.connections += 1
+        self._clients[writer] = asyncio.current_task()
         try:
             while not self._shutdown.is_set():
                 try:
@@ -350,8 +386,6 @@ class RouteQueryServer:
                     writer.write((json.dumps(response) + "\n").encode())
                     await writer.drain()
                     await _skip_line(reader)
-                    break
-                except ConnectionError:
                     break
                 if not line:
                     break
@@ -372,7 +406,10 @@ class RouteQueryServer:
                         break
                 writer.write((json.dumps(response) + "\n").encode())
                 await writer.drain()
+        except ConnectionError:
+            pass  # the client hung up, or stop() closed the connection
         finally:
+            self._clients.pop(writer, None)
             self._subscribers.discard(writer)
             writer.close()
 

@@ -11,10 +11,12 @@ switch-by-switch underneath.
 
 Consistency model
 -----------------
-* A snapshot is **immutable**: the kernel's arrays are compiled once
-  (from the live LFTs, which are themselves immutable objects swapped
-  whole) and never written again; queries answer by zero-copy array
-  indexing.
+* A snapshot is **immutable**: its kernel is the manager's live kernel
+  of that generation
+  (:meth:`~repro.runtime.DynamicSubnetManager.live_kernel`), built by
+  copying the previous kernel's route arrays and retracing the DLID
+  columns the sweep changed.  Nothing writes those arrays afterwards;
+  queries answer by zero-copy array indexing.
 * The :class:`SnapshotStore` publishes by a single reference
   assignment, which is atomic under the GIL — a reader in any thread
   sees either the old snapshot or the new one, never a torn mix, and
@@ -234,8 +236,9 @@ class SnapshotPublisher:
 
     Hooks :attr:`DynamicSubnetManager.on_sweep` (chaining any observer
     already installed) and, at attach time, publishes the current state
-    as the baseline.  Compilation happens in the calling (simulation)
-    thread; the store swap is the only thing readers ever see.
+    as the baseline.  The manager's live kernel is retraced in the
+    calling (simulation) thread; the store swap is the only thing
+    readers ever see.
 
     ``keep_lfts=True`` additionally archives the (immutable) LFT
     objects of every published generation in :attr:`lft_archive` —
@@ -278,15 +281,14 @@ class SnapshotPublisher:
         return self
 
     def publish_now(self) -> bool:
-        """Compile and publish the manager's current state (no-op when
-        the store already holds this generation)."""
+        """Publish the manager's live kernel (no-op when the store
+        already holds this generation)."""
         mgr = self.mgr
         generation = mgr.generation
         cur = self.store.current
         if cur is not None and cur.generation == generation:
             return False
-        lfts = mgr.live_lfts()
-        kernel = RouteKernel.from_lfts(mgr.scheme, lfts)
+        kernel = mgr.live_kernel()
         kernel._set_selected(self._dlid_matrix)
         snap = RouteSnapshot(
             kernel,
@@ -295,5 +297,5 @@ class SnapshotPublisher:
             down_links=frozenset(mgr.down_links),
         )
         if self.lft_archive is not None:
-            self.lft_archive[generation] = lfts
+            self.lft_archive[generation] = mgr.live_lfts()
         return self.store.publish(snap)

@@ -5,6 +5,8 @@ LCA-usage histograms, all-to-one link loads, and CDG edge sets."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import verification as v
 from repro.core.extensions import DestStaggeredMlidScheme, HashedMlidScheme
@@ -259,6 +261,8 @@ def test_port_matrix_shape_validated():
     scheme = MlidScheme(FatTree(4, 2))
     with pytest.raises(ValueError, match="port matrix"):
         RouteKernel(scheme, np.zeros((2, 2), dtype=np.int64))
+    with pytest.raises(ValueError, match="port matrix"):
+        compile_kernel(scheme).retraced(np.zeros((2, 2), dtype=np.int64))
 
 
 def test_generic_scheme_without_vectorized_tables():
@@ -290,3 +294,139 @@ def test_generic_scheme_without_vectorized_tables():
     assert compile_kernel(scheme).verify() == v.verify_scheme(
         scheme, use_kernel=False
     )
+
+
+# ----------------------------------------------------------------------
+# Column retrace: RouteKernel.retraced equals a fresh compile
+# ----------------------------------------------------------------------
+ROUTE_ARRAYS = (
+    "port",
+    "route_switch",
+    "route_port",
+    "route_len",
+    "delivered",
+    "bad_port",
+)
+
+
+def assert_same_routes(got: RouteKernel, want: RouteKernel) -> None:
+    """Every route array equal in value and dtype."""
+    for name in ROUTE_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.shape == b.shape, name
+        assert np.array_equal(a, b), name
+
+
+_BASE_KERNELS = {}
+
+
+def _base_kernel(m, n, cls) -> RouteKernel:
+    key = (m, n, cls)
+    if key not in _BASE_KERNELS:
+        _BASE_KERNELS[key] = RouteKernel.from_scheme(cls(FatTree(m, n)))
+    return _BASE_KERNELS[key]
+
+
+def _perturbed(kernel, data, label) -> np.ndarray:
+    """The kernel's port matrix with a drawn set of DLID columns
+    rewritten to any port in [-1, m]: out-of-range entries, misroutes
+    and loops.  The set may be empty or every column."""
+    lids = kernel.num_lids
+    cols = data.draw(
+        st.one_of(
+            st.just([]),
+            st.just(list(range(lids))),
+            st.lists(st.integers(0, lids - 1), unique=True, max_size=lids),
+        ),
+        label=f"{label} columns",
+    )
+    seed = data.draw(st.integers(0, 2**32 - 1), label=f"{label} seed")
+    port = kernel.port.copy()
+    rng = np.random.default_rng(seed)
+    port[:, cols] = rng.integers(-1, kernel.m + 1, (kernel.num_switches, len(cols)))
+    if cols and data.draw(st.booleans(), label=f"{label} ping-pong"):
+        # The first leaf sends the column up; its parent sends it back.
+        leaf = int(kernel.leaf_switch[0])
+        up = kernel.m - 1
+        parent = int(kernel.peer_switch[leaf, up])
+        port[leaf, cols[0]] = up
+        port[parent, cols[0]] = int(
+            np.flatnonzero(kernel.peer_switch[parent] == leaf)[0]
+        )
+    return port
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    shape=st.sampled_from([(4, 2), (8, 2), (4, 3)]),
+    cls=st.sampled_from(SCHEMES),
+)
+def test_retraced_equals_fresh_compile(data, shape, cls):
+    """Retrace a drawn column subset, then retrace again from the
+    perturbed kernel: each result equals ``RouteKernel`` of its port
+    matrix, and neither source kernel is written."""
+    base = _base_kernel(*shape, cls)
+    base.estimated_link_loads()  # fill route-derived caches
+    base._route_checks()
+    before = {name: getattr(base, name).copy() for name in ROUTE_ARRAYS}
+
+    first_port = _perturbed(base, data, "first")
+    first = base.retraced(first_port)
+    assert_same_routes(first, RouteKernel(base.scheme, first_port))
+    assert first._checks is None
+    assert first._sel_weights is None
+    assert first._sel_loads is None
+
+    first_arrays = {name: getattr(first, name).copy() for name in ROUTE_ARRAYS}
+    second_port = _perturbed(base, data, "second")
+    second = first.retraced(second_port)
+    assert_same_routes(second, RouteKernel(base.scheme, second_port))
+
+    for name in ROUTE_ARRAYS:
+        assert np.array_equal(getattr(base, name), before[name]), name
+        assert np.array_equal(getattr(first, name), first_arrays[name]), name
+
+
+def test_retraced_has_loop_and_bad_port_routes():
+    """The perturbations above do reach both failure modes: a ping-pong
+    column is undelivered without a bad port, an entry of 99 is a bad
+    port."""
+    base = _base_kernel(4, 2, MlidScheme)
+    port = base.port.copy()
+    leaf = int(base.leaf_switch[0])
+    parent = int(base.peer_switch[leaf, base.m - 1])
+    port[leaf, 0] = base.m - 1
+    port[parent, 0] = int(np.flatnonzero(base.peer_switch[parent] == leaf)[0])
+    port[leaf, 1] = 99
+    kernel = base.retraced(port)
+    assert_same_routes(kernel, RouteKernel(base.scheme, port))
+    assert kernel.delivered[0, 0] == -1 and not kernel.bad_port[0, 0]
+    assert kernel.bad_port[0, 1] and kernel.delivered[0, 1] == -1
+
+
+def test_retraced_queries_equal_fresh_compile():
+    """A kernel retraced onto fault-repaired tables answers the
+    service's load and flow queries exactly as a fresh compile does."""
+    from repro.core.fault import FaultSet, FaultTolerantTables
+
+    scheme = MlidScheme(FatTree(8, 2))
+    ft = scheme.ft
+    base = RouteKernel.from_scheme(scheme)
+    root = ft.switches_at_level(0)[0]
+    tables = FaultTolerantTables(
+        scheme, FaultSet.from_pairs(ft, [(root, 0), (root, 1)])
+    ).tables
+    port = np.array([tables[sw] for sw in ft.switches], dtype=np.int64)
+    retraced = base.retraced(port)
+    fresh = RouteKernel(scheme, port)
+    assert_same_routes(retraced, fresh)
+    assert np.array_equal(
+        retraced.estimated_link_loads(), fresh.estimated_link_loads()
+    )
+    for sw in range(ft.num_switches):
+        for k in range(ft.m):
+            got = retraced.flows_crossing(sw, k)
+            want = fresh.flows_crossing(sw, k)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))

@@ -16,6 +16,7 @@ sequences to pin down the monotonic/no-op contract exactly.
 from __future__ import annotations
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -30,6 +31,9 @@ from repro.service.snapshot import RouteSnapshot, SnapshotStore
 
 NUM_READERS = 4
 QUERIES_PER_READER = 300
+#: Pause between a reader's queries, so that its queries span the
+#: storm's horizon (60 paced steps of 5 ms) instead of its first steps.
+READ_PAUSE_S = 0.001
 
 
 class _Reader(threading.Thread):
@@ -61,6 +65,7 @@ class _Reader(threading.Thread):
                     (snap.generation, src, dst, answer)
                 )
                 self.generations.append(snap.generation)
+                time.sleep(READ_PAUSE_S)
         except BaseException as exc:  # surfaced by the main thread
             self.error = exc
 
@@ -83,6 +88,12 @@ def test_stress_bit_identity_under_storm():
             r.start()
         for r in readers:
             r.join()
+        # Play the whole horizon: a stop() before it cancels the flaps
+        # not played yet.
+        deadline = time.monotonic() + 60
+        while storm.running() and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert not storm.running()
 
     for r in readers:
         assert r.error is None, f"reader crashed: {r.error!r}"

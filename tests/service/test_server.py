@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import socket
 import threading
+import time
 
 import pytest
 
@@ -16,6 +18,7 @@ from repro.service import (
     ServiceClient,
 )
 from repro.service.client import ServiceError
+from repro.service.server import TELEMETRY_BACKLOG_BYTES
 from repro.service.snapshot import SnapshotStore
 from repro.topology.labels import format_switch
 
@@ -284,3 +287,105 @@ def test_shutdown_op_stops_server():
     # The listener is really gone.
     with pytest.raises(OSError):
         socket.create_connection(("127.0.0.1", server.port), timeout=1)
+
+
+def _serve_in_thread(server, loop_errors):
+    """Run ``server`` on its own event loop thread until it shuts down;
+    the loop's exception handler appends to ``loop_errors``."""
+    started = threading.Event()
+    loops = []
+
+    def run():
+        loop = asyncio.new_event_loop()
+        loop.set_exception_handler(lambda _loop, ctx: loop_errors.append(ctx))
+        loops.append(loop)
+        asyncio.set_event_loop(loop)
+        loop.run_until_complete(server.start())
+        started.set()
+        loop.run_until_complete(server.serve_until_shutdown())
+        loop.close()
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    assert started.wait(10)
+    return thread, loops[0]
+
+
+def _static_server(**kwargs) -> RouteQueryServer:
+    store = SnapshotStore()
+    store.publish(get_artifacts(4, 2, "mlid").snapshot())
+    return RouteQueryServer(RouteQueryService(store), **kwargs)
+
+
+def test_shutdown_closes_idle_clients():
+    """A shutdown from one client closes every other connection: an idle
+    client reads EOF, and the server stops within 5 s instead of
+    waiting for it to hang up."""
+    loop_errors = []
+    server = _static_server(telemetry_interval_s=5.0)
+    thread, _ = _serve_in_thread(server, loop_errors)
+    with socket.create_connection(("127.0.0.1", server.port), timeout=5) as idle:
+        f = idle.makefile("rwb")
+        f.write(b'{"op": "ping"}\n')
+        f.flush()
+        assert json.loads(f.readline())["ok"]  # the connection is being served
+        started = time.monotonic()
+        with ServiceClient("127.0.0.1", server.port, timeout_s=5.0) as c:
+            assert c.shutdown()["ok"]
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert time.monotonic() - started < 5
+        assert f.readline() == b""  # EOF, not a timeout
+    gc.collect()
+    assert loop_errors == []
+
+
+class _StuckWriter:
+    """A subscriber connection whose ``drain()`` never completes: every
+    frame written to it stays unsent, on top of a backlog a few frames
+    short of the bound."""
+
+    def __init__(self):
+        self.transport = self
+        self.unsent = TELEMETRY_BACKLOG_BYTES - 16 * 1024
+        self.closed = False
+
+    def write(self, data: bytes) -> None:
+        self.unsent += len(data)
+
+    def get_write_buffer_size(self) -> int:
+        return self.unsent
+
+    async def drain(self) -> None:
+        await asyncio.Event().wait()
+
+    def is_closing(self) -> bool:
+        return self.closed
+
+    def close(self) -> None:
+        self.closed = True
+
+
+def test_stuck_subscriber_is_dropped_and_others_keep_receiving():
+    """One subscriber that never reads is disconnected once its unsent
+    frames pass the bound; a reading subscriber keeps getting a frame
+    every interval."""
+    loop_errors = []
+    server = _static_server(telemetry_interval_s=0.001)
+    thread, loop = _serve_in_thread(server, loop_errors)
+    stuck = _StuckWriter()
+    try:
+        with ServiceClient("127.0.0.1", server.port, timeout_s=2.0) as c:
+            loop.call_soon_threadsafe(server._subscribers.add, stuck)
+            c.subscribe()
+            frames = list(c.frames(200))
+            assert all(f["type"] == "telemetry" for f in frames)
+            assert stuck.closed
+            assert stuck not in server._subscribers
+            assert stuck.unsent <= TELEMETRY_BACKLOG_BYTES
+    finally:
+        with ServiceClient("127.0.0.1", server.port, timeout_s=5.0) as c:
+            c.shutdown()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert loop_errors == []
