@@ -12,10 +12,10 @@ the paper drives the network past saturation.
 Two injection-queue disciplines (``SimConfig.injection_queueing``):
 
 * ``"per_destination"`` (default) — one unbounded queue per
-  destination, drained round-robin into the NIC.  This models IBA
-  reality: a host talks to each peer over its own queue pair, and the
-  HCA arbitrates among QPs, so a congested flow does not head-of-line
-  block the host's other flows.
+  destination and VL, drained round-robin into the NIC.  This models
+  IBA reality: a host talks to each peer over its own queue pair, and
+  the HCA arbitrates among QPs, so a congested flow does not
+  head-of-line block the host's other flows.
 * ``"fifo"`` — a single unbounded FIFO per VL.  A congested flow
   blocks everything generated after it; useful as an ablation because
   it provably equalizes routing schemes under hot-spot traffic (every
@@ -68,39 +68,64 @@ class FifoInjection:
 
 
 class PerDestinationInjection:
-    """One unbounded queue per destination, round-robin per VL.
+    """One unbounded queue pair per destination and VL, round-robin
+    per VL.
 
-    The active ring per VL holds destinations with a non-empty queue,
-    in round-robin order; ``pull`` serves the ring head and re-appends
-    it while its queue stays non-empty.
+    A queue is keyed by the int ``dst * num_vls + vl``.  The active
+    ring per VL holds the keys of that VL's non-empty queues, in
+    round-robin order; ``pull`` serves the ring head and re-appends it
+    while its queue stays non-empty.  So ``pull(vl)`` returns only
+    packets of ``vl``, also under the per-packet VL policies
+    (``roundrobin``, ``random``) that spread one destination over
+    several VLs.
     """
 
     def __init__(self, num_vls: int):
+        self._num_vls = num_vls
         self._queues: dict[int, Deque[Packet]] = {}
         self._rings: List[Deque[int]] = [deque() for _ in range(num_vls)]
 
     def push(self, packet: Packet) -> None:
-        queue = self._queues.get(packet.dst_pid)
+        vl = packet.vl
+        key = packet.dst_pid * self._num_vls + vl
+        queue = self._queues.get(key)
         if queue is None:
-            queue = self._queues[packet.dst_pid] = deque()
+            queue = self._queues[key] = deque()
         if not queue:
-            self._rings[packet.vl].append(packet.dst_pid)
+            self._rings[vl].append(key)
         queue.append(packet)
 
     def pull(self, vl: int) -> Optional[Packet]:
         ring = self._rings[vl]
         if not ring:
             return None
-        dst = ring.popleft()
-        queue = self._queues[dst]
+        key = ring.popleft()
+        queue = self._queues[key]
         packet = queue.popleft()
         if queue:
-            ring.append(dst)
+            ring.append(key)
         return packet
 
     @property
     def backlog(self) -> int:
         return sum(len(q) for q in self._queues.values())
+
+
+class _GenEvent:
+    """An endnode's pooled generation event (wheel backend): the one
+    cancellable handle ``_generate`` reschedules in place through
+    ``schedule_pooled``, instead of a fresh :class:`Event` per gap."""
+
+    __slots__ = ("time", "seq", "cancelled")
+
+    def __init__(self) -> None:
+        self.time = 0.0
+        self.seq = 0
+        self.cancelled = False
+
+    def cancel(self) -> None:
+        """Prevent the pending generation from firing.  Idempotent."""
+        self.cancelled = True
 
 
 class Endnode:
@@ -142,8 +167,11 @@ class Endnode:
         self._interval: float = 0.0
         self._gen_event = None
         self._burst_left = 0
-        # Hot-loop constants, hoisted for the fused hop fast path.
+        # Hot-loop constants, hoisted out of the per-packet path.
         self._byte_ns = cfg.byte_time_ns
+        self._message_packets = cfg.message_packets
+        self._packet_bytes = cfg.packet_bytes
+        self._exponential = cfg.arrival_process == "exponential"
         # Reusable per-VL credit-return closures (wheel backend).
         self._credit_cbs: List[Optional[Callable[[], None]]] = [None] * cfg.num_vls
 
@@ -151,7 +179,13 @@ class Endnode:
     # Producer
     # ------------------------------------------------------------------
     def start_generation(self, rate_pkts_per_ns: float) -> None:
-        """Begin constant-mean-rate generation (``rate`` packets/ns)."""
+        """Begin constant-mean-rate generation (``rate`` packets/ns).
+
+        On a fused (wheel) engine the process runs on one pooled
+        :class:`_GenEvent`, fresh per call so that a handle cancelled
+        by :meth:`stop_generation` stays cancelled; on the heap oracle
+        every gap gets its own :class:`~repro.sim.engine.Event`.  Both
+        schedule at the same times in the same order."""
         if rate_pkts_per_ns < 0:
             raise ValueError(f"rate must be non-negative, got {rate_pkts_per_ns}")
         if rate_pkts_per_ns == 0:
@@ -159,7 +193,12 @@ class Endnode:
         self._interval = 1.0 / rate_pkts_per_ns
         # Random initial phase in [0, interval) de-synchronizes nodes.
         first = float(self.rng.uniform(0.0, self._interval))
-        self._gen_event = self.engine.schedule_after(first, self._generate)
+        engine = self.engine
+        if engine.fused:
+            self._gen_event = _GenEvent()
+            engine.schedule_pooled(first, self._gen_event, self._generate)
+        else:
+            self._gen_event = engine.schedule_after(first, self._generate)
 
     def stop_generation(self) -> None:
         """Cancel the generation process (pending backlog still drains)."""
@@ -168,10 +207,9 @@ class Endnode:
             self._gen_event = None
 
     def _next_gap(self) -> float:
-        process = self.cfg.arrival_process
-        if process == "exponential":
+        if self._exponential:
             return float(self.rng.exponential(self._interval))
-        if process == "onoff":
+        if self.cfg.arrival_process == "onoff":
             return self._onoff_gap()
         return self._interval
 
@@ -200,9 +238,13 @@ class Endnode:
         # The rate parameter is packets/ns, so a k-packet message is
         # generated every k inter-packet gaps on average.
         gap = 0.0
-        for _ in range(self.cfg.message_packets):
+        for _ in range(self._message_packets):
             gap += self._next_gap()
-        self._gen_event = self.engine.schedule_after(gap, self._generate)
+        engine = self.engine
+        if engine.fused:
+            engine.schedule_pooled(gap, self._gen_event, self._generate)
+        else:
+            self._gen_event = engine.schedule_after(gap, self._generate)
 
     def _emit_one(self) -> Packet:
         """Emit one message (``message_packets`` packets, back-to-back,
@@ -212,9 +254,8 @@ class Endnode:
             raise RuntimeError(f"traffic pattern sent node {self.pid} to itself")
         dlid = self.dlid_for(self.pid, dst_pid)
         vl = self._assign_vl(dst_pid)
-        cfg = self.cfg
-        count = cfg.message_packets
-        size = cfg.packet_bytes
+        count = self._message_packets
+        size = self._packet_bytes
         now = self.engine.now
         push = self.injection.push
         pid = self.pid

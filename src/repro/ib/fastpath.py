@@ -9,9 +9,11 @@ InputUnit._move``.  On the wheel backend
 single pooled, self-rescheduling :class:`HopEvent` whose stage
 callbacks fire at exactly the oracle's timestamps and perform exactly
 the oracle's state mutations in the oracle's order — with the
-intermediate method calls (``accept``, ``kick``, ``_tx_done``,
-``credit_return``, buffer and credit accounting) inlined down to
-direct deque and counter operations.
+intermediate method calls (``accept``, ``_tx_done``, ``credit_return``,
+buffer and credit accounting) inlined down to direct deque and counter
+operations.  Every fused transmission starts in one routine,
+:func:`_start` (``Transmitter.kick`` with round-robin VL arbitration,
+for any VL count).
 
 Bit-identity argument (the differential tests enforce it):
 
@@ -27,9 +29,9 @@ Bit-identity argument (the differential tests enforce it):
   dead on that path (e.g. the flow-control overflow re-check after
   ``can_accept`` already held within the same callback);
 * under contention (busy routing pipeline, full output buffer, a
-  packet queued behind another, multi-VL arbitration) the fast path
-  falls back to the general closure-based path mid-flight, which is
-  the very code the oracle runs.
+  packet queued behind another) and under weighted VL arbitration the
+  fast path falls back to the general closure-based path mid-flight,
+  which is the very code the oracle runs.
 
 Pooling: ``HopEvent`` instances are recycled through the engine's
 ``hop_pool`` free list by their own final stage (or by the engine when
@@ -252,62 +254,13 @@ class HopEvent:
             self.unit = None
             self.pool.append(self)
             reroute = False
-        # --- Transmitter.accept + kick, inlined; the buffer/credit
-        # prechecks skip calls _start_tx would abort anyway ---
+        # --- Transmitter.accept + kick, inlined; the wire-busy precheck
+        # skips a call kick would no-op on ---
         if alive:
             out_fifo.append(packet)
             if not tx._wire_busy:
-                if tx._single_vl and tx._fused:
-                    acct = tx._acct0
-                    avail = acct.available
-                    if avail > 0:
-                        # --- _start_tx success path, inlined ---
-                        sp = out_fifo[0]
-                        acct.available = avail - 1
-                        tx._wire_busy = True
-                        eng = tx.engine
-                        now = eng.now
-                        tx._last_start = now
-                        if sp.t_injected < 0:
-                            sp.t_injected = now
-                        t = now + tx._flying_ns
-                        tx._deliver_time = t
-                        pool = eng.hop_pool
-                        hop = pool.pop() if pool else HopEvent(pool)
-                        receiver = tx.receiver
-                        hop.packet = sp
-                        if receiver._is_input_unit:
-                            hop.unit = receiver
-                            cb = hop.deliver_switch_cb
-                        else:
-                            hop.node = receiver
-                            cb = hop.deliver_node_cb
-                        seq = eng._seq + 1
-                        eng._seq = seq
-                        hop.seq = seq
-                        hop.cancelled = False
-                        cur = eng._cur
-                        si = int(t) >> _G
-                        if 0 <= si - cur < _SPAN0:
-                            eng._l0[si & _M0].append((t, seq, hop, cb))
-                        else:
-                            eng._insert((t, seq, hop, cb), si)
-                        tx._deliver_ev = hop
-                        tx._deliver_seq = seq
-                        nx = pool.pop() if pool else HopEvent(pool)
-                        nx.tx = tx
-                        t = now + sp.size_bytes * tx._byte_ns
-                        seq += 1
-                        eng._seq = seq
-                        nx.seq = seq
-                        nx.cancelled = False
-                        si = int(t) >> _G
-                        if 0 <= si - cur < _SPAN0:
-                            eng._l0[si & _M0].append((t, seq, nx, nx.tail_cb))
-                        else:
-                            eng._insert((t, seq, nx, nx.tail_cb), si)
-                        tx._tail_ev = nx
-                        tx._tail_seq = seq
+                if tx._rrf:
+                    _start(tx)
                 else:
                     tx.kick()
         else:
@@ -367,11 +320,9 @@ class HopEvent:
         vl = self.vl
         self.tx = None
         self.pool.append(self)
-        eng = tx.engine
         tx._wire_busy = False
-        tx.busy_time += eng.now - tx._last_start
-        fifo = tx._fifos[vl]
-        fifo.popleft()
+        tx.busy_time += tx.engine.now - tx._last_start
+        tx._fifos[vl].popleft()
         tx.packets_sent += 1
         waiters = tx.waiters[vl]
         if waiters:
@@ -382,84 +333,40 @@ class HopEvent:
             if on_free is not None:
                 on_free(vl)
         if not tx._wire_busy:  # a waiter/refill may have restarted it
-            if tx._single_vl:  # then vl == 0 and fifo is the VL-0 FIFO
-                if fifo:
-                    acct = tx._acct0
-                    avail = acct.available
-                    if avail > 0:
-                        # --- _start_tx success path, inlined (tx is
-                        # fused: only fused sends schedule _tail) ---
-                        packet = fifo[0]
-                        acct.available = avail - 1
-                        tx._wire_busy = True
-                        now = eng.now
-                        tx._last_start = now
-                        if packet.t_injected < 0:
-                            packet.t_injected = now
-                        t = now + tx._flying_ns
-                        tx._deliver_time = t
-                        pool = eng.hop_pool
-                        hop = pool.pop() if pool else HopEvent(pool)
-                        receiver = tx.receiver
-                        hop.packet = packet
-                        if receiver._is_input_unit:
-                            hop.unit = receiver
-                            cb = hop.deliver_switch_cb
-                        else:
-                            hop.node = receiver
-                            cb = hop.deliver_node_cb
-                        seq = eng._seq + 1
-                        eng._seq = seq
-                        hop.seq = seq
-                        hop.cancelled = False
-                        cur = eng._cur
-                        si = int(t) >> _G
-                        if 0 <= si - cur < _SPAN0:
-                            eng._l0[si & _M0].append((t, seq, hop, cb))
-                        else:
-                            eng._insert((t, seq, hop, cb), si)
-                        tx._deliver_ev = hop
-                        tx._deliver_seq = seq
-                        nxt = pool.pop() if pool else HopEvent(pool)
-                        nxt.tx = tx
-                        seq += 1
-                        eng._seq = seq
-                        t = now + packet.size_bytes * tx._byte_ns
-                        nxt.seq = seq
-                        nxt.cancelled = False
-                        si = int(t) >> _G
-                        if 0 <= si - cur < _SPAN0:
-                            eng._l0[si & _M0].append((t, seq, nxt, nxt.tail_cb))
-                        else:
-                            eng._insert((t, seq, nxt, nxt.tail_cb), si)
-                        tx._tail_ev = nxt
-                        tx._tail_seq = seq
+            if tx._rrf:
+                _start(tx)
             else:
                 tx.kick()
 
 
-def _start_tx(tx) -> None:
-    """Oracle ``Transmitter.kick`` with the fused send inlined: start a
-    transmission if the wire is idle and VL 0 is ready (single-VL fast
-    path — exactly kick's, with ``head``/``can_send``/``consume`` and
-    the two send schedules as direct operations).  Falls back to the
-    general ``kick`` for multi-VL/arbitrated or non-fused transmitters.
+def _start(tx) -> None:
+    """Oracle ``Transmitter.kick`` on an idle, fused, round-robin wire:
+    start the next transmission if some VL is ready.
+
+    The scan is ``_pick_vl``'s — from ``tx._rr``, the first VL with a
+    buffered packet and a credit — read straight off the FIFOs and the
+    credit counters; ``consume`` and ``send`` follow with both
+    ``schedule_pooled`` calls inlined (WheelEngine internals — see
+    repro.sim.wheel).  The one store dropped relative to ``send`` is
+    the pooled events' ``time``: nothing reads it, everything keys off
+    ``seq`` and ``_deliver_time``.  Callers check ``_wire_busy``.
     """
-    if tx._wire_busy:
-        return
-    if not (tx._single_vl and tx._fused):
-        tx.kick()
-        return
-    fifo = tx._fifo0
-    if not fifo:
-        return
-    acct = tx._acct0
-    avail = acct.available
-    if avail <= 0:
+    fifos = tx._fifos
+    credits = tx.credits
+    for vl, rr in tx._scan[tx._rr]:
+        fifo = fifos[vl]
+        if fifo:
+            acct = credits[vl]
+            avail = acct.available
+            if avail > 0:
+                break
+    else:
         return
     packet = fifo[0]
     acct.available = avail - 1  # consume(); underflow check held above
+    tx._rr = rr
     tx._wire_busy = True
+    tx._wire_vl = vl
     eng = tx.engine
     now = eng.now
     tx._last_start = now
@@ -467,15 +374,11 @@ def _start_tx(tx) -> None:
         packet.t_injected = now
     t = now + tx._flying_ns
     tx._deliver_time = t
-    # --- fused send (see send() below) with both schedule_pooled
-    # calls inlined (WheelEngine internals — see repro.sim.wheel).
-    # Dead stores dropped relative to send(): pooled-event `time` and
-    # `vl` (`_wire_vl` likewise) are never read on this single-VL path
-    # — everything keys off `seq` and `_deliver_time`. ---
     pool = eng.hop_pool
     hop = pool.pop() if pool else HopEvent(pool)
     receiver = tx.receiver
     hop.packet = packet
+    hop.vl = vl
     if receiver._is_input_unit:
         hop.unit = receiver
         cb = hop.deliver_switch_cb
@@ -496,6 +399,7 @@ def _start_tx(tx) -> None:
     tx._deliver_seq = seq
     tail = pool.pop() if pool else HopEvent(pool)
     tail.tx = tx
+    tail.vl = vl
     seq += 1
     eng._seq = seq
     t = now + packet.size_bytes * tx._byte_ns
@@ -511,15 +415,11 @@ def _start_tx(tx) -> None:
 
 
 def _credit_cb(upstream, vl):
-    """One reusable credit-return closure per (input unit, VL) —
-    oracle ``Transmitter.credit_return`` (restore + kick), inlined.
-    The restored credit makes VL 0 sendable, so the single-VL precheck
-    only needs a buffered packet; the start itself is the ``_start_tx``
-    success body (the restore-then-consume pair collapses to leaving
-    ``available`` at its pre-restore value)."""
+    """One reusable credit-return closure per (receiver, VL) — oracle
+    ``Transmitter.credit_return`` (restore + kick), with the restore
+    inlined and the kick going to :func:`_start` on a round-robin
+    wire."""
     acct = upstream.credits[vl]
-    fifo0 = upstream.buffers[0]._fifo
-    single = upstream._single_vl
 
     def credit() -> None:
         if not upstream.alive:
@@ -529,58 +429,8 @@ def _credit_cb(upstream, vl):
             acct.restore()  # raises the canonical overflow error
         acct.available = avail + 1
         if not upstream._wire_busy:
-            if single:
-                if fifo0:
-                    if not upstream._fused:  # mock receiver: general path
-                        upstream.kick()
-                        return
-                    # --- _start_tx success path, inlined ---
-                    packet = fifo0[0]
-                    acct.available = avail  # restore + consume
-                    upstream._wire_busy = True
-                    eng = upstream.engine
-                    now = eng.now
-                    upstream._last_start = now
-                    if packet.t_injected < 0:
-                        packet.t_injected = now
-                    t = now + upstream._flying_ns
-                    upstream._deliver_time = t
-                    pool = eng.hop_pool
-                    hop = pool.pop() if pool else HopEvent(pool)
-                    receiver = upstream.receiver
-                    hop.packet = packet
-                    if receiver._is_input_unit:
-                        hop.unit = receiver
-                        cb = hop.deliver_switch_cb
-                    else:
-                        hop.node = receiver
-                        cb = hop.deliver_node_cb
-                    seq = eng._seq + 1
-                    eng._seq = seq
-                    hop.seq = seq
-                    hop.cancelled = False
-                    cur = eng._cur
-                    si = int(t) >> _G
-                    if 0 <= si - cur < _SPAN0:
-                        eng._l0[si & _M0].append((t, seq, hop, cb))
-                    else:
-                        eng._insert((t, seq, hop, cb), si)
-                    upstream._deliver_ev = hop
-                    upstream._deliver_seq = seq
-                    tail = pool.pop() if pool else HopEvent(pool)
-                    tail.tx = upstream
-                    seq += 1
-                    eng._seq = seq
-                    t = now + packet.size_bytes * upstream._byte_ns
-                    tail.seq = seq
-                    tail.cancelled = False
-                    si = int(t) >> _G
-                    if 0 <= si - cur < _SPAN0:
-                        eng._l0[si & _M0].append((t, seq, tail, tail.tail_cb))
-                    else:
-                        eng._insert((t, seq, tail, tail.tail_cb), si)
-                    upstream._tail_ev = tail
-                    upstream._tail_seq = seq
+            if upstream._rrf:
+                _start(upstream)
             else:
                 upstream.kick()
 
@@ -588,9 +438,11 @@ def _credit_cb(upstream, vl):
 
 
 def send(tx, packet, vl: int) -> None:
-    """The fused tail of ``Transmitter.kick``: schedule header delivery
-    and tail departure as pooled events (oracle: two ``schedule_after``
-    calls with fresh Events and closures, in this exact order)."""
+    """The fused tail of ``Transmitter.kick`` under weighted VL
+    arbitration (round-robin wires start in :func:`_start`): schedule
+    header delivery and tail departure as pooled events (oracle: two
+    ``schedule_after`` calls with fresh Events and closures, in this
+    exact order)."""
     engine = tx.engine
     pool = engine.hop_pool
     hop = pool.pop() if pool else HopEvent(pool)

@@ -39,22 +39,30 @@ healthy.
 from __future__ import annotations
 
 from collections import deque
+from functools import cache
 from typing import Callable, Deque, List, Optional
 
 from repro.ib.buffers import VlBuffer
 from repro.ib.config import SimConfig
-from repro.ib.fastpath import HopEvent
-from repro.ib.fastpath import _start_tx as fastpath_start_tx
+from repro.ib.fastpath import _start as fastpath_start
 from repro.ib.fastpath import send as fastpath_send
 from repro.ib.flowcontrol import CreditAccount
 from repro.ib.packet import Packet
 from repro.ib.vl_arbitration import VlArbitrationTable, WeightedVlArbiter
 from repro.sim.engine import Engine
-from repro.sim.wheel import _G as _WG
-from repro.sim.wheel import _M0 as _WM0
-from repro.sim.wheel import _SPAN0 as _WSPAN0
 
 __all__ = ["Transmitter"]
+
+
+@cache
+def _rr_scan(nvl: int) -> tuple:
+    """Round-robin scan orders for the fused start, shared by every
+    transmitter with ``nvl`` VLs: for each ``_rr`` value, the (vl, _rr
+    after sending on vl) pairs in ``_pick_vl``'s order."""
+    return tuple(
+        tuple(((rr + i) % nvl, (rr + i + 1) % nvl) for i in range(nvl))
+        for rr in range(nvl)
+    )
 
 
 class Transmitter:
@@ -76,10 +84,9 @@ class Transmitter:
         "busy_time",
         "_last_start",
         "_single_vl",
-        "_fifo0",
+        "_scan",
         "_fifos",
         "_cap",
-        "_acct0",
         "_flying_ns",
         "_byte_ns",
         "alive",
@@ -88,6 +95,7 @@ class Transmitter:
         "_tail_ev",
         "_wire_vl",
         "_fused",
+        "_rrf",
         "_deliver_time",
         "_deliver_seq",
         "_tail_seq",
@@ -123,10 +131,9 @@ class Transmitter:
         self._last_start = 0.0
         # Hot-loop constants, hoisted out of the per-packet path.
         self._single_vl = cfg.num_vls == 1 and self.arbiter is None
-        self._fifo0 = self.buffers[0]._fifo
+        self._scan = _rr_scan(cfg.num_vls)
         self._fifos = [buf._fifo for buf in self.buffers]
         self._cap = cfg.buffer_packets_per_vl
-        self._acct0 = self.credits[0]
         self._flying_ns = cfg.flying_time_ns
         self._byte_ns = cfg.byte_time_ns
         # Link state (runtime failure injection).
@@ -137,10 +144,13 @@ class Transmitter:
         self._wire_vl = 0
         # Fused hop fast path (repro.ib.fastpath): enabled by connect()
         # when the engine backend supports it and the receiver is a
-        # real InputUnit/Endnode.  _deliver_time mirrors the deliver
-        # event's timestamp; the seq tokens identify the current
-        # incarnation of the pooled deliver/tail events for fail().
+        # real InputUnit/Endnode; _rrf additionally requires round-robin
+        # VL arbitration, and selects fastpath._start over kick().
+        # _deliver_time mirrors the deliver event's timestamp; the seq
+        # tokens identify the current incarnation of the pooled
+        # deliver/tail events for fail().
         self._fused = False
+        self._rrf = False
         self._deliver_time = 0.0
         self._deliver_seq = -1
         self._tail_seq = -1
@@ -152,6 +162,7 @@ class Transmitter:
         self._fused = self.engine.fused and (
             getattr(receiver, "_is_input_unit", None) is not None
         )
+        self._rrf = self._fused and self.arbiter is None
 
     def can_accept(self, vl: int) -> bool:
         """Space in the output buffer for ``vl``?
@@ -162,7 +173,9 @@ class Transmitter:
         return not self.alive or self.buffers[vl].can_accept()
 
     def accept(self, packet: Packet) -> None:
-        """Place a packet into its VL's output buffer and try to send.
+        """Place a packet into its VL's output buffer and try to send:
+        :func:`repro.ib.fastpath._start` on a fused round-robin wire,
+        :meth:`kick` otherwise.
 
         A dead channel swallows the packet instead (drop-on-dead-link:
         a switch whose stale LFT entry still points at a failed port
@@ -171,64 +184,10 @@ class Transmitter:
             self.packets_dropped += 1
             return
         self.buffers[packet.vl].push(packet)
-        if self._fused:
-            # Fused kick (same single-VL logic, the _start_tx success
-            # body inlined — see repro.ib.fastpath); the wire-busy and
-            # credit prechecks skip calls kick would no-op on.
+        if self._rrf:
+            # The wire-busy precheck skips a call kick would no-op on.
             if not self._wire_busy:
-                if self._single_vl:
-                    acct = self._acct0
-                    avail = acct.available
-                    if avail > 0:
-                        fifo = self._fifo0
-                        sp = fifo[0]
-                        acct.available = avail - 1
-                        self._wire_busy = True
-                        eng = self.engine
-                        now = eng.now
-                        self._last_start = now
-                        if sp.t_injected < 0:
-                            sp.t_injected = now
-                        t = now + self._flying_ns
-                        self._deliver_time = t
-                        pool = eng.hop_pool
-                        hop = pool.pop() if pool else HopEvent(pool)
-                        receiver = self.receiver
-                        hop.packet = sp
-                        if receiver._is_input_unit:
-                            hop.unit = receiver
-                            cb = hop.deliver_switch_cb
-                        else:
-                            hop.node = receiver
-                            cb = hop.deliver_node_cb
-                        seq = eng._seq + 1
-                        eng._seq = seq
-                        hop.seq = seq
-                        hop.cancelled = False
-                        cur = eng._cur
-                        si = int(t) >> _WG
-                        if 0 <= si - cur < _WSPAN0:
-                            eng._l0[si & _WM0].append((t, seq, hop, cb))
-                        else:
-                            eng._insert((t, seq, hop, cb), si)
-                        self._deliver_ev = hop
-                        self._deliver_seq = seq
-                        tail = pool.pop() if pool else HopEvent(pool)
-                        tail.tx = self
-                        seq += 1
-                        eng._seq = seq
-                        t = now + sp.size_bytes * self._byte_ns
-                        tail.seq = seq
-                        tail.cancelled = False
-                        si = int(t) >> _WG
-                        if 0 <= si - cur < _WSPAN0:
-                            eng._l0[si & _WM0].append((t, seq, tail, tail.tail_cb))
-                        else:
-                            eng._insert((t, seq, tail, tail.tail_cb), si)
-                        self._tail_ev = tail
-                        self._tail_seq = seq
-                else:
-                    self.kick()
+                fastpath_start(self)
             return
         self.kick()
 
@@ -240,9 +199,9 @@ class Transmitter:
         if not self.alive:
             return
         self.credits[vl].restore()
-        if self._fused:
+        if self._rrf:
             if not self._wire_busy:
-                fastpath_start_tx(self)
+                fastpath_start(self)
             return
         self.kick()
 
@@ -250,6 +209,9 @@ class Transmitter:
     def kick(self) -> None:
         """Start a transmission if the wire is idle and some VL is ready."""
         if self._wire_busy:
+            return
+        if self._rrf:
+            fastpath_start(self)
             return
         if self._single_vl:
             # Fast path for the common 1-VL configuration: skip the

@@ -83,6 +83,22 @@ class TestInjectionQueues:
         got = [q.pull(0).dst_pid for _ in range(3)]
         assert 1 in got[:2]  # served within one RR round
 
+    def test_per_destination_pull_serves_only_its_vl(self):
+        """Per-packet VL policies spread one destination's packets over
+        VLs; each (destination, VL) pair keeps its own queue, so
+        pull(vl) never hands the NIC a packet of another VL."""
+        q = PerDestinationInjection(2)
+        a0, a1, b1, a0b = pkt(1, vl=0), pkt(1, vl=1), pkt(2, vl=1), pkt(1, vl=0)
+        for p in (a0, a1, b1, a0b):
+            q.push(p)
+        assert q.pull(1) is a1
+        assert q.pull(1) is b1
+        assert q.pull(1) is None
+        assert q.pull(0) is a0
+        assert q.pull(0) is a0b
+        assert q.pull(0) is None
+        assert q.backlog == 0
+
 
 class TestGeneration:
     def test_zero_rate_generates_nothing(self):

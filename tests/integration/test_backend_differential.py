@@ -4,9 +4,14 @@ the heap oracle.
 The wheel engine (repro.sim.wheel) reproduces the heap engine's exact
 total event order — (time, schedule-sequence) with FIFO tie-break —
 so every derived number must match exactly: StatsCollector output,
-per-channel drop counters, events_processed, and the failover metrics
-of the dynamic subnet manager.  Any divergence, however small, means
-the scheduler changed simulation semantics and is a bug.
+per-channel drop and send counters, events_processed, and the failover
+metrics of the dynamic subnet manager.  Any divergence, however small,
+means the scheduler or the fused hop path (repro.ib.fastpath) changed
+simulation semantics and is a bug.  The cases cover every path the
+paper's figures run (1, 2 and 4 VLs, uniform and 50%-centric traffic)
+and the fallbacks around the fused start: weighted VL arbitration,
+per-port routing engines, FIFO injection of bursty multi-packet
+messages, and generation stopped and restarted mid-run.
 """
 
 import pytest
@@ -17,17 +22,20 @@ from repro.ib.subnet import build_subnet
 from repro.traffic.patterns import make_pattern
 
 
-def _measure(engine, m, n, seed, load, **cfg_kw):
+def _channels(net):
+    """Every channel's (dropped, sent) counters, in a fixed order."""
+    txs = [
+        sw.tx[port] for sw in net.switches.values() for port in sorted(sw.tx)
+    ] + [node.tx for node in net.endnodes]
+    return [(tx.packets_dropped, tx.packets_sent) for tx in txs]
+
+
+def _measure(engine, m, n, seed, load, pattern="uniform", **cfg_kw):
     cfg = SimConfig(engine=engine, **cfg_kw)
     net = build_subnet(m, n, "mlid", cfg=cfg, seed=seed)
-    net.attach_pattern(make_pattern("uniform", net.num_nodes))
+    net.attach_pattern(make_pattern(pattern, net.num_nodes))
     stats = net.run_measurement(load, warmup_ns=2_000, measure_ns=20_000)
-    drops = [
-        sw.tx[port].packets_dropped
-        for sw in net.switches.values()
-        for port in sorted(sw.tx)
-    ] + [node.tx.packets_dropped for node in net.endnodes]
-    return stats, drops, net.engine.events_processed
+    return stats, _channels(net), net.engine.events_processed
 
 
 @pytest.mark.parametrize("m,n", [(4, 2), (8, 2)])
@@ -58,6 +66,83 @@ def test_measurement_bit_identical_deterministic_arrivals():
         arrival_process="deterministic", message_packets=4,
     )
     assert heap == wheel
+
+
+@pytest.mark.parametrize(
+    "m,n,pattern,cfg_kw",
+    [
+        pytest.param(8, 2, "uniform", {"num_vls": 2}, id="ft8x2-uniform-2vl"),
+        pytest.param(8, 2, "uniform", {"num_vls": 4}, id="ft8x2-uniform-4vl"),
+        pytest.param(8, 2, "centric", {"num_vls": 2}, id="ft8x2-centric-2vl"),
+        pytest.param(8, 2, "centric", {"num_vls": 4}, id="ft8x2-centric-4vl"),
+        pytest.param(8, 3, "centric", {"num_vls": 2}, id="ft8x3-centric-2vl"),
+        pytest.param(
+            4, 2, "centric",
+            {"num_vls": 2, "vl_arbitration": "weighted", "vl_weights": (12, 4)},
+            id="weighted-arbitration",
+        ),
+        pytest.param(
+            4, 2, "centric", {"num_vls": 2, "routing_engines_per_switch": 0},
+            id="per-port-routing",
+        ),
+        pytest.param(
+            4, 2, "centric",
+            {
+                "num_vls": 2,
+                "injection_queueing": "fifo",
+                "message_packets": 3,
+                "arrival_process": "onoff",
+            },
+            id="fifo-onoff-messages",
+        ),
+        pytest.param(
+            4, 2, "uniform", {"num_vls": 2, "vl_policy": "roundrobin"},
+            id="roundrobin-vl-policy",
+        ),
+    ],
+)
+def test_measurement_bit_identical_multi_vl(m, n, pattern, cfg_kw):
+    """The figures' 2- and 4-VL points, where the fused start scans the
+    VLs round-robin from the transmitter's pointer exactly as kick does,
+    and the cases around it: weighted arbitration stays on kick(); the
+    others run the fused start under per-port routing, bursty
+    FIFO-queued messages and per-packet VL assignment."""
+    heap = _measure("heap", m, n, 1, 0.7, pattern, **cfg_kw)
+    wheel = _measure("wheel", m, n, 1, 0.7, pattern, **cfg_kw)
+    assert heap == wheel
+
+
+def _stop_restart(engine):
+    """Generation stopped mid-run and restarted before every cancelled
+    generation event has come due, then drained."""
+    cfg = SimConfig(engine=engine, num_vls=2)
+    net = build_subnet(4, 2, "mlid", cfg=cfg, seed=3)
+    net.attach_pattern(make_pattern("uniform", net.num_nodes))
+    rate = cfg.offered_load_to_rate(0.6)
+    eng = net.engine
+    for until in (5_000.0, 5_300.0, 12_000.0):
+        for node in net.endnodes:
+            node.stop_generation()
+            node.start_generation(rate)
+        eng.run(until=until)
+    for node in net.endnodes:
+        node.stop_generation()
+    eng.run()
+    nodes = [
+        (node.packets_generated, node.packets_received, node.backlog)
+        for node in net.endnodes
+    ]
+    return nodes, _channels(net), eng.events_processed, eng.now
+
+
+def test_stop_and_restart_generation_bit_identical():
+    """The wheel's pooled generation handle: a stopped process never
+    fires again, and a restarted one draws and fires as the oracle's."""
+    heap = _stop_restart("heap")
+    wheel = _stop_restart("wheel")
+    assert heap == wheel
+    nodes, _, _, _ = wheel
+    assert sum(node[0] for node in nodes) == sum(node[1] for node in nodes) > 0
 
 
 def _failover_row(engine):
