@@ -9,15 +9,16 @@ Two gates from DESIGN.md §11, updated for the §15 fast path:
   below-knee points where the flow model's exact ``accepted = offered``
   replaces the simulator's (noisy) estimate — small by definition of
   the knee.  The default run checks the 4-port figures under both
-  traffic patterns (CI smoke: ``pytest benchmarks/test_scale_throughput.py
-  -q --benchmark-disable``); ``REPRO_BENCH_FULL=1`` checks every paper
-  figure.
+  traffic patterns (CI's benchmark smoke run, ``pytest benchmarks -q
+  --benchmark-disable``, includes it); ``REPRO_BENCH_FULL=1`` checks
+  every paper figure.
 
 * **Scale.**  Full fig-style sweeps through the flow-level evaluator,
   timed per phase (cold symmetry-folded compile, warm disk reload,
-  point evaluation, fixed-point iterations warm- vs cold-started) and
-  persisted to ``benchmarks/results/BENCH_scale.json``.  The full grid
-  runs FT(32, 3) — 8192 nodes, 2 097 152 LIDs, far beyond the packet
+  point evaluation, fixed-point iterations of the warm-started curve
+  against per-load cold solves) and persisted to
+  ``benchmarks/results/BENCH_scale.json``.  The full grid runs
+  FT(32, 3) — 8192 nodes, 2 097 152 LIDs, far beyond the packet
   simulator — plus the first FT(64, 2) row; the quick grid stands in
   FT(16, 2) so CI exercises the same path in seconds.
 
@@ -162,7 +163,7 @@ def _sweep_one_fabric(config, base_cfg, store):
         )
     warm_load_wall = time.perf_counter() - t0
 
-    # -- fixed-point iteration breakdown: warm vs cold starts ---------
+    # -- fixed-point iterations: warm curve vs per-load cold solves ---
     iteration_stats = {}
     solve_wall = 0.0
     for scheme in config.schemes:
@@ -176,10 +177,10 @@ def _sweep_one_fabric(config, base_cfg, store):
         )
         cfg = base_cfg.with_vls(config.vl_counts[0])
         t0 = time.perf_counter()
-        warm = flowlevel.evaluate_curve(model, cfg, loads, warm_start=True)
+        warm = flowlevel.evaluate_curve(model, cfg, loads)
         warm_s = time.perf_counter() - t0
         t0 = time.perf_counter()
-        cold = flowlevel.evaluate_curve(model, cfg, loads, warm_start=False)
+        cold = [flowlevel.evaluate_point(model, cfg, offered) for offered in loads]
         cold_s = time.perf_counter() - t0
         solve_wall += warm_s
         iteration_stats[scheme] = {
@@ -258,7 +259,6 @@ def test_scale_flow_sweep():
         config={
             "mode": "flow",
             "fold": True,
-            "warm_start": True,
             "configs": list(SCALE_CONFIGS),
             "routing_engines_per_switch": 0,
         },
@@ -267,8 +267,8 @@ def test_scale_flow_sweep():
                 "compile_cold = folded compile from scratch + disk spill; "
                 "model_reload_warm = LRU dropped, mmap reload from store; "
                 "evaluate = run_figure(mode='flow') over warm models; "
-                "iterations compare warm- vs cold-started fixed points "
-                "on the same load grid"
+                "iterations compare the warm-started evaluate_curve with "
+                "per-load cold evaluate_point solves on the same load grid"
             ),
             "baseline": (
                 f"speedup is vs the recorded unfolded serial FT(32,3) "

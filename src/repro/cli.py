@@ -15,8 +15,12 @@ Subcommands
     Regenerate one of the paper's figures (fig12 … fig19).  ``--mode``
     picks the point engine: packet simulation (default), the flow-level
     evaluator, or the hybrid that falls back to packets near the knee.
+    ``--jobs`` fans the packet points out over worker processes; flow
+    points (folded model, warm-started along the load grid) are solved
+    in-process.
 ``sweep M N [--scheme S] [--pattern P] [--loads L,L,…] [--jobs N] [--mode M]``
-    Run one offered-load sweep and print/export the points.
+    Run one offered-load sweep and print/export the points (same
+    ``--jobs``/``--mode`` semantics as ``figure``).
 ``draw M N``
     ASCII diagram of the fat-tree.
 ``probe M N [--scheme S] [--pattern P] [--load L]``
@@ -176,8 +180,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         mode=args.mode,
         knee_threshold=args.knee_threshold,
-        fold=args.fold,
-        warm_start=args.warm_start,
     )
     print(render_figure_result(result))
     if args.csv:
@@ -207,8 +209,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         mode=args.mode,
         knee_threshold=args.knee_threshold,
-        fold=args.fold,
-        warm_start=args.warm_start,
     )
     rows = [p.as_row() for p in points]
     print(
@@ -539,25 +539,6 @@ def _add_mode_args(p: argparse.ArgumentParser) -> None:
         help=(
             "hybrid mode's peak-utilization fraction above which a point "
             f"falls back to the packet engine (default {DEFAULT_KNEE_THRESHOLD})"
-        ),
-    )
-    p.add_argument(
-        "--no-fold",
-        dest="fold",
-        action="store_false",
-        help=(
-            "compile the unfolded flow model (one class per flow) instead "
-            "of the exact symmetry-folded quotient; flow/hybrid modes only"
-        ),
-    )
-    p.add_argument(
-        "--cold-start",
-        dest="warm_start",
-        action="store_false",
-        help=(
-            "solve every flow point from a cold fixed-point start instead "
-            "of warm-starting along the load grid; lets --jobs solve the "
-            "flow points concurrently"
         ),
     )
 

@@ -4,13 +4,14 @@
   table/figure (and per ablation), matching DESIGN.md's index;
 * :mod:`repro.experiments.runner` — runs a load sweep for one
   (topology, scheme, VL) combination and returns measurement rows;
-* :mod:`repro.experiments.parallel` — fans independent sweep points
-  out over a process pool with order-preserving, bit-identical
+* :mod:`repro.experiments.parallel` — fans independent packet sweep
+  points out over a process pool with order-preserving, bit-identical
   assembly (``jobs=N`` on ``run_sweep``/``run_figure``);
 * :mod:`repro.experiments.flowlevel` — vectorized flow-level evaluator
   (link-load fixed point over compiled routes) powering the "flow" and
-  "hybrid" sweep modes at FT(32, 3)+ scale, with exact symmetry
-  folding (:mod:`repro.experiments.folding`) and warm-started curves;
+  "hybrid" sweep modes at FT(32, 3)+ scale: one in-process compile
+  with exact symmetry folding (:mod:`repro.experiments.folding`) and
+  one curve solver, warm-started along the load grid;
 * :mod:`repro.experiments.modelstore` — persistent memory-mapped cache
   of compiled flow models (``repro-ibft flow-cache`` inspects it);
 * :mod:`repro.experiments.sweep` — full-figure orchestration (all

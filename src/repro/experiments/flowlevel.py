@@ -65,7 +65,6 @@ the rest fall back to the packet engine.  See DESIGN.md §11.
 from __future__ import annotations
 
 import math
-import sys
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -93,9 +92,6 @@ __all__ = [
     "select_backends",
     "flow_link_loads",
     "all_to_one_link_loads",
-    "publish_flow_model",
-    "attach_flow_model",
-    "unpublish_flow_model",
 ]
 
 #: Peak-utilization fraction above which hybrid mode distrusts the
@@ -267,16 +263,13 @@ def build_flow_model(
     hotspot_fraction: float = 0.5,
     *,
     fold: bool = True,
-    jobs: int = 1,
 ) -> FlowModel:
     """Extract flow classes and trace their routes (the compile step).
 
     ``fold=True`` (default) builds the symmetry-folded quotient when
     the scheme x pattern has a registered closed-form orbit
     enumeration, and transparently falls back to the unfolded build
-    otherwise.  ``fold=False`` forces the unfolded oracle.  ``jobs``
-    parallelizes the unfolded route trace across worker processes
-    (bit-identical to serial — tracing is row-independent).
+    otherwise.  ``fold=False`` forces the unfolded oracle.
     """
     if pattern not in SUPPORTED_PATTERNS:
         raise ValueError(
@@ -340,7 +333,7 @@ def build_flow_model(
     leaf_idx = class_keys // key_mod
     dlid = class_keys % key_mod
     hops, flat_codes = _trace_routes(
-        sch, arrays, leaf_idx, dlid, max_hops=2 * n - 1, jobs=jobs
+        sch, arrays, leaf_idx, dlid, max_hops=2 * n - 1
     )
     offsets = np.zeros(len(class_keys), dtype=np.int64)
     np.cumsum(hops[:-1], out=offsets[1:])
@@ -503,17 +496,8 @@ def _trace_routes(
     leaf_idx: np.ndarray,
     dlid: np.ndarray,
     max_hops: int,
-    jobs: int = 1,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Trace every (leaf, dlid) row; ``(hops, flat_codes)``.
-
-    Tracing is row-independent, so the ``jobs>1`` shared-memory
-    fan-out returns bit-identical arrays to the serial path.
-    """
-    if jobs and jobs > 1 and len(leaf_idx) > 1:
-        return _trace_routes_parallel(
-            sch.ft.m, sch.ft.n, sch.name, leaf_idx, dlid, max_hops, jobs
-        )
+    """Trace every (leaf, dlid) row; ``(hops, flat_codes)``."""
     port_batch = _guarded_port_batch(sch)
     hops = np.empty(len(leaf_idx), dtype=np.int32)
     code_chunks: List[np.ndarray] = []
@@ -525,114 +509,6 @@ def _trace_routes(
         hops[start:stop] = (codes >= 0).sum(axis=1)
         code_chunks.append(codes[codes >= 0].astype(np.int32))
     return hops, np.concatenate(code_chunks)
-
-
-def _shm_create(shape, dtype):
-    from multiprocessing import shared_memory
-
-    nbytes = int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize
-    shm = shared_memory.SharedMemory(create=True, size=max(1, nbytes))
-    return shm, np.ndarray(shape, dtype=dtype, buffer=shm.buf)
-
-
-def _shm_attach(name, shape, dtype):
-    import multiprocessing as mp
-    from multiprocessing import resource_tracker, shared_memory
-
-    shm = shared_memory.SharedMemory(name=name)
-    if mp.get_start_method() != "fork":  # pragma: no cover - linux forks
-        try:
-            # The creating process owns the segment; don't let this
-            # process's resource tracker unlink it on exit.
-            resource_tracker.unregister(shm._name, "shared_memory")
-        except Exception:
-            pass
-    return shm, np.ndarray(shape, dtype=dtype, buffer=shm.buf)
-
-
-def _trace_shm_worker(payload) -> None:
-    (m, n, scheme, names, count, max_hops, start, stop) = payload
-    sch = _scheme_for(m, n, scheme)
-    arrays = fabric_arrays(sch.ft)
-    port_batch = _guarded_port_batch(sch)
-    segs = []
-    try:
-        shm, leaf_idx = _shm_attach(names["leaf"], (count,), np.int64)
-        segs.append(shm)
-        shm, dlid = _shm_attach(names["dlid"], (count,), np.int64)
-        segs.append(shm)
-        shm, codes = _shm_attach(names["codes"], (count, max_hops), np.int32)
-        segs.append(shm)
-        shm, hops = _shm_attach(names["hops"], (count,), np.int32)
-        segs.append(shm)
-        for s in range(start, stop, _TRACE_CHUNK):
-            e = min(s + _TRACE_CHUNK, stop)
-            block = _trace_block(
-                arrays, port_batch, leaf_idx[s:e], dlid[s:e], max_hops
-            )
-            codes[s:e] = block
-            hops[s:e] = (block >= 0).sum(axis=1)
-        del leaf_idx, dlid, codes, hops
-    finally:
-        for shm in segs:
-            shm.close()
-        clear_flow_models()  # workers must not accumulate models
-
-
-def _trace_routes_parallel(
-    m: int,
-    n: int,
-    scheme: str,
-    leaf_idx: np.ndarray,
-    dlid: np.ndarray,
-    max_hops: int,
-    jobs: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    from concurrent.futures import ProcessPoolExecutor
-
-    from repro.experiments.parallel import _worker_init
-
-    count = len(leaf_idx)
-    segs = []
-    try:
-        leaf_shm, leaf_view = _shm_create((count,), np.int64)
-        segs.append(leaf_shm)
-        dlid_shm, dlid_view = _shm_create((count,), np.int64)
-        segs.append(dlid_shm)
-        codes_shm, codes_view = _shm_create((count, max_hops), np.int32)
-        segs.append(codes_shm)
-        hops_shm, hops_view = _shm_create((count,), np.int32)
-        segs.append(hops_shm)
-        leaf_view[...] = leaf_idx
-        dlid_view[...] = dlid
-        names = {
-            "leaf": leaf_shm.name,
-            "dlid": dlid_shm.name,
-            "codes": codes_shm.name,
-            "hops": hops_shm.name,
-        }
-        chunk = max(1, min(_TRACE_CHUNK, -(-count // (jobs * 2))))
-        tasks = [
-            (m, n, scheme, names, count, max_hops, s, min(s + chunk, count))
-            for s in range(0, count, chunk)
-        ]
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(tasks)),
-            initializer=_worker_init,
-            initargs=(list(sys.path),),
-        ) as pool:
-            list(pool.map(_trace_shm_worker, tasks))
-        hops = hops_view.copy()
-        flat_codes = codes_view[codes_view >= 0]  # row-major == serial order
-        del leaf_view, dlid_view, codes_view, hops_view
-        return hops, flat_codes
-    finally:
-        for shm in segs:
-            shm.close()
-            try:
-                shm.unlink()
-            except FileNotFoundError:  # pragma: no cover
-                pass
 
 
 # -- model cache -------------------------------------------------------
@@ -653,7 +529,6 @@ def get_flow_model(
     hotspot_fraction: float = 0.5,
     *,
     fold: bool = True,
-    jobs: int = 1,
     store=None,
 ) -> FlowModel:
     """LRU-cached :func:`build_flow_model` (compile at most once).
@@ -675,7 +550,7 @@ def get_flow_model(
         )
         if model is None:
             model = build_flow_model(
-                m, n, scheme, pattern, hotspot_fraction, fold=fold, jobs=jobs
+                m, n, scheme, pattern, hotspot_fraction, fold=fold
             )
             modelstore.save_model(model, fold=bool(fold), store=store)
         _MODELS[key] = model
@@ -865,16 +740,16 @@ def evaluate_point(
     offered: float,
     *,
     measure_ns: float = 120_000.0,
-    theta0: Optional[np.ndarray] = None,
 ) -> dict:
     """One flow-level measurement, shaped like
     :meth:`repro.ib.subnet.Subnet.run_measurement`'s result.
 
     ``measure_ns`` only scales the synthetic ``packets`` count (used
-    as the latency weight when replicas are averaged).  ``theta0``
-    warm-starts the fixed point (see :func:`evaluate_curve`).
+    as the latency weight when replicas are averaged).  The fixed
+    point starts cold, so this is the per-load oracle the warm-started
+    :func:`evaluate_curve` is tested against.
     """
-    result, _ = _evaluate_point_state(model, cfg, offered, measure_ns, theta0)
+    result, _ = _evaluate_point_state(model, cfg, offered, measure_ns, None)
     return result
 
 
@@ -966,184 +841,26 @@ def evaluate_curve(
     loads: Sequence[float],
     *,
     measure_ns: float = 120_000.0,
-    warm_start: bool = True,
-    jobs: int = 1,
 ) -> List[dict]:
     """Evaluate a whole load curve; results in input order.
 
-    ``warm_start=True`` (default) visits the loads in ascending order
-    and seeds each fixed point with the previous point's converged
-    ``theta`` — the solutions vary smoothly along a monotone sweep, so
-    saturated points converge in a fraction of the cold iterations.
-    ``jobs>1`` solves points concurrently over a shared-memory copy of
-    the model; concurrent points cannot chain ``theta``, so parallel
-    solving requires ``warm_start=False`` (results then bit-identical
-    to the serial cold path).
+    Visits the loads in ascending order and seeds each fixed point
+    with the previous point's converged ``theta`` — the solutions vary
+    smoothly along a monotone sweep, so saturated points converge in
+    about two fifths of the cold iterations (DESIGN.md §15).  Below
+    the knee every point equals its cold :func:`evaluate_point`.
     """
     loads = list(loads)
-    if jobs > 1 and len(loads) > 1:
-        if warm_start:
-            raise ValueError(
-                "warm_start chains each point's theta into the next and "
-                "cannot run points concurrently; pass warm_start=False "
-                "to solve with jobs > 1"
-            )
-        return _evaluate_curve_parallel(model, cfg, loads, measure_ns, jobs)
     results: List[Optional[dict]] = [None] * len(loads)
     theta: Optional[np.ndarray] = None
     for i in sorted(range(len(loads)), key=lambda i: loads[i]):
         result, theta_out = _evaluate_point_state(
-            model, cfg, loads[i], measure_ns, theta if warm_start else None
+            model, cfg, loads[i], measure_ns, theta
         )
         results[i] = result
         if theta_out is not None:
             theta = theta_out
     return results
-
-
-# -- shared-memory model transport -------------------------------------
-
-#: Array fields mirrored into shared memory by publish_flow_model.
-_SHM_ARRAYS = (
-    "class_keys",
-    "cnt_all",
-    "cnt_hotdst",
-    "cnt_hotsrc",
-    "coef",
-    "hops",
-    "flat_codes",
-    "offsets",
-    "is_ejection",
-    "unit_link",
-    "unit_engine",
-    "class_mult",
-    "engine_codes",
-    "link_mult",
-    "engine_mult",
-    "link_type_of_code",
-)
-
-_SHM_SCALARS = (
-    "m",
-    "n",
-    "scheme",
-    "pattern",
-    "hotspot_fraction",
-    "num_nodes",
-    "num_switches",
-    "num_leaves",
-    "lids_per_node",
-    "folded",
-    "num_links",
-    "num_engines",
-)
-
-
-def publish_flow_model(model: FlowModel) -> Tuple[dict, list]:
-    """Mirror a model into shared memory: ``(meta, segments)``.
-
-    ``meta`` is a small picklable description workers pass to
-    :func:`attach_flow_model`; ``segments`` are the owned
-    ``SharedMemory`` handles — close *and unlink* them (via
-    :func:`unpublish_flow_model`) when the workers are done.
-    """
-    arrays_meta = {}
-    segments = []
-    try:
-        for name in _SHM_ARRAYS:
-            arr = getattr(model, name)
-            if arr is None:
-                arrays_meta[name] = None
-                continue
-            arr = np.ascontiguousarray(arr)
-            shm, view = _shm_create(arr.shape, arr.dtype)
-            segments.append(shm)
-            view[...] = arr
-            del view
-            arrays_meta[name] = (shm.name, arr.dtype.str, arr.shape)
-    except Exception:  # pragma: no cover - allocation failure cleanup
-        unpublish_flow_model(segments)
-        raise
-    meta = {
-        "scalars": {name: getattr(model, name) for name in _SHM_SCALARS},
-        "arrays": arrays_meta,
-    }
-    return meta, segments
-
-
-def unpublish_flow_model(segments: list) -> None:
-    """Close and unlink the segments returned by publish_flow_model."""
-    for shm in segments:
-        shm.close()
-        try:
-            shm.unlink()
-        except FileNotFoundError:  # pragma: no cover
-            pass
-
-
-def attach_flow_model(meta: dict) -> Tuple[FlowModel, list]:
-    """Rebuild a zero-copy :class:`FlowModel` view from publish meta.
-
-    Returns ``(model, segments)``; drop every reference to the model
-    (and its arrays) before closing the segments.
-    """
-    fields = dict(meta["scalars"])
-    segments = []
-    for name, spec in meta["arrays"].items():
-        if spec is None:
-            fields[name] = None
-            continue
-        shm_name, dtype, shape = spec
-        shm, view = _shm_attach(shm_name, shape, np.dtype(dtype))
-        segments.append(shm)
-        fields[name] = view
-    return FlowModel(**fields), segments
-
-
-def _curve_shm_worker(payload) -> List[dict]:
-    meta, cfg, loads, measure_ns = payload
-    model, segments = attach_flow_model(meta)
-    try:
-        return [
-            evaluate_point(model, cfg, offered, measure_ns=measure_ns)
-            for offered in loads
-        ]
-    finally:
-        del model
-        for shm in segments:
-            shm.close()
-        clear_flow_models()  # workers must not accumulate models
-
-
-def _evaluate_curve_parallel(
-    model: FlowModel,
-    cfg: SimConfig,
-    loads: List[float],
-    measure_ns: float,
-    jobs: int,
-) -> List[dict]:
-    from concurrent.futures import ProcessPoolExecutor
-
-    from repro.experiments.parallel import _worker_init
-
-    meta, segments = publish_flow_model(model)
-    try:
-        bounds = np.linspace(0, len(loads), min(jobs, len(loads)) + 1)
-        bounds = bounds.astype(int)
-        tasks = [
-            (meta, cfg, loads[a:b], measure_ns)
-            for a, b in zip(bounds, bounds[1:])
-            if b > a
-        ]
-        with ProcessPoolExecutor(
-            max_workers=len(tasks),
-            initializer=_worker_init,
-            initargs=(list(sys.path),),
-        ) as pool:
-            parts = list(pool.map(_curve_shm_worker, tasks))
-    finally:
-        unpublish_flow_model(segments)
-    return [result for part in parts for result in part]
 
 
 # -- validation helpers ------------------------------------------------

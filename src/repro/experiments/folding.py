@@ -41,10 +41,11 @@ is exact in float64, which is why
 *bit-identical* to the unfolded oracle (asserted in
 ``tests/experiments/test_folding.py``).
 
-Folding is opt-out (``fold=False`` keeps the unfolded oracle) and
-degrades transparently: schemes without a registered closed-form orbit
-enumeration (the hashed/staggered MLID variants break equivariance on
-purpose) and unsupported patterns build unfolded models.
+Every sweep folds; ``build_flow_model(fold=False)`` keeps the
+unfolded oracle for the tests.  Folding degrades transparently:
+schemes without a registered closed-form orbit enumeration (the
+hashed/staggered MLID variants break equivariance on purpose) and
+unsupported patterns build unfolded models.
 """
 
 from __future__ import annotations

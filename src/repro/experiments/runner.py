@@ -24,7 +24,7 @@ from functools import lru_cache
 from typing import List, Optional, Sequence
 
 from repro.experiments import flowlevel
-from repro.experiments.parallel import PointSpec, execute_points, normalize_jobs
+from repro.experiments.parallel import PointSpec, execute_points
 from repro.ib.artifacts import get_artifacts
 from repro.ib.config import SimConfig
 from repro.ib.subnet import build_subnet
@@ -223,9 +223,6 @@ def plan_flow_curve(
     mode: str = "hybrid",
     knee_threshold: float = flowlevel.DEFAULT_KNEE_THRESHOLD,
     measure_ns: float = 120_000.0,
-    fold: bool = True,
-    warm_start: bool = True,
-    jobs: int = 1,
 ) -> tuple:
     """Plan one curve's backends and evaluate its flow-level points.
 
@@ -233,32 +230,20 @@ def plan_flow_curve(
     a dict mapping load index -> flow-level measurement (only for
     loads tagged "flow").  Flow points are evaluated here, at planning
     time — they cost a few bincounts, so nothing is gained by shipping
-    them to the process pool alongside the packet points.
-
-    ``fold`` compiles the symmetry-folded model (exact; ``fold=False``
-    keeps the unfolded oracle).  ``warm_start`` chains fixed points
-    along the monotone load grid; ``jobs > 1`` instead solves the flow
-    points concurrently over shared memory (cold starts — warm
-    starting is inherently sequential, so ``jobs`` forces it off).
+    them to the process pool alongside the packet points.  The model
+    is the symmetry-folded one where the scheme allows it, and the
+    curve's fixed points are warm-started along the load grid
+    (:func:`repro.experiments.flowlevel.evaluate_curve`).
     """
     if not isinstance(scheme, str):
         raise ValueError(
             f"flow/hybrid sweeps need a scheme name, got {scheme!r}"
         )
-    model = flowlevel.get_flow_model(
-        m, n, scheme, pattern, hotspot_fraction, fold=fold, jobs=jobs
-    )
+    model = flowlevel.get_flow_model(m, n, scheme, pattern, hotspot_fraction)
     backends = flowlevel.select_backends(model, cfg, loads, mode, knee_threshold)
     flow_idx = [i for i, backend in enumerate(backends) if backend == "flow"]
     flow_loads = [loads[i] for i in flow_idx]
-    curve = flowlevel.evaluate_curve(
-        model,
-        cfg,
-        flow_loads,
-        measure_ns=measure_ns,
-        warm_start=warm_start and jobs <= 1,
-        jobs=jobs,
-    )
+    curve = flowlevel.evaluate_curve(model, cfg, flow_loads, measure_ns=measure_ns)
     flow_results = dict(zip(flow_idx, curve))
     return backends, flow_results
 
@@ -279,8 +264,6 @@ def run_sweep(
     cache: bool = True,
     mode: str = "packet",
     knee_threshold: float = flowlevel.DEFAULT_KNEE_THRESHOLD,
-    fold: bool = True,
-    warm_start: bool = True,
 ) -> List[SweepPoint]:
     """Sweep offered loads, averaging over seeds.
 
@@ -292,10 +275,9 @@ def run_sweep(
     "flow" (the :mod:`~repro.experiments.flowlevel` evaluator for
     every point), or "hybrid" (flow-level where the peak utilization
     stays below ``knee_threshold``, packet simulation at and past the
-    knee).  Hybrid packet points are bit-identical to ``mode="packet"``.
-
-    ``fold``/``warm_start`` tune the flow-level fast path (see
-    :func:`plan_flow_curve`); they are ignored for ``mode="packet"``.
+    knee).  Hybrid packet points are bit-identical to ``mode="packet"``,
+    and ``jobs`` fans out hybrid's packet points the same way; the flow
+    points are solved during planning (:func:`plan_flow_curve`).
     """
     if mode not in SWEEP_MODES:
         raise ValueError(f"unknown sweep mode {mode!r}; expected {SWEEP_MODES}")
@@ -331,9 +313,6 @@ def run_sweep(
         mode=mode,
         knee_threshold=knee_threshold,
         measure_ns=measure_ns,
-        fold=fold,
-        warm_start=warm_start,
-        jobs=normalize_jobs(jobs) if not warm_start else 1,
     )
     packet_loads = [
         offered

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.experiments import flowlevel
 from repro.experiments.configs import ExperimentConfig
-from repro.experiments.parallel import execute_points, normalize_jobs
+from repro.experiments.parallel import execute_points
 from repro.experiments.runner import (
     SWEEP_MODES,
     SweepPoint,
@@ -84,8 +84,6 @@ def run_figure(
     cache: bool = True,
     mode: str = "packet",
     knee_threshold: float = flowlevel.DEFAULT_KNEE_THRESHOLD,
-    fold: bool = True,
-    warm_start: bool = True,
 ) -> FigureResult:
     """Run every (scheme, VL) curve of one figure config.
 
@@ -102,17 +100,13 @@ def run_figure(
 
     ``mode`` selects the engine per point: "packet" (default), "flow"
     (the vectorized flow-level evaluator everywhere — FT(32, 3)-scale
-    figures in minutes), or "hybrid" (flow-level below the
+    figures in under a second), or "hybrid" (flow-level below the
     ``knee_threshold`` peak utilization, packet simulation at and past
     the knee; see :mod:`repro.experiments.flowlevel`).  Each
     :class:`SweepPoint` carries the backend that produced it, and
-    hybrid packet points are bit-identical to ``mode="packet"``.
-
-    ``fold`` selects the symmetry-folded flow model (exact; the
-    unfolded oracle stays reachable with ``fold=False``) and
-    ``warm_start`` chains flow fixed points along the load grid; both
-    are ignored for ``mode="packet"``.  With ``warm_start=False`` the
-    flow points of each curve solve concurrently under ``jobs``.
+    hybrid packet points are bit-identical to ``mode="packet"``.  Flow
+    points are solved while each curve is planned (folded model,
+    warm-started fixed points), so ``jobs`` fans out packet points only.
     """
     if mode not in SWEEP_MODES:
         raise ValueError(f"unknown sweep mode {mode!r}; expected {SWEEP_MODES}")
@@ -145,9 +139,6 @@ def run_figure(
                     mode=mode,
                     knee_threshold=knee_threshold,
                     measure_ns=measure,
-                    fold=fold,
-                    warm_start=warm_start,
-                    jobs=normalize_jobs(jobs) if not warm_start else 1,
                 )
             curve_plans.append((backends, flow_results, len(specs)))
             packet_loads = [

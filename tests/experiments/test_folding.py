@@ -232,14 +232,15 @@ def test_warm_start_same_fixed_points_fewer_iterations():
     # FT(8, 2) SLID/centric saturates hard: cold starts burn hundreds
     # of iterations past the knee, warm starts re-converge in a few.
     # Below the knee the fixed point is unique (theta = 1 exactly), so
-    # warm and cold results must be *identical*; past it the damped
-    # iteration admits a band of stable points ~tolerance wide, so we
-    # bound the divergence instead of asserting bit-equality.
+    # the warm curve and the per-load cold solves must be *identical*;
+    # past it the damped iteration admits a band of stable points
+    # ~tolerance wide, so we bound the divergence instead of asserting
+    # bit-equality.
     model = _model(8, 2, "slid", "centric", True)
     cfg = SimConfig()
     loads = [0.1, 0.25, 0.4, 0.55, 0.7, 0.85, 1.0]
-    warm = evaluate_curve(model, cfg, loads, warm_start=True)
-    cold = evaluate_curve(model, cfg, loads, warm_start=False)
+    warm = evaluate_curve(model, cfg, loads)
+    cold = [evaluate_point(model, cfg, load) for load in loads]
     for offered, w, c in zip(loads, warm, cold):
         if knee_utilization(model, cfg, offered) < 1.0:
             assert _strip_iters(w) == _strip_iters(c)
@@ -254,36 +255,11 @@ def test_warm_start_handles_unsorted_loads():
     model = _model(4, 2, "mlid", "uniform", True)
     cfg = _cfg()
     loads = [0.9, 0.2, 0.6]
-    warm = evaluate_curve(model, cfg, loads, warm_start=True)
+    warm = evaluate_curve(model, cfg, loads)
     cold = [evaluate_point(model, cfg, load) for load in loads]
     assert [r["offered"] for r in warm] == loads
     for w, c in zip(warm, cold):
         assert w["accepted"] == pytest.approx(c["accepted"], rel=1e-9)
-
-
-# -- parallel paths are bit-identical ----------------------------------
-
-
-def test_parallel_trace_bit_identical():
-    serial = build_flow_model(8, 2, "mlid", "uniform", fold=False, jobs=1)
-    parallel = build_flow_model(8, 2, "mlid", "uniform", fold=False, jobs=2)
-    for name in ("class_keys", "cnt_all", "hops", "flat_codes", "offsets"):
-        assert np.array_equal(getattr(serial, name), getattr(parallel, name))
-
-
-def test_parallel_curve_matches_serial_cold():
-    model = _model(8, 2, "mlid", "centric", True)
-    cfg = _cfg()
-    loads = [0.2, 0.5, 0.8, 1.1]
-    serial = evaluate_curve(model, cfg, loads, warm_start=False)
-    parallel = evaluate_curve(model, cfg, loads, warm_start=False, jobs=2)
-    assert serial == parallel  # dict-for-dict equality, no tolerance
-
-
-def test_warm_start_excludes_jobs():
-    model = _model(4, 2, "mlid", "uniform", True)
-    with pytest.raises(ValueError, match="warm_start"):
-        evaluate_curve(model, _cfg(), [0.3, 0.5], warm_start=True, jobs=2)
 
 
 # -- saturation stays physical -----------------------------------------

@@ -1,5 +1,7 @@
 """Determinism and plumbing of the parallel sweep executor."""
 
+import dataclasses
+
 import pytest
 
 from repro.experiments.parallel import (
@@ -25,23 +27,36 @@ def test_parallel_sweep_bit_identical_to_serial():
     assert serial == parallel  # frozen dataclasses: exact equality
 
 
+TINY = ExperimentConfig(
+    id="tiny",
+    title="tiny",
+    m=4,
+    n=2,
+    pattern="uniform",
+    schemes=("slid", "mlid"),
+    vl_counts=(1, 2),
+    quick_loads=(0.1, 0.3),
+    quick_seeds=(1,),
+    quick_warmup_ns=2_000.0,
+    quick_measure_ns=8_000.0,
+)
+
+
 def test_parallel_figure_bit_identical_to_serial():
-    tiny = ExperimentConfig(
-        id="tiny",
-        title="tiny",
-        m=4,
-        n=2,
-        pattern="uniform",
-        schemes=("slid", "mlid"),
-        vl_counts=(1, 2),
-        quick_loads=(0.1, 0.3),
-        quick_seeds=(1,),
-        quick_warmup_ns=2_000.0,
-        quick_measure_ns=8_000.0,
-    )
-    serial = run_figure(tiny, quick=True)
-    parallel = run_figure(tiny, quick=True, jobs=2)
+    serial = run_figure(TINY, quick=True)
+    parallel = run_figure(TINY, quick=True, jobs=2)
     assert serial.curves == parallel.curves
+
+
+def test_parallel_hybrid_figure_bit_identical_to_serial():
+    """Hybrid mode: ``jobs`` fans out the packet points past the knee,
+    while every curve's flow points are solved in-process."""
+    tiny = dataclasses.replace(TINY, quick_loads=(0.05, 0.3, 0.6, 0.9))
+    serial = run_figure(tiny, quick=True, mode="hybrid", jobs=1)
+    parallel = run_figure(tiny, quick=True, mode="hybrid", jobs=2)
+    for points in serial.curves.values():
+        assert [p.backend for p in points] == ["flow", "flow", "packet", "packet"]
+    assert serial.curves == parallel.curves  # frozen dataclasses: exact equality
 
 
 def test_execute_points_preserves_spec_order():

@@ -238,6 +238,17 @@ def test_sweep_unknown_mode_rejected():
         main(["sweep", "4", "2", "--loads", "0.1", "--mode", "warp"])
 
 
+@pytest.mark.parametrize("flag", ["--cold-start", "--no-fold"])
+@pytest.mark.parametrize("command", [["figure", "fig12"], ["sweep", "4", "2"]])
+def test_retired_flow_flags_are_usage_errors(command, flag, capsys):
+    # The warm-started folded solve is the only flow path; its oracles
+    # live in the tests, not behind CLI flags.
+    with pytest.raises(SystemExit) as exc:
+        main([*command, flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 def test_sweep_bad_loads_rejected():
     with pytest.raises(SystemExit):
         main(["sweep", "4", "2", "--loads", "abc"])
