@@ -11,7 +11,8 @@ workload and persists the evidence to
 Measurement protocol
 --------------------
 Both backends simulate the *same* workload — bit-identical event
-sequence, verified in-run — so the packets/sec ratio equals the
+sequence, verified in-run; the heap engine goes in through
+``build_subnet``'s ``engine=`` seam — so the packets/sec ratio equals the
 wall-time ratio.  Wall time is taken as the **minimum over N
 interleaved repetitions** (heap, wheel, heap, wheel, ...):
 
@@ -33,11 +34,15 @@ import pytest
 
 from repro.ib.config import SimConfig
 from repro.ib.subnet import build_subnet
-from repro.sim.wheel import make_engine
+from repro.sim.engine import Engine
+from repro.sim.wheel import WheelEngine
 from repro.traffic import UniformPattern
 from repro.traffic.patterns import make_pattern
 
 from conftest import write_bench_report
+
+#: The scheduler backends: the heap oracle and the timing wheel.
+ENGINES = {"heap": Engine, "wheel": WheelEngine}
 
 
 #: The locked FT(8,3) benchmark configuration (see DESIGN.md §9).
@@ -63,7 +68,7 @@ def test_raw_event_dispatch(benchmark, backend):
     """Schedule+fire cost of a bare event chain."""
 
     def run_chain():
-        eng = make_engine(backend)
+        eng = ENGINES[backend]()
 
         def tick():
             if eng.now < 10_000.0:
@@ -82,7 +87,7 @@ def test_mixed_schedule(benchmark, backend):
     """Dispatch with a populated queue (closer to simulator reality)."""
 
     def run():
-        eng = make_engine(backend)
+        eng = ENGINES[backend]()
         for i in range(5_000):
             eng.schedule(float(i % 97), lambda: None)
         eng.run()
@@ -98,7 +103,8 @@ def test_subnet_simulation_rate(benchmark, backend):
 
     def run():
         net = build_subnet(
-            8, 2, "mlid", SimConfig(num_vls=1, engine=backend), seed=1
+            8, 2, "mlid", SimConfig(num_vls=1), seed=1,
+            engine=ENGINES[backend](),
         )
         net.attach_pattern(UniformPattern(net.num_nodes))
         res = net.run_measurement(0.3, warmup_ns=2_000, measure_ns=30_000)
@@ -111,8 +117,12 @@ def test_subnet_simulation_rate(benchmark, backend):
 def _timed_run(backend: str, measure_ns: float):
     """One FT(8,3) benchmark run; returns (wall_s, stats, events)."""
     c = BENCH_CONFIG
-    cfg = SimConfig(engine=backend, **c["engine_kw"])
-    net = build_subnet(c["m"], c["n"], c["scheme"], cfg=cfg, seed=c["seed"])
+    cfg = SimConfig(**c["engine_kw"])
+    net = build_subnet(
+        c["m"], c["n"], c["scheme"], cfg=cfg, seed=c["seed"],
+        engine=ENGINES[backend](),
+    )
+    assert type(net.engine) is ENGINES[backend]
     net.attach_pattern(make_pattern(c["pattern"], net.num_nodes))
     gc.collect()
     start = time.perf_counter()

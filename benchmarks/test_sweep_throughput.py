@@ -4,10 +4,11 @@ Measures points/sec for one quick-grid ``run_figure`` (fig13, the
 8-port 2-tree headline figure; ``REPRO_BENCH_FULL=1`` selects its full
 grid) under three execution modes:
 
-* ``serial fresh`` — ``jobs=1, cache=False``: the historical behavior,
-  every point rebuilds FatTree + scheme + LFTs;
-* ``serial cached`` — ``jobs=1, cache=True``: the per-process
-  routing-artifact cache (the default everywhere now);
+* ``serial fresh`` — the historical behavior: every point rebuilds
+  FatTree + scheme + LFTs (``build_subnet`` without artifacts), the
+  reference the cache is checked against;
+* ``serial cached`` — ``run_figure(jobs=1)``: the per-process
+  routing-artifact cache;
 * ``parallel cached`` — ``jobs=min(4, cpus)``: process-pool fan-out on
   top of per-worker caches.
 
@@ -27,10 +28,41 @@ from multiprocessing import cpu_count
 
 from repro.experiments.configs import get_experiment
 from repro.experiments.report import render_table
+from repro.experiments.runner import _build_pattern, aggregate_sweep, sweep_specs
 from repro.experiments.sweep import run_figure
 from repro.ib.artifacts import artifact_cache_info, clear_artifact_cache
+from repro.ib.config import SimConfig
+from repro.ib.subnet import build_subnet
 
 EXP_ID = "fig13"
+
+
+def fresh_figure(config, quick):
+    """``run_figure(config, quick=quick, jobs=1).curves`` with every
+    point built from scratch instead of from cached artifacts."""
+    loads = config.quick_loads if quick else config.loads
+    warmup = config.quick_warmup_ns if quick else config.warmup_ns
+    measure = config.quick_measure_ns if quick else config.measure_ns
+    seeds = config.quick_seeds if quick else config.seeds
+    curves = {}
+    for vls in config.vl_counts:
+        cfg = SimConfig().with_vls(vls)
+        for scheme in config.schemes:
+            results = []
+            for spec in sweep_specs(
+                config.m, config.n, scheme, config.pattern, loads, cfg=cfg,
+                hotspot_fraction=config.hotspot_fraction, warmup_ns=warmup,
+                measure_ns=measure, seeds=seeds,
+            ):
+                net = build_subnet(spec.m, spec.n, spec.scheme, spec.cfg, seed=spec.seed)
+                net.attach_pattern(
+                    _build_pattern(spec.pattern, net.num_nodes, spec.hotspot_fraction)
+                )
+                results.append(
+                    net.run_measurement(spec.offered, spec.warmup_ns, spec.measure_ns)
+                )
+            curves[(scheme, vls)] = aggregate_sweep(scheme, cfg, loads, seeds, results)
+    return curves
 
 
 def measure():
@@ -43,18 +75,23 @@ def measure():
     )
     jobs = min(4, cpu_count())
     modes = [
-        ("serial fresh", dict(jobs=1, cache=False)),
-        ("serial cached", dict(jobs=1, cache=True)),
-        (f"parallel x{jobs} cached", dict(jobs=jobs, cache=True)),
+        ("serial fresh", lambda: fresh_figure(config, quick)),
+        ("serial cached", lambda: run_figure(config, quick=quick, jobs=1).curves),
+        (
+            f"parallel x{jobs} cached",
+            lambda: run_figure(config, quick=quick, jobs=jobs).curves,
+        ),
     ]
     rows = []
     curves = {}
     cache_info = {}
-    for name, kwargs in modes:
+    for name, run in modes:
         clear_artifact_cache()
         t0 = time.perf_counter()
-        curves[name] = run_figure(config, quick=quick, **kwargs).curves
+        curves[name] = run()
         elapsed = time.perf_counter() - t0
+        if name == "serial fresh":
+            assert artifact_cache_info()["misses"] == 0, "fresh row used the cache"
         if name == "serial cached":
             # Parallel mode fills per-worker caches, invisible here.
             cache_info = artifact_cache_info()

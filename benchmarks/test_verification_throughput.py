@@ -41,7 +41,7 @@ def measure():
         scheme = get_scheme(name, FatTree(m, n))
 
         t0 = time.perf_counter()
-        scalar_checked = verification.verify_scheme(scheme, use_kernel=False)
+        scalar_checked = verification.scalar_verify_scheme(scheme)
         scalar_s = time.perf_counter() - t0
 
         t0 = time.perf_counter()

@@ -8,9 +8,9 @@ Subcommands
     Regenerate the paper's Table 1 (network sizes).
 ``trace M N SRC DST [--scheme S]``
     Trace the route between two nodes (labels as digit strings).
-``verify M N [--scheme S] [--scalar]``
-    Exhaustively verify a scheme's forwarding tables (vectorized route
-    kernel by default; ``--scalar`` forces the per-hop tracer).
+``verify M N [--scheme S]``
+    Exhaustively verify a scheme's forwarding tables on the vectorized
+    route kernel, and time it.
 ``figure ID [--quick/--full] [--csv PATH] [--jobs N] [--mode M] [--knee-threshold T]``
     Regenerate one of the paper's figures (fig12 … fig19).  ``--mode``
     picks the point engine: packet simulation (default), the flow-level
@@ -27,12 +27,13 @@ Subcommands
     Run a short simulation and print the fabric heat report.
 ``faults M N COUNT [--scheme S] [--seed K]``
     Fail COUNT random links, repair the tables, verify every route.
-``failover M N [--scheme S] [--load L] [--fail-at T1] [--recover-at T2] [--scalar-repair]``
+``failover M N [--scheme S] [--level L] [--port K] [--load X] [--fail-at T1] [--recover-at T2]``
     Live failover simulation: a link dies mid-run, the dynamic SM
-    detects it, repairs around it (vectorized fault kernel by default;
-    ``--scalar-repair`` forces the scalar oracle), and restores the
-    original tables on recovery; reports time-to-detect, time-to-repair
-    and packets lost.
+    detects it, repairs around it with the vectorized fault kernel, and
+    restores the original tables on recovery; reports time-to-detect,
+    time-to-repair and packets lost.  The victim is port ``K`` of the
+    first switch at level ``L`` (``--switch D`` picks another; default:
+    the first root's port 0); it must be a switch-to-switch link.
 ``serve M N [--scheme S] [--port P] [--storm/--no-storm]``
     Run the route-query service: a TCP server answering DLID/path/
     flow/load queries from atomic route snapshots, optionally while a
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro.core import available_schemes, get_scheme, trace_path, verify_scheme
 from repro.core.addressing import MlidAddressing
@@ -69,10 +70,10 @@ __all__ = ["main", "build_parser"]
 
 
 def _parse_label(text: str, n: int) -> tuple:
-    digits = tuple(int(ch) for ch in text.strip())
-    if len(digits) != n:
+    digits = text.strip()
+    if len(digits) != n or not all(ch.isdecimal() for ch in digits):
         raise SystemExit(f"label {text!r} must have exactly {n} digits")
-    return digits
+    return tuple(int(ch) for ch in digits)
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
@@ -134,26 +135,32 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     ft = FatTree(args.m, args.n)
     scheme = get_scheme(args.scheme, ft)
     start = time.perf_counter()
-    checked = verify_scheme(scheme, use_kernel=not args.scalar)
+    checked = verify_scheme(scheme)
     elapsed = time.perf_counter() - start
     print(
         f"{args.scheme.upper()} on FT({args.m}, {args.n}): "
         f"{checked} routes verified (delivery, minimality, up*/down*)"
     )
-    engine = "scalar tracer" if args.scalar else "route kernel"
     rate = checked / elapsed if elapsed > 0 else float("inf")
-    print(f"  engine: {engine}, {elapsed:.3f} s ({rate:,.0f} paths/s)")
+    print(f"  route kernel: {elapsed:.3f} s ({rate:,.0f} paths/s)")
     return 0
 
 
-def _parse_float_list(text: str, what: str) -> List[float]:
+def _parse_list(text: str, what: str, convert: Callable, example: str) -> list:
     try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
+        values = [convert(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise SystemExit(f"bad {what} list {text!r}; expected e.g. 0.1,0.3,0.7")
+        raise SystemExit(f"bad {what} list {text!r}; expected e.g. {example}")
     if not values:
         raise SystemExit(f"{what} list {text!r} is empty")
     return values
+
+
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise ValueError(f"negative seed {seed}")
+    return seed
 
 
 def _jobs_arg(text: str) -> int:
@@ -171,12 +178,9 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     if config.m == 0:
         raise SystemExit(f"{args.id} is not a simulated figure; see `repro-ibft list`")
     print(config.describe())
-    from repro.ib.config import SimConfig
-
     result = run_figure(
         config,
         quick=not args.full,
-        base_cfg=SimConfig(**resolve_engine(args)),
         jobs=args.jobs,
         mode=args.mode,
         knee_threshold=args.knee_threshold,
@@ -194,15 +198,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.experiments import run_sweep
     from repro.ib.config import SimConfig
 
-    loads = _parse_float_list(args.loads, "loads")
-    seeds = [int(s) for s in _parse_float_list(args.seeds, "seeds")]
+    loads = _parse_list(args.loads, "loads", float, "0.1,0.3,0.7")
+    seeds = _parse_list(args.seeds, "seeds", _seed, "1,2,3")
     points = run_sweep(
         args.m,
         args.n,
         args.scheme,
         args.pattern,
         loads,
-        cfg=SimConfig(num_vls=args.vls, **resolve_engine(args)),
+        cfg=SimConfig(num_vls=args.vls),
         warmup_ns=args.warmup,
         measure_ns=args.measure,
         seeds=seeds,
@@ -288,7 +292,7 @@ def _cmd_probe(args: argparse.Namespace) -> int:
     from repro.ib.subnet import build_subnet
     from repro.traffic import make_pattern
 
-    cfg = SimConfig(num_vls=args.vls, **resolve_engine(args))
+    cfg = SimConfig(num_vls=args.vls)
     net = build_subnet(args.m, args.n, args.scheme, cfg)
     kwargs = {"hot_pid": 0, "fraction": 0.5} if args.pattern == "centric" else {}
     net.attach_pattern(make_pattern(args.pattern, net.num_nodes, **kwargs))
@@ -342,8 +346,32 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     return 0
 
 
+def _failover_link(args: argparse.Namespace, ft: FatTree) -> tuple:
+    """The victim ``(switch, port)``: ``--switch`` at ``--level``, or the
+    level's first switch.  Anything but a switch-to-switch link exits
+    with a one-line message."""
+    if not 0 <= args.level < ft.n:
+        raise SystemExit(
+            f"--level {args.level} is outside [0, {ft.n}) on FT({ft.m}, {ft.n})"
+        )
+    if args.switch is None:
+        sw = ft.switches_at_level(args.level)[0]
+    else:
+        sw = (_parse_label(args.switch, ft.n - 1), args.level)
+        if sw not in ft.switches:
+            raise SystemExit(f"FT({ft.m}, {ft.n}) has no switch {format_switch(*sw)}")
+    if not 0 <= args.port < ft.m:
+        raise SystemExit(f"--port {args.port} is outside [0, {ft.m})")
+    if ft.peer(sw, args.port).is_node:
+        raise SystemExit(
+            f"{format_switch(*sw)} port {args.port} attaches a node; "
+            "only switch-to-switch links can fail"
+        )
+    return sw, args.port
+
+
 def _cmd_failover(args: argparse.Namespace) -> int:
-    from repro.experiments.failover import default_link, run_failover
+    from repro.experiments.failover import run_failover
     from repro.ib.config import SimConfig
 
     if args.recover_at <= args.fail_at:
@@ -353,14 +381,8 @@ def _cmd_failover(args: argparse.Namespace) -> int:
     cfg = SimConfig(
         detection_latency_ns=args.detect_latency,
         sm_program_time_ns=args.program_time,
-        **resolve_engine(args),
     )
-    ft = FatTree(args.m, args.n)
-    if args.switch is not None:
-        sw = (_parse_label(args.switch, args.n - 1), args.level)
-        link = (sw, args.port)
-    else:
-        link = default_link(ft)
+    link = _failover_link(args, FatTree(args.m, args.n))
     (w, lvl), port = link
     if not args.json:
         print(
@@ -368,8 +390,7 @@ def _cmd_failover(args: argparse.Namespace) -> int:
             f"{format_switch(w, lvl)} port {port} down at t={args.fail_at:.0f}ns, "
             f"up at t={args.recover_at:.0f}ns "
             f"(detect latency {args.detect_latency:.0f}ns, "
-            f"program {args.program_time:.0f}ns/switch, load {args.load}, "
-            f"repair: {'scalar oracle' if args.scalar_repair else 'fault kernel'})"
+            f"program {args.program_time:.0f}ns/switch, load {args.load})"
         )
     row = run_failover(
         args.m,
@@ -382,7 +403,6 @@ def _cmd_failover(args: argparse.Namespace) -> int:
         pattern=args.pattern,
         cfg=cfg,
         seed=args.seed,
-        scalar_repair=args.scalar_repair,
     )
     checks_ok = (
         row["repair_matches_offline"] is not False
@@ -488,38 +508,6 @@ def _cmd_list(_args: argparse.Namespace) -> int:
     return 0
 
 
-#: Engine backends the CLI accepts (single shared definition so every
-#: subcommand — sweep, probe, failover, figure — stays in step).
-ENGINE_CHOICES = ("wheel", "heap")
-
-
-def add_engine_args(p: argparse.ArgumentParser) -> None:
-    """The shared ``--engine`` option."""
-    p.add_argument(
-        "--engine",
-        default="wheel",
-        metavar="{wheel,heap}",
-        help=(
-            "event-scheduler backend: the timing wheel (default) or the "
-            "binary heap it is bit-identical to (DESIGN.md §9)"
-        ),
-    )
-
-
-def resolve_engine(args: argparse.Namespace) -> dict:
-    """Validate ``--engine`` into SimConfig kwargs.
-
-    Raises a readable ``SystemExit`` for unknown engine names instead
-    of an argparse choices traceback or a deep ValueError.
-    """
-    if args.engine not in ENGINE_CHOICES:
-        raise SystemExit(
-            f"unknown engine {args.engine!r}: expected one of "
-            + ", ".join(ENGINE_CHOICES)
-        )
-    return {"engine": args.engine}
-
-
 def _add_mode_args(p: argparse.ArgumentParser) -> None:
     from repro.experiments import DEFAULT_KNEE_THRESHOLD, SWEEP_MODES
 
@@ -574,11 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="mlid",
         choices=["mlid", "slid", "mlid-hash", "mlid-stagger"],
     )
-    p.add_argument(
-        "--scalar",
-        action="store_true",
-        help="force the scalar per-hop tracer (default: vectorized kernel)",
-    )
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("figure", help="regenerate a paper figure")
@@ -595,7 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="worker processes for the sweep points (default: 1, serial)",
     )
-    add_engine_args(p)
     _add_mode_args(p)
     p.set_defaults(func=_cmd_figure)
 
@@ -616,7 +598,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for the sweep points (default: 1, serial)",
     )
     p.add_argument("--csv", help="also write the points to a CSV file")
-    add_engine_args(p)
     _add_mode_args(p)
     p.set_defaults(func=_cmd_sweep)
 
@@ -633,7 +614,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", default="uniform")
     p.add_argument("--load", type=float, default=0.3)
     p.add_argument("--vls", type=int, default=1)
-    add_engine_args(p)
     p.set_defaults(func=_cmd_probe)
 
     p = sub.add_parser("faults", help="repair tables around random link failures")
@@ -652,10 +632,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", default="mlid", choices=["mlid", "slid"])
     p.add_argument(
         "--switch",
-        help="victim switch digits, e.g. 0 for SW<0, 0> (default: first root)",
+        help=(
+            "victim switch digits, e.g. 0 for SW<0, 0> "
+            "(default: the first switch at --level)"
+        ),
     )
     p.add_argument(
-        "--level", type=int, default=0, help="victim switch level (default: 0)"
+        "--level", type=int, default=0, help="victim switch level (default: 0, roots)"
     )
     p.add_argument(
         "--port", type=int, default=0, help="victim 0-based port (default: 0)"
@@ -687,16 +670,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", default="uniform")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument(
-        "--scalar-repair",
-        action="store_true",
-        help="force the scalar repair oracle (default: vectorized fault kernel)",
-    )
-    p.add_argument(
         "--json",
         action="store_true",
         help="emit the full failover report as one JSON object",
     )
-    add_engine_args(p)
     p.set_defaults(func=_cmd_failover)
 
     p = sub.add_parser(

@@ -36,9 +36,10 @@ array sweeps:
 
 The scalar path stays the oracle: the hypothesis suite in
 ``tests/core/test_fault_kernel.py`` asserts bit-identity on randomized
-fault sets and fault *sequences*, and ``DynamicSubnetManager`` keeps a
-``use_kernel=False`` switch that routes every sweep through
-:class:`FaultTolerantTables` instead.
+fault sets and fault *sequences*, ``tests/runtime/test_repair_kernel.py``
+compares the live tables with :class:`FaultTolerantTables` after every
+sweep of a flap storm, and ``run_failover``'s
+``repair_matches_offline`` column checks each failover run against it.
 """
 
 from __future__ import annotations

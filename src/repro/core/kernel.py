@@ -528,7 +528,8 @@ class RouteKernel:
         pairs: Optional[Iterable[Tuple[NodeLabel, NodeLabel]]] = None,
         check_offsets: bool = True,
     ) -> int:
-        """Vectorized :func:`~repro.core.verification.verify_scheme`.
+        """Vectorized :func:`~repro.core.verification.scalar_verify_scheme`
+        (what :func:`~repro.core.verification.verify_scheme` runs).
 
         Same checks, same counting, scalar-identical exceptions (via
         oracle replay).  With ``pairs=None`` and ``check_offsets=True``
@@ -614,7 +615,8 @@ class RouteKernel:
         return leaf, lix, d
 
     def lca_usage(self, dst: NodeLabel) -> Counter:
-        """Vectorized :func:`~repro.core.verification.lca_usage`."""
+        """Turning-switch histogram of all-to-one traffic to ``dst``
+        (backs :func:`~repro.core.verification.lca_usage`)."""
         leaf, lix, _ = self._all_to_one_rows(dst)
         _, turn_id = self._route_checks()
         counts = np.bincount(
@@ -626,8 +628,8 @@ class RouteKernel:
         )
 
     def link_loads_all_to_one(self, dst: NodeLabel) -> Counter:
-        """Vectorized
-        :func:`~repro.core.verification.link_loads_all_to_one`."""
+        """Per-channel all-to-one loads to ``dst`` (backs
+        :func:`~repro.core.verification.link_loads_all_to_one`)."""
         leaf, lix, _ = self._all_to_one_rows(dst)
         sw = self.route_switch[leaf, lix]  # (R, steps)
         ports = self.route_port[leaf, lix]
@@ -813,8 +815,8 @@ class RouteKernel:
         ]
 
     def channel_dependency_graph(self):
-        """Vectorized
-        :func:`~repro.core.verification.channel_dependency_graph`."""
+        """The channel-dependency graph of every route (backs
+        :func:`~repro.core.verification.channel_dependency_graph`)."""
         import networkx as nx
 
         g = nx.DiGraph()

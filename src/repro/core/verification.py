@@ -17,9 +17,9 @@ pair takes under a scheme's forwarding tables and checks:
 
 The fabric-wide entry points (:func:`verify_scheme`, :func:`lca_usage`,
 :func:`link_loads_all_to_one`, :func:`channel_dependency_graph`) run on
-the vectorized :mod:`repro.core.kernel` by default and fall back to the
-scalar tracer with ``use_kernel=False``.  The scalar tracer is the
-oracle: the kernel replays any route it flags through
+the vectorized :mod:`repro.core.kernel`.  The scalar tracer
+(:func:`trace_path`, and :func:`scalar_verify_scheme` built on it) is
+the oracle: the kernel replays any route it flags through
 :func:`trace_path` so failures raise the identical scalar exception,
 and kernel/scalar equivalence is asserted in
 ``tests/core/test_kernel.py``.
@@ -47,6 +47,7 @@ __all__ = [
     "PathTrace",
     "trace_path",
     "verify_scheme",
+    "scalar_verify_scheme",
     "lca_usage",
     "channel_dependency_graph",
     "link_loads_all_to_one",
@@ -167,22 +168,29 @@ def verify_scheme(
     *,
     pairs: Optional[Iterable[Tuple[NodeLabel, NodeLabel]]] = None,
     check_offsets: bool = True,
-    use_kernel: bool = True,
 ) -> int:
     """Exhaustively verify a scheme; returns the number of routes checked.
 
     By default checks every ordered (src, dst) pair with the scheme's
     selected DLID; with ``check_offsets`` additionally checks *every*
     LID of every destination from every source (all paths must deliver,
-    not just the selected ones).  Runs on the vectorized route kernel
-    unless ``use_kernel=False`` forces the scalar tracer.
+    not just the selected ones).  Runs on the vectorized route kernel;
+    :func:`scalar_verify_scheme` is the per-hop reference.
     """
-    if use_kernel:
-        from repro.core.kernel import compile_kernel
+    from repro.core.kernel import compile_kernel
 
-        return compile_kernel(scheme).verify(
-            pairs=pairs, check_offsets=check_offsets
-        )
+    return compile_kernel(scheme).verify(pairs=pairs, check_offsets=check_offsets)
+
+
+def scalar_verify_scheme(
+    scheme: RoutingScheme,
+    *,
+    pairs: Optional[Iterable[Tuple[NodeLabel, NodeLabel]]] = None,
+    check_offsets: bool = True,
+) -> int:
+    """:func:`verify_scheme` on the scalar tracer: every route walked
+    hop by hop through :func:`trace_path`.  The reference the kernel is
+    tested and benchmarked against."""
     ft = scheme.ft
     checked = 0
     if pairs is None:
@@ -202,47 +210,29 @@ def verify_scheme(
     return checked
 
 
-def lca_usage(
-    scheme: RoutingScheme, dst: NodeLabel, *, use_kernel: bool = True
-) -> Counter[SwitchLabel]:
+def lca_usage(scheme: RoutingScheme, dst: NodeLabel) -> Counter[SwitchLabel]:
     """Turning-switch histogram when every other node sends to ``dst``.
 
     The static signature of congestion: SLID concentrates all-to-one
     traffic on few turning switches, MLID spreads it over every least
     common ancestor available to each source group.
     """
-    if use_kernel:
-        from repro.core.kernel import compile_kernel
+    from repro.core.kernel import compile_kernel
 
-        return compile_kernel(scheme).lca_usage(dst)
-    usage: Counter[SwitchLabel] = Counter()
-    for src in scheme.ft.nodes:
-        if src == dst:
-            continue
-        usage[trace_path(scheme, src, dst).turn] += 1
-    return usage
+    return compile_kernel(scheme).lca_usage(dst)
 
 
 def link_loads_all_to_one(
-    scheme: RoutingScheme, dst: NodeLabel, *, use_kernel: bool = True
+    scheme: RoutingScheme, dst: NodeLabel
 ) -> Counter[Tuple[SwitchLabel, int]]:
     """Per-directed-channel load when every other node sends one packet
     to ``dst``; max value is the static congestion bound."""
-    if use_kernel:
-        from repro.core.kernel import compile_kernel
+    from repro.core.kernel import compile_kernel
 
-        return compile_kernel(scheme).link_loads_all_to_one(dst)
-    loads: Counter[Tuple[SwitchLabel, int]] = Counter()
-    for src in scheme.ft.nodes:
-        if src == dst:
-            continue
-        loads.update(trace_path(scheme, src, dst).links)
-    return loads
+    return compile_kernel(scheme).link_loads_all_to_one(dst)
 
 
-def channel_dependency_graph(
-    scheme: RoutingScheme, *, use_kernel: bool = True
-) -> nx.DiGraph:
+def channel_dependency_graph(scheme: RoutingScheme) -> nx.DiGraph:
     """Directed graph of channel-to-channel dependencies over all routes.
 
     Vertices are directed channels ``(switch, out_port)`` plus the
@@ -250,19 +240,6 @@ def channel_dependency_graph(
     requesting c2.  Acyclicity implies deadlock freedom under credit
     flow control (Dally & Seitz).
     """
-    if use_kernel:
-        from repro.core.kernel import compile_kernel
+    from repro.core.kernel import compile_kernel
 
-        return compile_kernel(scheme).channel_dependency_graph()
-    ft = scheme.ft
-    g = nx.DiGraph()
-    for src in ft.nodes:
-        for dst in ft.nodes:
-            if src == dst:
-                continue
-            for lid in scheme.lid_set(dst):
-                trace = trace_path(scheme, src, dst, dlid=lid)
-                links = trace.links
-                for a, b in zip(links, links[1:]):
-                    g.add_edge(a, b)
-    return g
+    return compile_kernel(scheme).channel_dependency_graph()

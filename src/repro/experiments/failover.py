@@ -41,6 +41,7 @@ from repro.ib.config import SimConfig
 from repro.ib.lft import LinearForwardingTable
 from repro.ib.subnet import build_subnet
 from repro.runtime import DynamicSubnetManager, FaultSchedule
+from repro.sim.engine import Engine
 from repro.topology.fattree import FatTree
 from repro.topology.labels import SwitchLabel
 from repro.traffic.patterns import make_pattern
@@ -95,7 +96,7 @@ def run_failover(
     cfg: Optional[SimConfig] = None,
     seed: int = 1,
     drain: bool = True,
-    scalar_repair: bool = False,
+    engine: Optional[Engine] = None,
 ) -> dict:
     """One link-down/link-up failover simulation; returns the report row.
 
@@ -106,12 +107,11 @@ def run_failover(
     simulation then runs to quiescence so the delivery accounting is
     exact: ``generated == delivered + packets_lost + backlog``.
 
-    ``scalar_repair`` routes every SM re-sweep through the scalar
-    :class:`~repro.core.fault.FaultTolerantTables` oracle instead of
-    the vectorized fault-repair kernel; both backends produce
-    bit-identical tables (the ``repair_matches_offline`` column checks
-    the live mid-outage LFTs against the offline oracle either way),
-    so the row is the same — only the SM's wall-clock cost differs.
+    The SM re-sweeps with the vectorized fault-repair kernel;
+    ``repair_matches_offline`` checks its mid-outage tables against the
+    scalar :class:`~repro.core.fault.FaultTolerantTables`.  ``engine``
+    is forwarded to :func:`~repro.ib.subnet.build_subnet` (a test seam
+    for the heap-vs-wheel differential).
     """
     if t_recover <= t_fail:
         raise ValueError(f"t_recover={t_recover} must follow t_fail={t_fail}")
@@ -127,11 +127,11 @@ def run_failover(
         )
     # A fresh (uncached) build: the runtime reprograms live LFTs, so the
     # shared artifact cache must not supply this subnet.
-    net = build_subnet(m, n, scheme, cfg, seed=seed)
+    net = build_subnet(m, n, scheme, cfg, seed=seed, engine=engine)
     sw, port = link if link is not None else default_link(net.ft)
     initial = {s: model.lft for s, model in net.switches.items()}
     schedule = FaultSchedule(net.ft).fail_and_recover(sw, port, t_fail, t_recover)
-    mgr = DynamicSubnetManager(net, schedule, use_kernel=not scalar_repair)
+    mgr = DynamicSubnetManager(net, schedule)
     mgr.arm()
 
     if load > 0:

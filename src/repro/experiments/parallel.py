@@ -51,7 +51,6 @@ class PointSpec:
     warmup_ns: float = 30_000.0
     measure_ns: float = 120_000.0
     seed: int = 1
-    cache: bool = True
 
 
 def run_spec(spec: PointSpec) -> dict:
@@ -70,7 +69,6 @@ def run_spec(spec: PointSpec) -> dict:
         warmup_ns=spec.warmup_ns,
         measure_ns=spec.measure_ns,
         seed=spec.seed,
-        cache=spec.cache,
     )
 
 

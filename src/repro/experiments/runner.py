@@ -7,7 +7,9 @@ simulator (engine, switches, endnodes, RNG streams) so points are
 statistically independent (the paper's methodology: one simulation run
 per generation rate); the seed-independent routing artifacts (FatTree,
 scheme tables, LFTs) are reused through the per-process cache of
-:mod:`repro.ib.artifacts` unless ``cache=False``.
+:mod:`repro.ib.artifacts`.  A cached point is bit-identical to one
+built from scratch (``build_subnet`` without ``artifacts``), which
+``tests/ib/test_artifacts.py`` checks.
 
 ``run_sweep(..., jobs=N)`` fans the independent points out over a
 process pool (:mod:`repro.experiments.parallel`); results are
@@ -102,19 +104,15 @@ def run_point(
     warmup_ns: float = 30_000.0,
     measure_ns: float = 120_000.0,
     seed: int = 1,
-    cache: bool = True,
 ) -> dict:
     """Measure one offered-load point on a fresh simulator.
 
-    ``cache=True`` (default) reuses the seed-independent routing
-    artifacts via :func:`repro.ib.artifacts.get_artifacts`;
-    ``cache=False`` rebuilds everything from scratch.  Both paths
-    produce bit-identical measurements.
+    The seed-independent routing artifacts come from
+    :func:`repro.ib.artifacts.get_artifacts`; the engine, switches,
+    endnodes and RNG streams are built fresh.
     """
     cfg = cfg or SimConfig()
-    artifacts = None
-    if cache and isinstance(scheme, str):
-        artifacts = get_artifacts(m, n, scheme, cfg)
+    artifacts = get_artifacts(m, n, scheme, cfg)
     net = build_subnet(m, n, scheme, cfg, seed=seed, artifacts=artifacts)
     net.attach_pattern(_build_pattern(pattern, net.num_nodes, hotspot_fraction))
     return net.run_measurement(offered, warmup_ns, measure_ns)
@@ -132,7 +130,6 @@ def sweep_specs(
     warmup_ns: float = 30_000.0,
     measure_ns: float = 120_000.0,
     seeds: Sequence[int] = (1,),
-    cache: bool = True,
 ) -> List[PointSpec]:
     """The sweep's work items, load-major / seed-minor (grid order)."""
     return [
@@ -147,7 +144,6 @@ def sweep_specs(
             warmup_ns=warmup_ns,
             measure_ns=measure_ns,
             seed=seed,
-            cache=cache,
         )
         for offered in loads
         for seed in seeds
@@ -261,7 +257,6 @@ def run_sweep(
     measure_ns: float = 120_000.0,
     seeds: Sequence[int] = (1,),
     jobs: Optional[int] = 1,
-    cache: bool = True,
     mode: str = "packet",
     knee_threshold: float = flowlevel.DEFAULT_KNEE_THRESHOLD,
 ) -> List[SweepPoint]:
@@ -298,7 +293,6 @@ def run_sweep(
             warmup_ns=warmup_ns,
             measure_ns=measure_ns,
             seeds=seeds,
-            cache=cache,
         )
         results = execute_points(specs, jobs=jobs)
         return aggregate_sweep(scheme, cfg, loads, seeds, results)
@@ -332,7 +326,6 @@ def run_sweep(
             warmup_ns=warmup_ns,
             measure_ns=measure_ns,
             seeds=seeds,
-            cache=cache,
         )
         packet_results = execute_points(specs, jobs=jobs)
     results = []

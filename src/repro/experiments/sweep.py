@@ -81,7 +81,6 @@ def run_figure(
     quick: bool = False,
     base_cfg: SimConfig | None = None,
     jobs: Optional[int] = 1,
-    cache: bool = True,
     mode: str = "packet",
     knee_threshold: float = flowlevel.DEFAULT_KNEE_THRESHOLD,
 ) -> FigureResult:
@@ -159,7 +158,6 @@ def run_figure(
                         warmup_ns=warmup,
                         measure_ns=measure,
                         seeds=seeds,
-                        cache=cache,
                     )
                 )
     results = execute_points(specs, jobs=jobs)

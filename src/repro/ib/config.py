@@ -94,11 +94,6 @@ class SimConfig:
     #: *modified* switch, serially — the paper's "subnet manager
     #: re-assigns forwarding table for each switch".
     sm_program_time_ns: float = 200.0
-    #: Event-engine backend: "wheel" (hierarchical timing wheel with
-    #: pooled events and the fused hop fast path — the default) or
-    #: "heap" (the original binary-heap calendar queue, kept as the
-    #: bit-identical oracle).
-    engine: str = "wheel"
 
     def __post_init__(self) -> None:
         if self.flying_time_ns < 0 or self.routing_time_ns < 0:
@@ -151,10 +146,6 @@ class SimConfig:
             raise ValueError("detection_latency_ns must be non-negative")
         if self.sm_program_time_ns < 0:
             raise ValueError("sm_program_time_ns must be non-negative")
-        if self.engine not in ("wheel", "heap"):
-            raise ValueError(
-                f"unknown engine backend {self.engine!r} (wheel|heap)"
-            )
 
     @property
     def serialization_ns(self) -> float:

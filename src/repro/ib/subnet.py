@@ -1,7 +1,7 @@
 """Subnet assembly: fat-tree + routing scheme + simulator components.
 
 :func:`build_subnet` instantiates one simulatable IBFT(m, n) subnet:
-an :class:`~repro.sim.engine.Engine`, a
+a :class:`~repro.sim.wheel.WheelEngine`, a
 :class:`~repro.ib.switch.SwitchModel` per fat-tree switch (LFTs
 programmed by the :class:`~repro.ib.sm.SubnetManager`), an
 :class:`~repro.ib.endnode.Endnode` per processing node, and a
@@ -24,9 +24,9 @@ from repro.ib.endnode import Endnode
 from repro.ib.sm import SubnetManager
 from repro.ib.switch import SwitchModel
 from repro.sim.engine import Engine
-from repro.sim.wheel import make_engine
 from repro.sim.rng import spawn_rngs
 from repro.sim.stats import LatencyStats, ThroughputMeter, WarmupFilter
+from repro.sim.wheel import WheelEngine
 from repro.topology.fattree import FatTree
 from repro.topology.labels import SwitchLabel, format_switch
 
@@ -163,6 +163,8 @@ def build_subnet(
     cfg: Optional[SimConfig] = None,
     seed: int = 0,
     artifacts: Optional[RoutingArtifacts] = None,
+    *,
+    engine: Optional[Engine] = None,
 ) -> Subnet:
     """Construct and wire a complete IBFT(m, n) subnet.
 
@@ -182,7 +184,14 @@ def build_subnet(
         LFTs and DLID matrix are reused instead of rebuilt — the
         resulting subnet is bit-for-bit identical to a fresh build.
         All per-seed state (engine, switches, endnodes, RNG streams)
-        is still constructed fresh.
+        is still constructed fresh.  Without it, everything is built
+        from scratch (the reference the cache is tested against).
+    engine:
+        The event engine to build on, which must be fresh; defaults to
+        a new :class:`~repro.sim.wheel.WheelEngine`.  A test seam: the
+        differential tests pass the heap
+        :class:`~repro.sim.engine.Engine`, which the wheel is
+        bit-identical to.
     """
     cfg = cfg or SimConfig()
     dlid_flat: Optional[np.ndarray] = None
@@ -201,7 +210,6 @@ def build_subnet(
         scheme_obj = artifacts.scheme
         lfts = artifacts.lfts
         dlid_flat = artifacts.dlid_flat
-        engine = make_engine(cfg.engine)
     else:
         ft = FatTree(m, n)
         if isinstance(scheme, str):
@@ -214,9 +222,10 @@ def build_subnet(
                 raise ValueError("scheme was built for a different FT(m, n)")
             ft = scheme_obj.ft
 
-        engine = make_engine(cfg.engine)
         sm = SubnetManager(scheme_obj)
         lfts = sm.configure()
+    if engine is None:
+        engine = WheelEngine()
 
     switches: Dict[SwitchLabel, SwitchModel] = {}
     for sw in ft.switches:

@@ -19,10 +19,9 @@ failure lifecycle *inside* the discrete-event simulation:
    and computes target tables with the vectorized
    :class:`~repro.core.fault_kernel.FaultRepairKernel` (incremental
    across consecutive sweeps; bit-identical to the offline
-   :class:`~repro.core.fault.FaultTolerantTables`, which
-   ``use_kernel=False`` swaps back in as the oracle path) — or, when
-   every link is back, restores the cached initial sweep tables
-   bit-for-bit.
+   :class:`~repro.core.fault.FaultTolerantTables`, which the tests
+   check after every sweep) — or, when every link is back, restores
+   the cached initial sweep tables bit-for-bit.
 4. **Delta programming** — only switches whose table moved are
    reprogrammed, one ``SimConfig.sm_program_time_ns`` apart, through
    the existing :attr:`SwitchModel.lft` swap path (which re-hoists the
@@ -56,7 +55,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.core.fault import FaultSet, FaultTolerantTables, LinkId, link_id
+from repro.core.fault import FaultSet, LinkId, link_id
 from repro.core.fault_kernel import FaultRepairKernel
 from repro.core.kernel import (
     RouteKernel,
@@ -174,8 +173,6 @@ class DynamicSubnetManager:
         net: Subnet,
         schedule: Optional[FaultSchedule] = None,
         heartbeat_period_ns: Optional[float] = None,
-        *,
-        use_kernel: bool = True,
     ):
         self.net = net
         self.engine = net.engine
@@ -197,10 +194,8 @@ class DynamicSubnetManager:
         #: the fault set the currently-programmed tables route around.
         self.programmed_faults: frozenset = frozenset()
         self.records: List[ReroutingRecord] = []
-        # Re-sweep backend: the vectorized fault-repair kernel (compiled
-        # lazily on the first faulty sweep; incremental across sweeps)
-        # or the scalar oracle when use_kernel=False.
-        self.use_kernel = use_kernel
+        # Re-sweep backend: the vectorized fault-repair kernel, compiled
+        # lazily on the first faulty sweep; incremental across sweeps.
         self.fault_kernel: Optional[FaultRepairKernel] = None
         # Live tables mirrored in 0-based array form for delta
         # computation; the initial sweep's tables double as the
@@ -408,16 +403,9 @@ class DynamicSubnetManager:
         if not known:
             # Full recovery: restore the initial sweep, bit-for-bit.
             return dict(self._baseline)
-        faults = FaultSet(links=known)
-        if not self.use_kernel:
-            ftt = FaultTolerantTables(self.scheme, faults)
-            return {
-                sw: np.asarray(entries, dtype=np.int64)
-                for sw, entries in ftt.tables.items()
-            }
         if self.fault_kernel is None:
             self.fault_kernel = FaultRepairKernel(self.scheme)
-        return self.fault_kernel.repair(faults).table_rows
+        return self.fault_kernel.repair(FaultSet(links=known)).table_rows
 
     def _program_step(
         self, ctx: dict, sw: SwitchLabel, table: LinearForwardingTable

@@ -1,4 +1,4 @@
-"""A hierarchical timing-wheel event scheduler (the ``"wheel"`` backend).
+"""A hierarchical timing-wheel event scheduler: the simulator's engine.
 
 :class:`WheelEngine` is a drop-in replacement for the heap-based
 :class:`repro.sim.engine.Engine` — same API (``schedule``,
@@ -73,9 +73,9 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Callable, Optional
 
-from repro.sim.engine import Engine, Event, SimulationError
+from repro.sim.engine import Event, SimulationError
 
-__all__ = ["WheelEngine", "make_engine"]
+__all__ = ["WheelEngine"]
 
 # Wheel geometry.  _G is the slot granularity in bits (one level-0
 # slot covers 2**_G ns): coarse enough that the cursor rarely scans an
@@ -536,12 +536,3 @@ class WheelEngine:
             f"processed={self._events_processed})"
         )
 
-
-def make_engine(name: str = "wheel"):
-    """Engine factory: ``"wheel"`` → :class:`WheelEngine`,
-    ``"heap"`` → :class:`~repro.sim.engine.Engine` (the oracle)."""
-    if name == "wheel":
-        return WheelEngine()
-    if name == "heap":
-        return Engine()
-    raise ValueError(f"unknown engine backend {name!r} (wheel|heap)")

@@ -1,8 +1,15 @@
 """Kernel-vs-scalar equivalence: the vectorized route kernel must be
 indistinguishable from the scalar tracer on every output — per-path
 switch sequences, ports and turns, verification verdicts and counts,
-LCA-usage histograms, all-to-one link loads, and CDG edge sets."""
+LCA-usage histograms, all-to-one link loads, and CDG edge sets.
 
+The scalar side is :func:`~repro.core.verification.trace_path`: the
+verifier :func:`~repro.core.verification.scalar_verify_scheme` and the
+``scalar_*`` helpers below are built on it."""
+
+from collections import Counter
+
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +31,38 @@ SCHEMES = [MlidScheme, SlidScheme]
 def _schemes(m, n):
     ft = FatTree(m, n)
     return [cls(ft) for cls in SCHEMES]
+
+
+def _all_to_one(scheme, dst):
+    """The selected route of every other node to ``dst``."""
+    return [
+        v.trace_path(scheme, src, dst) for src in scheme.ft.nodes if src != dst
+    ]
+
+
+def scalar_lca_usage(scheme, dst):
+    return Counter(trace.turn for trace in _all_to_one(scheme, dst))
+
+
+def scalar_link_loads_all_to_one(scheme, dst):
+    loads = Counter()
+    for trace in _all_to_one(scheme, dst):
+        loads.update(trace.links)
+    return loads
+
+
+def scalar_channel_dependency_graph(scheme):
+    """Every route of every LID, each consecutive channel pair an edge."""
+    ft = scheme.ft
+    g = nx.DiGraph()
+    for src in ft.nodes:
+        for dst in ft.nodes:
+            if src == dst:
+                continue
+            for lid in scheme.lid_set(dst):
+                links = v.trace_path(scheme, src, dst, dlid=lid).links
+                g.add_edges_from(zip(links, links[1:]))
+    return g
 
 
 @pytest.mark.parametrize("m,n", MN)
@@ -59,9 +98,7 @@ def test_verify_counts_match_scalar(m, n):
     for scheme in _schemes(m, n):
         for offsets in (True, False):
             fast = v.verify_scheme(scheme, check_offsets=offsets)
-            slow = v.verify_scheme(
-                scheme, check_offsets=offsets, use_kernel=False
-            )
+            slow = v.scalar_verify_scheme(scheme, check_offsets=offsets)
             assert fast == slow
 
 
@@ -71,7 +108,7 @@ def test_verify_pairs_subset(m, n):
         nodes = scheme.ft.nodes
         pairs = [(nodes[0], nodes[-1]), (nodes[1], nodes[2])]
         fast = v.verify_scheme(scheme, pairs=pairs)
-        slow = v.verify_scheme(scheme, pairs=pairs, use_kernel=False)
+        slow = v.scalar_verify_scheme(scheme, pairs=pairs)
         assert fast == slow == 2 * scheme.lids_per_node
 
 
@@ -79,9 +116,7 @@ def test_verify_pairs_subset(m, n):
 def test_lca_usage_equivalence(m, n):
     for scheme in _schemes(m, n):
         for dst in (scheme.ft.nodes[0], scheme.ft.nodes[-1]):
-            assert v.lca_usage(scheme, dst) == v.lca_usage(
-                scheme, dst, use_kernel=False
-            )
+            assert v.lca_usage(scheme, dst) == scalar_lca_usage(scheme, dst)
 
 
 @pytest.mark.parametrize("m,n", MN)
@@ -90,14 +125,14 @@ def test_link_loads_equivalence(m, n):
         for dst in (scheme.ft.nodes[0], scheme.ft.nodes[-1]):
             assert v.link_loads_all_to_one(
                 scheme, dst
-            ) == v.link_loads_all_to_one(scheme, dst, use_kernel=False)
+            ) == scalar_link_loads_all_to_one(scheme, dst)
 
 
 @pytest.mark.parametrize("m,n", MN)
 def test_cdg_edge_set_equivalence(m, n):
     for scheme in _schemes(m, n):
         fast = v.channel_dependency_graph(scheme)
-        slow = v.channel_dependency_graph(scheme, use_kernel=False)
+        slow = scalar_channel_dependency_graph(scheme)
         assert set(fast.edges) == set(slow.edges)
         assert set(fast.nodes) == set(slow.nodes)
 
@@ -106,7 +141,7 @@ def test_cdg_equivalence_updown_scheme():
     """Non-minimal up*/down* detours exercise the long-route tail."""
     scheme = UpDownScheme(FatTree(4, 2))
     fast = v.channel_dependency_graph(scheme)
-    slow = v.channel_dependency_graph(scheme, use_kernel=False)
+    slow = scalar_channel_dependency_graph(scheme)
     assert set(fast.edges) == set(slow.edges)
 
 
@@ -114,7 +149,7 @@ def test_degenerate_single_switch_tree():
     """FT(4, 1): one leaf switch, every route is one hop."""
     scheme = MlidScheme(FatTree(4, 1))
     kernel = compile_kernel(scheme)
-    assert kernel.verify() == v.verify_scheme(scheme, use_kernel=False)
+    assert kernel.verify() == v.scalar_verify_scheme(scheme)
     src, dst = scheme.ft.nodes[0], scheme.ft.nodes[1]
     assert kernel.path(src, dst) == v.trace_path(scheme, src, dst)
 
@@ -133,7 +168,7 @@ def test_extension_selection_policies_verify_and_agree():
                     assert matrix[s, d] == scheme.dlid(src, dst)
         assert compile_kernel(scheme).verify(
             check_offsets=False
-        ) == v.verify_scheme(scheme, check_offsets=False, use_kernel=False)
+        ) == v.scalar_verify_scheme(scheme, check_offsets=False)
 
 
 class _Misdelivering(MlidScheme):
@@ -175,7 +210,7 @@ def test_kernel_raises_scalar_identical_errors(cls):
     with pytest.raises(v.RoutingError) as kernel_err:
         v.verify_scheme(cls(ft))
     with pytest.raises(v.RoutingError) as scalar_err:
-        v.verify_scheme(cls(ft), use_kernel=False)
+        v.scalar_verify_scheme(cls(ft))
     assert str(kernel_err.value) == str(scalar_err.value)
 
 
@@ -291,9 +326,7 @@ def test_generic_scheme_without_vectorized_tables():
             return self._inner.output_port(switch, lid)
 
     scheme = PlainMlid(FatTree(4, 2))
-    assert compile_kernel(scheme).verify() == v.verify_scheme(
-        scheme, use_kernel=False
-    )
+    assert compile_kernel(scheme).verify() == v.scalar_verify_scheme(scheme)
 
 
 # ----------------------------------------------------------------------

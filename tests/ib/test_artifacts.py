@@ -64,17 +64,20 @@ def test_subnet_from_artifacts_matches_fresh_subnet():
 
 
 def test_cached_measurement_bit_identical_to_fresh():
-    """End to end: identical per-seed RNG streams and results."""
+    """End to end: identical per-seed RNG streams and results.  The
+    fresh side is ``build_subnet`` without artifacts; ``run_point``
+    always goes through the cache."""
     from repro.experiments.runner import run_point
+    from repro.traffic.patterns import make_pattern
 
-    fresh = run_point(
-        4, 2, "slid", "uniform", 0.2,
-        warmup_ns=2_000.0, measure_ns=10_000.0, seed=7, cache=False,
-    )
+    net = build_subnet(4, 2, "slid", SimConfig(), seed=7)
+    net.attach_pattern(make_pattern("uniform", net.num_nodes))
+    fresh = net.run_measurement(0.2, warmup_ns=2_000.0, measure_ns=10_000.0)
     cached = run_point(
         4, 2, "slid", "uniform", 0.2,
-        warmup_ns=2_000.0, measure_ns=10_000.0, seed=7, cache=True,
+        warmup_ns=2_000.0, measure_ns=10_000.0, seed=7,
     )
+    assert artifact_cache_info()["misses"] == 1
     assert fresh == cached
 
 

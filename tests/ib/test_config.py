@@ -55,7 +55,6 @@ def test_offered_load_conversion():
     dict(arrival_process="pareto"),
     dict(injection_queueing="lifo"),
     dict(routing_engines_per_switch=-1),
-    dict(engine="warp"),
 ])
 def test_invalid_configs_rejected(bad):
     with pytest.raises(ValueError):

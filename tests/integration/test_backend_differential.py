@@ -12,6 +12,10 @@ paper's figures run (1, 2 and 4 VLs, uniform and 50%-centric traffic)
 and the fallbacks around the fused start: weighted VL arbitration,
 per-port routing engines, FIFO injection of bursty multi-packet
 messages, and generation stopped and restarted mid-run.
+
+The heap side goes through ``build_subnet``'s ``engine=`` seam, and
+asserts that the seam took: a seam that stopped applying would
+compare the wheel with itself.
 """
 
 import pytest
@@ -19,7 +23,18 @@ import pytest
 from repro.experiments.failover import FAILOVER_COLUMNS, run_failover
 from repro.ib.config import SimConfig
 from repro.ib.subnet import build_subnet
+from repro.sim.engine import Engine
+from repro.sim.wheel import WheelEngine
 from repro.traffic.patterns import make_pattern
+
+ENGINES = {"heap": Engine, "wheel": WheelEngine}
+
+
+def _build(engine, m, n, cfg, seed):
+    """A subnet on a fresh engine of the named backend."""
+    net = build_subnet(m, n, "mlid", cfg=cfg, seed=seed, engine=ENGINES[engine]())
+    assert type(net.engine) is ENGINES[engine]
+    return net
 
 
 def _channels(net):
@@ -31,8 +46,7 @@ def _channels(net):
 
 
 def _measure(engine, m, n, seed, load, pattern="uniform", **cfg_kw):
-    cfg = SimConfig(engine=engine, **cfg_kw)
-    net = build_subnet(m, n, "mlid", cfg=cfg, seed=seed)
+    net = _build(engine, m, n, SimConfig(**cfg_kw), seed)
     net.attach_pattern(make_pattern(pattern, net.num_nodes))
     stats = net.run_measurement(load, warmup_ns=2_000, measure_ns=20_000)
     return stats, _channels(net), net.engine.events_processed
@@ -115,8 +129,8 @@ def test_measurement_bit_identical_multi_vl(m, n, pattern, cfg_kw):
 def _stop_restart(engine):
     """Generation stopped mid-run and restarted before every cancelled
     generation event has come due, then drained."""
-    cfg = SimConfig(engine=engine, num_vls=2)
-    net = build_subnet(4, 2, "mlid", cfg=cfg, seed=3)
+    cfg = SimConfig(num_vls=2)
+    net = _build(engine, 4, 2, cfg, 3)
     net.attach_pattern(make_pattern("uniform", net.num_nodes))
     rate = cfg.offered_load_to_rate(0.6)
     eng = net.engine
@@ -146,11 +160,13 @@ def test_stop_and_restart_generation_bit_identical():
 
 
 def _failover_row(engine):
-    cfg = SimConfig(engine=engine)
+    eng = ENGINES[engine]()
     row = run_failover(
         8, 2, "mlid",
-        t_fail=6_000.0, t_recover=18_000.0, load=0.1, cfg=cfg, seed=1,
+        t_fail=6_000.0, t_recover=18_000.0, load=0.1, seed=1, engine=eng,
     )
+    # The run happened on the engine passed in, not on a default one.
+    assert eng.events_processed > 0 and eng.now >= 18_000.0
     metrics = {col: row[col] for col in FAILOVER_COLUMNS}
     records = [
         (

@@ -1,20 +1,34 @@
 """Runtime-facing fault-kernel tests: incremental counters and the
-kernel-vs-oracle FailoverMetrics equivalence.
+kernel-vs-oracle equivalence inside the SM loop.
 
 The counter test pins down the kernel's *incrementality*: a second
 single-link failure on a disjoint subtree must recompute only the
 destinations whose descent cone touches the new link — one leaf's
-worth — not the whole fabric.  The metrics test pins down the *wiring*:
-a full failover run produces the identical record stream whichever
-repair backend the dynamic SM uses.
+worth — not the whole fabric.  The equivalence test pins down the
+*wiring*: through a multi-link flap storm, every sweep the dynamic SM
+completes leaves the live tables equal to the scalar
+:class:`~repro.core.fault.FaultTolerantTables` repair of the fault set
+it saw.
 """
 
 import numpy as np
+import pytest
 
-from repro.experiments.failover import FAILOVER_COLUMNS, run_failover
+from repro.core.fault import FaultSet, FaultTolerantTables
 from repro.ib.config import SimConfig
+from repro.ib.lft import LinearForwardingTable
 from repro.ib.subnet import build_subnet
 from repro.runtime import DynamicSubnetManager, FaultSchedule
+from repro.service.storm import flap_schedule
+
+#: Flapping links per fabric as (root index, 0-based port).  The flaps
+#: overlap, and every fault set they pass through stays connected: on
+#: FT(4, 2) they share one root, because two leaves each cut off a
+#: different root of the two could not reach each other up and down.
+FLAPS = {
+    (4, 2): [(0, 0), (0, 1), (0, 2)],
+    (8, 2): [(0, 0), (1, 1), (2, 2), (3, 0)],
+}
 
 
 def make_net(m=4, n=3, scheme="mlid"):
@@ -65,38 +79,47 @@ class TestIncrementalCounters:
         assert mgr.fault_kernel.last_mode == "full"
         assert mgr.fault_kernel.destinations_recomputed == ft.num_nodes
 
-    def test_scalar_path_never_compiles_a_kernel(self):
-        net = make_net()
-        ft = net.ft
-        sw, port = ft.switches_at_level(0)[0], 0
-        sched = FaultSchedule(ft).link_down(1_000.0, sw, port)
-        mgr = DynamicSubnetManager(net, sched, use_kernel=False)
-        mgr.arm()
-        net.engine.run()
-        assert mgr.fault_kernel is None
-        assert [r.kind for r in mgr.records] == ["down"]
 
 
 class TestBackendEquivalence:
-    def _rows(self, **kwargs):
-        kernel_row = run_failover(4, 2, "mlid", scalar_repair=False, **kwargs)
-        scalar_row = run_failover(4, 2, "mlid", scalar_repair=True, **kwargs)
-        return kernel_row, scalar_row
+    @pytest.mark.parametrize("m,n", sorted(FLAPS))
+    def test_sweeps_match_scalar_repair(self, m, n):
+        """With zero detection and programming time, and no two link
+        changes at one instant, every sweep completes before the next
+        change.  Each one must end with the live LFTs equal to the
+        scalar repair of the fault set it saw, through full and
+        incremental kernel repairs and the recoveries between them."""
+        net = make_net(m, n)
+        ft = net.ft
+        roots = ft.switches_at_level(0)
+        links = [(roots[i], port) for i, port in FLAPS[(m, n)]]
+        schedule = flap_schedule(
+            ft, links=links, period_ns=6_000.0, down_ns=2_500.0,
+            horizon_ns=40_000.0,
+        )
+        assert len({event.time for event in schedule}) == len(schedule)
+        mgr = DynamicSubnetManager(net, schedule)
+        seen = []
 
-    def test_control_plane_metrics_identical(self):
-        kernel_row, scalar_row = self._rows()
-        assert kernel_row["records"] == scalar_row["records"]
-        for col in FAILOVER_COLUMNS:
-            assert kernel_row[col] == scalar_row[col], col
+        def check(record):
+            known = mgr.programmed_faults
+            assert known == frozenset(mgr.down_links)  # no sweep pending
+            assert record.faults_known == len(known)
+            tables = FaultTolerantTables(net.scheme, FaultSet(links=known)).tables
+            live = mgr.live_lfts()
+            for sw in ft.switches:
+                assert live[sw] == LinearForwardingTable.from_zero_based(
+                    tables[sw], ft.m
+                ), sw
+            seen.append((len(known), mgr.fault_kernel.last_mode))
 
-    def test_loaded_run_metrics_identical(self):
-        kernel_row, scalar_row = self._rows(load=0.2, seed=3)
-        assert kernel_row["records"] == scalar_row["records"]
-        for col in FAILOVER_COLUMNS:
-            assert kernel_row[col] == scalar_row[col], col
-        # Both invariants actually fired in this scenario.
-        assert kernel_row["repair_matches_offline"] is True
-        assert kernel_row["recovery_matches_initial"] is True
+        mgr.on_sweep = check
+        mgr.arm()
+        net.engine.run()
+        assert len(seen) == len(mgr.records) == len(schedule)
+        assert max(faults for faults, _ in seen) >= 2
+        assert seen[-1][0] == 0  # the storm ends on a healthy fabric
+        assert {"full", "incremental"} <= {mode for _, mode in seen}
 
     def test_program_delta_rows_accept_kernel_arrays(self):
         # The kernel hands the SM read-only int16 rows; the delta path

@@ -8,13 +8,13 @@ Every test runs against both scheduler backends — the heap oracle
 
 import pytest
 
-from repro.sim.engine import SimulationError
-from repro.sim.wheel import make_engine
+from repro.sim.engine import Engine, SimulationError
+from repro.sim.wheel import WheelEngine
 
 
-@pytest.fixture(params=["heap", "wheel"])
+@pytest.fixture(params=[Engine, WheelEngine], ids=["heap", "wheel"])
 def eng(request):
-    return make_engine(request.param)
+    return request.param()
 
 
 def test_initial_state(eng):

@@ -5,27 +5,19 @@ inserts during a firing run, and the batched event accounting."""
 
 import pytest
 
-from repro.sim.engine import Engine, SimulationError
+from repro.sim.engine import Engine
 from repro.sim.wheel import (
     _G,
     _SPAN0,
     _SPAN1,
     _SPAN2,
     WheelEngine,
-    make_engine,
 )
 
 # Horizons in nanoseconds (slot width is 2**_G ns).
 _H0 = _SPAN0 << _G  # level-0 horizon (~16.4 us)
 _H1 = _SPAN1 << _G  # level-1 horizon (~2.1 ms)
 _H2 = _SPAN2 << _G  # level-2 horizon (~268 ms)
-
-
-def test_make_engine_factory():
-    assert isinstance(make_engine("wheel"), WheelEngine)
-    assert isinstance(make_engine("heap"), Engine)
-    with pytest.raises(ValueError):
-        make_engine("splay")
 
 
 def test_fractional_times_within_one_slot_sort():

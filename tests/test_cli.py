@@ -256,6 +256,13 @@ def test_sweep_bad_loads_rejected():
         main(["sweep", "4", "2", "--loads", ","])
 
 
+@pytest.mark.parametrize("seeds", ["1.5", "1,2.0", "-1"])
+def test_sweep_bad_seeds_rejected(seeds):
+    # Seeds are non-negative integers: a float is rejected, not truncated.
+    with pytest.raises(SystemExit, match="bad seeds list"):
+        main(["sweep", "4", "2", "--seeds", seeds])
+
+
 def test_draw(capsys):
     assert main(["draw", "4", "2"]) == 0
     out = capsys.readouterr().out
@@ -292,6 +299,46 @@ def test_failover_explicit_link(capsys):
     assert main(args) == 0
     out = capsys.readouterr().out
     assert "slid" in out
+
+
+@pytest.mark.parametrize(
+    "victim,shown",
+    [
+        ([], "SW<0, 0> port 0 down"),  # the defaults keep default_link
+        (["--port", "3"], "SW<0, 0> port 3 down"),
+        (["--level", "1", "--port", "2"], "SW<0, 1> port 2 down"),
+        (["--switch", "3", "--level", "1", "--port", "3"], "SW<3, 1> port 3 down"),
+    ],
+    ids=["defaults", "port", "level-and-port", "switch-level-and-port"],
+)
+def test_failover_victim_from_level_and_port(victim, shown, capsys):
+    args = ["failover", "4", "2", "--detect-latency", "0", "--program-time", "0"]
+    assert main(args + victim) == 0
+    assert shown in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "victim,problem",
+    [
+        (["--port", "99"], "--port 99 is outside [0, 4)"),
+        (["--port", "-1"], "--port -1 is outside [0, 4)"),
+        (["--level", "1", "--port", "0"], "SW<0, 1> port 0 attaches a node"),
+        (["--level", "2"], "--level 2 is outside [0, 2)"),
+        (["--switch", "7"], "has no switch SW<7, 0>"),
+        (["--switch", "x"], "label 'x' must have exactly 1 digits"),
+    ],
+    ids=[
+        "port-too-high", "port-negative", "node-port", "unknown-level",
+        "unknown-switch", "non-digit-switch",
+    ],
+)
+def test_failover_bad_victim_rejected(victim, problem):
+    # A one-line exit naming the problem, before any simulation runs.
+    with pytest.raises(SystemExit) as exc:
+        main(["failover", "4", "2", *victim])
+    message = str(exc.value.code)
+    assert problem in message
+    assert "\n" not in message
 
 
 def test_failover_bad_times_rejected():
@@ -333,9 +380,41 @@ def test_serve_in_parser():
 
 
 # ----------------------------------------------------------------------
-# Engine validation (add_engine_args + resolve_engine)
+# Retired oracle selectors: the references live in the tests
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("engine", ["warp", "sharded"])
-def test_sweep_rejects_unknown_engine(engine):
-    with pytest.raises(SystemExit, match="unknown engine"):
-        main(["sweep", "4", "2", "--engine", engine])
+RETIRED_ORACLE_FLAGS = [
+    (["figure", "fig12"], ["--engine", "heap"]),
+    (["sweep", "4", "2"], ["--engine", "heap"]),
+    (["probe", "4", "2"], ["--engine", "heap"]),
+    (["failover", "4", "2"], ["--engine", "heap"]),
+    (["verify", "4", "2"], ["--scalar"]),
+    (["failover", "4", "2"], ["--scalar-repair"]),
+]
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    RETIRED_ORACLE_FLAGS,
+    ids=[f"{command[0]}{flag[0]}" for command, flag in RETIRED_ORACLE_FLAGS],
+)
+def test_retired_oracle_flags_are_usage_errors(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+def test_no_subcommand_help_shows_oracle_flags():
+    import argparse
+
+    from repro.cli import build_parser
+
+    parser = build_parser()
+    (subparsers,) = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    assert {"figure", "sweep", "probe", "failover", "verify"} <= set(subparsers.choices)
+    for name, sub in subparsers.choices.items():
+        text = sub.format_help()
+        for flag in ("--engine", "--scalar"):
+            assert flag not in text, (name, flag)
