@@ -142,7 +142,7 @@ def _sweep_one_fabric(config, base_cfg, store):
             "total_classes": model.total_classes,
             "route_codes": int(model.flat_codes.size),
             "knee_offered": round(
-                flowlevel.DEFAULT_KNEE_THRESHOLD
+                flowlevel.KNEE_THRESHOLD
                 / flowlevel.knee_utilization(model, base_cfg, 1.0),
                 4,
             ),

@@ -11,16 +11,17 @@ Subcommands
 ``verify M N [--scheme S]``
     Exhaustively verify a scheme's forwarding tables on the vectorized
     route kernel, and time it.
-``figure ID [--quick/--full] [--csv PATH] [--jobs N] [--mode M] [--knee-threshold T]``
+``figure ID [--quick/--full] [--csv PATH] [--jobs N] [--mode M]``
     Regenerate one of the paper's figures (fig12 … fig19).  ``--mode``
     picks the point engine: packet simulation (default), the flow-level
-    evaluator, or the hybrid that falls back to packets near the knee.
-    ``--jobs`` fans the packet points out over worker processes; flow
-    points (folded model, warm-started along the load grid) are solved
-    in-process.
-``sweep M N [--scheme S] [--pattern P] [--loads L,L,…] [--jobs N] [--mode M]``
-    Run one offered-load sweep and print/export the points (same
-    ``--jobs``/``--mode`` semantics as ``figure``).
+    evaluator, or the hybrid that hands the points at and past the
+    knee (75% peak utilization) to the packet engine.  ``--jobs`` fans
+    the packet points out over worker processes; flow points (folded
+    model, warm-started along the load grid) are solved in-process.
+``sweep M N [--scheme S] [--pattern P] [--loads L,L,…] [--seeds K,K,…] [--jobs N] [--mode M]``
+    Run one offered-load curve through the same pipeline as ``figure``
+    and print/export the points; each seed is one replica, so a
+    repeated seed is rejected.
 ``draw M N``
     ASCII diagram of the fat-tree.
 ``probe M N [--scheme S] [--pattern P] [--load L]``
@@ -60,6 +61,7 @@ from repro.experiments import (
     render_figure_result,
     render_table,
     run_figure,
+    run_sweep,
     to_csv,
 )
 from repro.topology import FatTree
@@ -183,7 +185,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         quick=not args.full,
         jobs=args.jobs,
         mode=args.mode,
-        knee_threshold=args.knee_threshold,
     )
     print(render_figure_result(result))
     if args.csv:
@@ -195,11 +196,12 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.experiments import run_sweep
     from repro.ib.config import SimConfig
 
     loads = _parse_list(args.loads, "loads", float, "0.1,0.3,0.7")
     seeds = _parse_list(args.seeds, "seeds", _seed, "1,2,3")
+    if len(set(seeds)) < len(seeds):
+        raise SystemExit(f"bad seeds list {args.seeds!r}; each seed may appear once")
     points = run_sweep(
         args.m,
         args.n,
@@ -212,7 +214,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         seeds=seeds,
         jobs=args.jobs,
         mode=args.mode,
-        knee_threshold=args.knee_threshold,
     )
     rows = [p.as_row() for p in points]
     print(
@@ -374,6 +375,8 @@ def _cmd_failover(args: argparse.Namespace) -> int:
     from repro.experiments.failover import run_failover
     from repro.ib.config import SimConfig
 
+    if args.load < 0:
+        raise SystemExit(f"--load {args.load} must be non-negative (0 = no traffic)")
     if args.recover_at <= args.fail_at:
         raise SystemExit(
             f"--recover-at {args.recover_at} must follow --fail-at {args.fail_at}"
@@ -509,7 +512,7 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 
 
 def _add_mode_args(p: argparse.ArgumentParser) -> None:
-    from repro.experiments import DEFAULT_KNEE_THRESHOLD, SWEEP_MODES
+    from repro.experiments import SWEEP_MODES
 
     p.add_argument(
         "--mode",
@@ -518,15 +521,6 @@ def _add_mode_args(p: argparse.ArgumentParser) -> None:
         help=(
             "point engine: packet simulation, flow-level evaluation, or "
             "hybrid (flow below the knee, packet at and past it)"
-        ),
-    )
-    p.add_argument(
-        "--knee-threshold",
-        type=float,
-        default=DEFAULT_KNEE_THRESHOLD,
-        help=(
-            "hybrid mode's peak-utilization fraction above which a point "
-            f"falls back to the packet engine (default {DEFAULT_KNEE_THRESHOLD})"
         ),
     )
 

@@ -11,7 +11,10 @@ array sweeps:
 
 * **compile once** — the fabric adjacency (peer switch / peer node /
   up-down edge masks in dense ``(switch, port)`` matrices) and the
-  scheme's fault-free tables are fixed per scheme;
+  scheme's fault-free tables are fixed per scheme; the adjacency,
+  levels and leaf plan are the route kernel's own
+  :func:`~repro.core.kernel.fabric_arrays`, memoized on the
+  :class:`FatTree` and only ever read here;
 * **batch over leaves, not destinations** — ``down_cost`` / ``up_cost``
   and the candidate-port sets depend only on the destination's *leaf*
   (the descent cone is rooted at the leaf), so one level-synchronous
@@ -49,6 +52,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.core.fault import DisconnectedError, FaultSet, LinkId
+from repro.core.kernel import fabric_arrays
 from repro.core.scheme import RoutingScheme
 from repro.topology.fattree import FatTree
 from repro.topology.labels import SwitchLabel, format_switch
@@ -143,16 +147,13 @@ class FaultRepairKernel:
             raise ValueError("switch arity exceeds the int16 port plane")
 
         num_s, num_p = ft.num_switches, ft.m
-        # Dense adjacency: peer switch id / peer node pid per (sw, port).
-        self.peer_switch = np.full((num_s, num_p), -1, dtype=np.int32)
-        self.peer_node = np.full((num_s, num_p), -1, dtype=np.int32)
-        for i, sw in enumerate(ft.switches):
-            for port, ep in enumerate(ft.ports(sw)):
-                if ep.is_node:
-                    self.peer_node[i, port] = ft.node_id(ep.node)
-                else:
-                    self.peer_switch[i, port] = ft.switch_id(ep.switch)
-        self.switch_level = np.array([lvl for _, lvl in ft.switches], np.int32)
+        # Dense adjacency (peer switch id / peer node pid per (sw, port)),
+        # levels and the leaf plan, shared with the route kernel through
+        # the FatTree's memoized FabricArrays: read, never written.
+        fab = fabric_arrays(ft)
+        self.peer_switch = fab.peer_switch
+        self.peer_node = fab.peer_node
+        self.switch_level = fab.switch_level
         self.level_rows = [
             np.flatnonzero(self.switch_level == lvl) for lvl in range(ft.n)
         ]
@@ -172,20 +173,11 @@ class FaultRepairKernel:
 
         # Leaf plan: cost columns are per *leaf*, destinations map onto
         # them through their attachment.
-        leaves = ft.switches_at_level(ft.n - 1)
-        self.num_leaves = len(leaves)
-        self.leaf_switch = np.array(
-            [ft.switch_id(s) for s in leaves], dtype=np.int64
-        )
-        leaf_col = {int(s): f for f, s in enumerate(self.leaf_switch)}
-        self.attach_leaf = np.array(
-            [leaf_col[ft.switch_id(ft.node_attachment(p).switch)] for p in ft.nodes],
-            dtype=np.int64,
-        )
+        self.num_leaves = fab.num_leaves
+        self.leaf_switch = fab.leaf_switch.astype(np.int64)
+        self.attach_leaf = fab.attach_leaf.astype(np.int64)
         self.per_leaf = self.num_nodes // self.num_leaves
-        node_leaf_port = np.array(
-            [p[ft.n - 1] for p in ft.nodes], dtype=np.int16
-        )
+        node_leaf_port = fab.node_digits[:, ft.n - 1].astype(np.int16)
         # LID plan via the scheme's lid_set (dense by construction; the
         # SM's assign_lids() enforces this fabric-wide).
         owner = np.full(self.num_lids, -1, dtype=np.int64)

@@ -76,8 +76,9 @@ class FabricArrays:
     :class:`RouteKernel` compilation.  It is cheap (O(switches × ports))
     and small — independent of the LID space — so consumers that cannot
     afford the full (leaf, DLID) route tensor (the flow-level evaluator
-    on FT(32, 3)-class fabrics) share the same arrays the kernel uses.
-    Memoized on the :class:`FatTree` instance by :func:`fabric_arrays`.
+    on FT(32, 3)-class fabrics) share the same arrays the kernel uses,
+    as does the fault-repair kernel.  Memoized on the :class:`FatTree`
+    instance by :func:`fabric_arrays`; consumers never write them.
     """
 
     m: int
@@ -672,43 +673,6 @@ class RouteKernel:
         valid = sw >= 0
         enc = sw[valid].astype(np.int64) * self.m + self.route_port[valid]
         wf = np.broadcast_to(w[:, :, None], sw.shape)[valid]
-        loads = np.bincount(
-            enc, weights=wf, minlength=self.num_switches * self.m
-        )
-        return loads.reshape(self.num_switches, self.m)
-
-    def accumulate_class_link_loads(
-        self,
-        leaf_rows: np.ndarray,
-        dlids: np.ndarray,
-        weights: np.ndarray,
-    ) -> np.ndarray:
-        """Sparse sibling of :meth:`accumulate_link_loads`.
-
-        ``leaf_rows``/``dlids``/``weights`` are parallel 1-D arrays: the
-        k-th entry adds ``weights[k]`` to every channel on route
-        ``(leaf_rows[k], dlids[k])`` (DLIDs are 1-based, as everywhere).
-        Returns the ``(num_switches, m)`` load matrix.
-
-        This is the per-class oracle behind symmetry folding
-        (:mod:`repro.experiments.folding`): a folded model stores one
-        representative route per equivalence class, and this method
-        re-derives the representative's channel loads straight from the
-        route tensor without materializing the dense
-        ``(num_leaves, num_lids)`` weight matrix.
-        """
-        leaf_rows = np.asarray(leaf_rows, np.int64)
-        lix = np.asarray(dlids, np.int64) - 1
-        w = np.asarray(weights, np.float64)
-        if not leaf_rows.shape == lix.shape == w.shape or leaf_rows.ndim != 1:
-            raise ValueError("leaf_rows, dlids, weights must be parallel 1-D")
-        if lix.size and (lix.min() < 0 or lix.max() >= self.num_lids):
-            raise ValueError("DLID out of range (DLIDs are 1-based)")
-        sw = self.route_switch[leaf_rows, lix]  # (K, steps)
-        ports = self.route_port[leaf_rows, lix]
-        valid = sw >= 0
-        enc = sw[valid].astype(np.int64) * self.m + ports[valid]
-        wf = np.broadcast_to(w[:, None], sw.shape)[valid]
         loads = np.bincount(
             enc, weights=wf, minlength=self.num_switches * self.m
         )

@@ -2,8 +2,9 @@
 
 * :mod:`repro.experiments.configs` — one declarative config per paper
   table/figure (and per ablation), matching DESIGN.md's index;
-* :mod:`repro.experiments.runner` — runs a load sweep for one
-  (topology, scheme, VL) combination and returns measurement rows;
+* :mod:`repro.experiments.runner` — the point-level pieces: one
+  packet point (``run_point``), a curve's specs, flow plan and
+  seed aggregation;
 * :mod:`repro.experiments.parallel` — fans independent packet sweep
   points out over a process pool with order-preserving, bit-identical
   assembly (``jobs=N`` on ``run_sweep``/``run_figure``);
@@ -14,8 +15,9 @@
   one curve solver, warm-started along the load grid;
 * :mod:`repro.experiments.modelstore` — persistent memory-mapped cache
   of compiled flow models (``repro-ibft flow-cache`` inspects it);
-* :mod:`repro.experiments.sweep` — full-figure orchestration (all
-  schemes × VL counts), with saturation detection;
+* :mod:`repro.experiments.sweep` — the one sweep pipeline:
+  ``run_figure`` (all schemes × VL counts) and its one-curve form
+  ``run_sweep``, with saturation detection;
 * :mod:`repro.experiments.report` — renders results as aligned text
   tables and CSV, the way the benchmarks print them.
 """
@@ -28,13 +30,8 @@ from repro.experiments.configs import (
     get_experiment,
     all_experiments,
 )
-from repro.experiments.failover import (
-    FAILOVER_COLUMNS,
-    run_failover,
-    run_failover_sweep,
-)
+from repro.experiments.failover import FAILOVER_COLUMNS, run_failover
 from repro.experiments.flowlevel import (
-    DEFAULT_KNEE_THRESHOLD,
     FlowModel,
     build_flow_model,
     clear_flow_models,
@@ -45,13 +42,13 @@ from repro.experiments.flowlevel import (
     select_backends,
 )
 from repro.experiments.parallel import PointSpec, execute_points
-from repro.experiments.runner import (
-    SWEEP_MODES,
-    SweepPoint,
-    run_point,
+from repro.experiments.runner import SWEEP_MODES, SweepPoint, run_point
+from repro.experiments.sweep import (
+    FigureResult,
+    run_figure,
     run_sweep,
+    saturation_throughput,
 )
-from repro.experiments.sweep import FigureResult, run_figure, saturation_throughput
 from repro.experiments.report import render_table, to_csv, render_figure_result
 
 __all__ = [
@@ -67,7 +64,6 @@ __all__ = [
     "SWEEP_MODES",
     "run_point",
     "run_sweep",
-    "DEFAULT_KNEE_THRESHOLD",
     "FlowModel",
     "build_flow_model",
     "clear_flow_models",
@@ -78,7 +74,6 @@ __all__ = [
     "select_backends",
     "FAILOVER_COLUMNS",
     "run_failover",
-    "run_failover_sweep",
     "FigureResult",
     "run_figure",
     "saturation_throughput",

@@ -27,14 +27,14 @@ long as each repair completes before the next event):
 * ``recovery_matches_initial`` — post-recovery live LFTs are
   bit-identical to the initial SM sweep.
 
-:func:`run_failover_sweep` repeats the scenario over an offered-load
-grid for the scheme-vs-scheme comparison tables.
+:data:`FAILOVER_COLUMNS` orders a row's scalar columns for report
+tables and CSV.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.fault import FaultSet, FaultTolerantTables
 from repro.ib.config import SimConfig
@@ -46,7 +46,7 @@ from repro.topology.fattree import FatTree
 from repro.topology.labels import SwitchLabel
 from repro.traffic.patterns import make_pattern
 
-__all__ = ["default_link", "run_failover", "run_failover_sweep", "FAILOVER_COLUMNS"]
+__all__ = ["default_link", "run_failover", "FAILOVER_COLUMNS"]
 
 #: Column order for report tables / CSV.
 FAILOVER_COLUMNS = [
@@ -101,8 +101,9 @@ def run_failover(
     """One link-down/link-up failover simulation; returns the report row.
 
     ``load`` is offered load in bytes/ns/node (0 = no traffic —
-    exercises the control plane alone).  ``link`` is a
-    ``(switch, 0-based port)`` pair, default :func:`default_link`.
+    exercises the control plane alone; negative raises ``ValueError``).
+    ``link`` is a ``(switch, 0-based port)`` pair, default
+    :func:`default_link`.
     With ``drain`` (default) generation stops at ``run_until`` and the
     simulation then runs to quiescence so the delivery accounting is
     exact: ``generated == delivered + packets_lost + backlog``.
@@ -113,6 +114,8 @@ def run_failover(
     is forwarded to :func:`~repro.ib.subnet.build_subnet` (a test seam
     for the heap-vs-wheel differential).
     """
+    if load < 0:
+        raise ValueError(f"load={load} must be non-negative (0 = no traffic)")
     if t_recover <= t_fail:
         raise ValueError(f"t_recover={t_recover} must follow t_fail={t_fail}")
     cfg = cfg or SimConfig()
@@ -174,24 +177,3 @@ def run_failover(
     )
     row["records"] = mgr.records
     return row
-
-
-def run_failover_sweep(
-    m: int,
-    n: int,
-    schemes: Tuple[str, ...] = ("slid", "mlid"),
-    loads: Tuple[float, ...] = (0.1, 0.3, 0.5),
-    **kwargs,
-) -> List[dict]:
-    """The failover comparison sweep: every scheme at every load.
-
-    Returns report rows in :data:`FAILOVER_COLUMNS` order, ready for
-    :func:`repro.experiments.report.render_table` — the resilience
-    counterpart of the paper's throughput/latency sweeps.
-    """
-    rows = []
-    for name in schemes:
-        for load in loads:
-            row = run_failover(m, n, name, load=load, **kwargs)
-            rows.append({col: row[col] for col in FAILOVER_COLUMNS})
-    return rows

@@ -58,8 +58,9 @@ near and past the knee the fixed point smooths over transient
 queueing, HOL blocking and VL arbitration.  The sweep stack therefore
 uses it as the far-from-saturation half of a hybrid
 (:func:`select_backends`): points whose peak utilization
-(:func:`knee_utilization`) stays below the knee threshold run here,
-the rest fall back to the packet engine.  See DESIGN.md §11.
+(:func:`knee_utilization`) stays below the fixed
+:data:`KNEE_THRESHOLD` (0.75) run here, the rest fall back to the
+packet engine.  See DESIGN.md §11.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ from repro.ib.config import SimConfig
 from repro.topology.fattree import FatTree
 
 __all__ = [
-    "DEFAULT_KNEE_THRESHOLD",
+    "KNEE_THRESHOLD",
     "SUPPORTED_PATTERNS",
     "FlowModel",
     "build_flow_model",
@@ -96,7 +97,7 @@ __all__ = [
 
 #: Peak-utilization fraction above which hybrid mode distrusts the
 #: flow model and falls back to the packet engine (see DESIGN.md §11).
-DEFAULT_KNEE_THRESHOLD = 0.75
+KNEE_THRESHOLD = 0.75
 
 #: Patterns with closed-form demand coefficients.
 SUPPORTED_PATTERNS = ("uniform", "centric")
@@ -639,15 +640,15 @@ def select_backends(
     cfg: SimConfig,
     loads: Sequence[float],
     mode: str,
-    knee_threshold: float = DEFAULT_KNEE_THRESHOLD,
 ) -> List[str]:
-    """Backend ("flow" or "packet") per load point for one curve."""
+    """Backend ("flow" or "packet") per load point for one curve;
+    hybrid splits at :data:`KNEE_THRESHOLD` peak utilization."""
     if mode == "flow":
         return ["flow"] * len(loads)
     if mode == "hybrid":
         return [
             "flow"
-            if knee_utilization(model, cfg, offered) < knee_threshold
+            if knee_utilization(model, cfg, offered) < KNEE_THRESHOLD
             else "packet"
             for offered in loads
         ]

@@ -1,21 +1,22 @@
-"""Single-configuration sweep runner.
+"""Point-level pieces of the sweep pipeline.
 
 ``run_point`` builds a subnet, attaches the traffic pattern and
-measures one offered-load point; ``run_sweep`` repeats it over a load
-grid and seed set, averaging replicas.  Every run uses a fresh
-simulator (engine, switches, endnodes, RNG streams) so points are
-statistically independent (the paper's methodology: one simulation run
-per generation rate); the seed-independent routing artifacts (FatTree,
-scheme tables, LFTs) are reused through the per-process cache of
+measures one offered-load point.  Every run uses a fresh simulator
+(engine, switches, endnodes, RNG streams) so points are statistically
+independent (the paper's methodology: one simulation run per generation
+rate); the seed-independent routing artifacts (FatTree, scheme tables,
+LFTs) are reused through the per-process cache of
 :mod:`repro.ib.artifacts`.  A cached point is bit-identical to one
 built from scratch (``build_subnet`` without ``artifacts``), which
 ``tests/ib/test_artifacts.py`` checks.
 
-``run_sweep(..., jobs=N)`` fans the independent points out over a
-process pool (:mod:`repro.experiments.parallel`); results are
-bit-for-bit identical to ``jobs=1`` because every point is a pure
-function of its spec and aggregation always happens here, in grid
-order.
+``sweep_specs`` lists a curve's packet points in grid order,
+``plan_flow_curve`` picks each load's backend and solves the flow
+points, and ``aggregate_sweep`` folds per-seed results into
+``SweepPoint``s.  :func:`repro.experiments.sweep.run_figure` strings
+them together for every curve of a figure, and ``run_sweep`` there is
+its one-curve form.  Aggregation happens in the parent process, in grid
+order, so ``jobs=N`` output is bit-for-bit identical to ``jobs=1``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from functools import lru_cache
 from typing import List, Optional, Sequence
 
 from repro.experiments import flowlevel
-from repro.experiments.parallel import PointSpec, execute_points
+from repro.experiments.parallel import PointSpec
 from repro.ib.artifacts import get_artifacts
 from repro.ib.config import SimConfig
 from repro.ib.subnet import build_subnet
@@ -35,14 +36,13 @@ from repro.traffic.patterns import make_pattern
 __all__ = [
     "SweepPoint",
     "run_point",
-    "run_sweep",
     "sweep_specs",
     "aggregate_sweep",
     "plan_flow_curve",
     "SWEEP_MODES",
 ]
 
-#: Valid ``mode`` arguments of :func:`run_sweep` / ``run_figure``.
+#: Valid ``mode`` arguments of ``run_figure`` / ``run_sweep``.
 SWEEP_MODES = ("packet", "flow", "hybrid")
 
 
@@ -217,7 +217,6 @@ def plan_flow_curve(
     *,
     hotspot_fraction: float = 0.5,
     mode: str = "hybrid",
-    knee_threshold: float = flowlevel.DEFAULT_KNEE_THRESHOLD,
     measure_ns: float = 120_000.0,
 ) -> tuple:
     """Plan one curve's backends and evaluate its flow-level points.
@@ -236,104 +235,9 @@ def plan_flow_curve(
             f"flow/hybrid sweeps need a scheme name, got {scheme!r}"
         )
     model = flowlevel.get_flow_model(m, n, scheme, pattern, hotspot_fraction)
-    backends = flowlevel.select_backends(model, cfg, loads, mode, knee_threshold)
+    backends = flowlevel.select_backends(model, cfg, loads, mode)
     flow_idx = [i for i, backend in enumerate(backends) if backend == "flow"]
     flow_loads = [loads[i] for i in flow_idx]
     curve = flowlevel.evaluate_curve(model, cfg, flow_loads, measure_ns=measure_ns)
     flow_results = dict(zip(flow_idx, curve))
     return backends, flow_results
-
-
-def run_sweep(
-    m: int,
-    n: int,
-    scheme: str,
-    pattern: str,
-    loads: Sequence[float],
-    *,
-    cfg: Optional[SimConfig] = None,
-    hotspot_fraction: float = 0.5,
-    warmup_ns: float = 30_000.0,
-    measure_ns: float = 120_000.0,
-    seeds: Sequence[int] = (1,),
-    jobs: Optional[int] = 1,
-    mode: str = "packet",
-    knee_threshold: float = flowlevel.DEFAULT_KNEE_THRESHOLD,
-) -> List[SweepPoint]:
-    """Sweep offered loads, averaging over seeds.
-
-    ``jobs`` fans the independent (load, seed) points out over a
-    process pool; ``jobs=1`` (default) runs them inline.  The returned
-    points are bit-identical either way.
-
-    ``mode`` selects the engine: "packet" (the simulator, default),
-    "flow" (the :mod:`~repro.experiments.flowlevel` evaluator for
-    every point), or "hybrid" (flow-level where the peak utilization
-    stays below ``knee_threshold``, packet simulation at and past the
-    knee).  Hybrid packet points are bit-identical to ``mode="packet"``,
-    and ``jobs`` fans out hybrid's packet points the same way; the flow
-    points are solved during planning (:func:`plan_flow_curve`).
-    """
-    if mode not in SWEEP_MODES:
-        raise ValueError(f"unknown sweep mode {mode!r}; expected {SWEEP_MODES}")
-    if not loads:
-        raise ValueError("need at least one load point")
-    if not seeds:
-        raise ValueError("need at least one seed")
-    cfg = cfg or SimConfig()
-    if mode == "packet":
-        specs = sweep_specs(
-            m,
-            n,
-            scheme,
-            pattern,
-            loads,
-            cfg=cfg,
-            hotspot_fraction=hotspot_fraction,
-            warmup_ns=warmup_ns,
-            measure_ns=measure_ns,
-            seeds=seeds,
-        )
-        results = execute_points(specs, jobs=jobs)
-        return aggregate_sweep(scheme, cfg, loads, seeds, results)
-    backends, flow_results = plan_flow_curve(
-        m,
-        n,
-        scheme,
-        pattern,
-        loads,
-        cfg,
-        hotspot_fraction=hotspot_fraction,
-        mode=mode,
-        knee_threshold=knee_threshold,
-        measure_ns=measure_ns,
-    )
-    packet_loads = [
-        offered
-        for offered, backend in zip(loads, backends)
-        if backend == "packet"
-    ]
-    packet_results = []
-    if packet_loads:
-        specs = sweep_specs(
-            m,
-            n,
-            scheme,
-            pattern,
-            packet_loads,
-            cfg=cfg,
-            hotspot_fraction=hotspot_fraction,
-            warmup_ns=warmup_ns,
-            measure_ns=measure_ns,
-            seeds=seeds,
-        )
-        packet_results = execute_points(specs, jobs=jobs)
-    results = []
-    taken = 0
-    for i in range(len(loads)):
-        if i in flow_results:
-            results.extend([flow_results[i]] * len(seeds))
-        else:
-            results.extend(packet_results[taken : taken + len(seeds)])
-            taken += len(seeds)
-    return aggregate_sweep(scheme, cfg, loads, seeds, results, backends=backends)

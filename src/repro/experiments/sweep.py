@@ -1,8 +1,12 @@
-"""Full-figure orchestration.
+"""The sweep pipeline: every latency-vs-accepted-traffic curve.
 
 A paper figure is a family of latency-vs-accepted-traffic curves: one
 per (scheme, VL count).  :func:`run_figure` produces them all for one
-:class:`~repro.experiments.configs.ExperimentConfig`;
+:class:`~repro.experiments.configs.ExperimentConfig`: it plans each
+curve's flow points, dispatches every packet point in one
+:func:`~repro.experiments.parallel.execute_points` call and splices
+both back in grid order.  :func:`run_sweep` is its one-curve form (one
+scheme, one VL count) and has no planning or dispatch of its own.
 :func:`saturation_throughput` extracts the scalar the paper's
 observations compare ("the throughput of the MLID scheme is higher…").
 """
@@ -11,9 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments import flowlevel
 from repro.experiments.configs import ExperimentConfig
 from repro.experiments.parallel import execute_points
 from repro.experiments.runner import (
@@ -25,7 +28,7 @@ from repro.experiments.runner import (
 )
 from repro.ib.config import SimConfig
 
-__all__ = ["FigureResult", "run_figure", "saturation_throughput"]
+__all__ = ["FigureResult", "run_figure", "run_sweep", "saturation_throughput"]
 
 #: Curve key: (scheme name, VL count).
 CurveKey = Tuple[str, int]
@@ -82,7 +85,6 @@ def run_figure(
     base_cfg: SimConfig | None = None,
     jobs: Optional[int] = 1,
     mode: str = "packet",
-    knee_threshold: float = flowlevel.DEFAULT_KNEE_THRESHOLD,
 ) -> FigureResult:
     """Run every (scheme, VL) curve of one figure config.
 
@@ -99,13 +101,17 @@ def run_figure(
 
     ``mode`` selects the engine per point: "packet" (default), "flow"
     (the vectorized flow-level evaluator everywhere — FT(32, 3)-scale
-    figures in under a second), or "hybrid" (flow-level below the
-    ``knee_threshold`` peak utilization, packet simulation at and past
-    the knee; see :mod:`repro.experiments.flowlevel`).  Each
+    figures in under a second), or "hybrid" (flow-level below
+    :data:`~repro.experiments.flowlevel.KNEE_THRESHOLD` peak
+    utilization, packet simulation at and past the knee).  Each
     :class:`SweepPoint` carries the backend that produced it, and
     hybrid packet points are bit-identical to ``mode="packet"``.  Flow
     points are solved while each curve is planned (folded model,
     warm-started fixed points), so ``jobs`` fans out packet points only.
+
+    Raises ``ValueError`` on an unknown mode, an empty load grid, or a
+    seed set that is empty or repeats a seed (a repeat would count one
+    replica twice).
     """
     if mode not in SWEEP_MODES:
         raise ValueError(f"unknown sweep mode {mode!r}; expected {SWEEP_MODES}")
@@ -114,6 +120,12 @@ def run_figure(
     warmup = config.quick_warmup_ns if quick else config.warmup_ns
     measure = config.quick_measure_ns if quick else config.measure_ns
     seeds = config.quick_seeds if quick else config.seeds
+    if not loads:
+        raise ValueError("need at least one load point")
+    if not seeds:
+        raise ValueError("need at least one seed")
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"repeated seeds {list(seeds)}; each seed is one replica")
     # One flat spec list covering every curve's *packet* points, in
     # curve-major order; flow points are evaluated during planning.
     curve_cfgs: List[Tuple[CurveKey, SimConfig]] = []
@@ -136,7 +148,6 @@ def run_figure(
                     cfg,
                     hotspot_fraction=config.hotspot_fraction,
                     mode=mode,
-                    knee_threshold=knee_threshold,
                     measure_ns=measure,
                 )
             curve_plans.append((backends, flow_results, len(specs)))
@@ -177,3 +188,42 @@ def run_figure(
             scheme, cfg, loads, seeds, chunk, backends=backends
         )
     return result
+
+
+def run_sweep(
+    m: int,
+    n: int,
+    scheme: str,
+    pattern: str,
+    loads: Sequence[float],
+    *,
+    cfg: Optional[SimConfig] = None,
+    hotspot_fraction: float = 0.5,
+    warmup_ns: float = 30_000.0,
+    measure_ns: float = 120_000.0,
+    seeds: Sequence[int] = (1,),
+    jobs: Optional[int] = 1,
+    mode: str = "packet",
+) -> List[SweepPoint]:
+    """Sweep offered loads for one (scheme, VL count), averaging seeds.
+
+    The one-curve :func:`run_figure`: same ``jobs`` and ``mode``
+    semantics, same validation, same points.
+    """
+    cfg = cfg or SimConfig()
+    config = ExperimentConfig(
+        id="sweep",
+        title=f"{scheme} sweep",
+        m=m,
+        n=n,
+        pattern=pattern,
+        schemes=(scheme,),
+        vl_counts=(cfg.num_vls,),
+        hotspot_fraction=hotspot_fraction,
+        loads=tuple(loads),
+        warmup_ns=warmup_ns,
+        measure_ns=measure_ns,
+        seeds=tuple(seeds),
+    )
+    figure = run_figure(config, base_cfg=cfg, jobs=jobs, mode=mode)
+    return figure.curves[(scheme, cfg.num_vls)]

@@ -51,7 +51,6 @@ __all__ = [
     "artifact_cache_info",
     "clear_artifact_cache",
     "routing_cache_info",
-    "clear_routing_caches",
 ]
 
 #: Cache key: (m, n, scheme name, full simulation config).
@@ -187,16 +186,3 @@ def routing_cache_info() -> dict:
             "models": len(modelstore.list_models()),
         },
     }
-
-
-def clear_routing_caches() -> None:
-    """Drop every in-process routing cache (artifacts + flow models).
-
-    The on-disk flow-model store is left alone — clear it explicitly
-    with :func:`repro.experiments.modelstore.clear_models` or
-    ``repro-ibft flow-cache clear``.
-    """
-    from repro.experiments.flowlevel import clear_flow_models
-
-    clear_artifact_cache()
-    clear_flow_models()

@@ -4,13 +4,13 @@ The paper's transmitters arbitrate VLs round-robin.  Real IBA ports
 carry a *VLArbitration* attribute: a high-priority and a low-priority
 table of (VL, weight) entries plus a high-priority limit.  Weights are
 in units of 64 bytes; an entry lets its VL transmit until the weight is
-exhausted or the VL runs dry, then arbitration advances.  High-priority
-entries pre-empt low-priority ones between packets, bounded by the
-limit so low-priority VLs cannot starve.
+exhausted or the VL runs dry, then arbitration advances.
 
-This module implements that mechanism faithfully enough for QoS
-experiments (ablation A8): strict table order, 64-byte weight units,
-weight carry per entry, the high-priority limit counter.  The paper's
+This module implements the low-priority table faithfully enough for
+QoS experiments (ablation A8): strict table order, 64-byte weight
+units, weight carry per entry.  The high-priority table and its limit
+are not modelled: ``SimConfig`` configures weights only
+(``vl_weights``), so every table is a low-priority one.  The paper's
 plain round-robin remains the default (``SimConfig.vl_arbitration ==
 "roundrobin"``).
 """
@@ -51,28 +51,13 @@ class VlArbEntry:
 
 @dataclass(frozen=True)
 class VlArbitrationTable:
-    """High and low priority entry lists plus the high-priority limit.
-
-    ``limit_high`` bounds how many consecutive high-priority *weight
-    units* may be sent while low-priority traffic waits; 0 means a
-    single high-priority packet burst, 255 means unlimited (IBA
-    semantics, simplified to unit granularity).
-    """
+    """The low-priority entry list of one port's VLArbitration."""
 
     low: Tuple[VlArbEntry, ...]
-    high: Tuple[VlArbEntry, ...] = ()
-    limit_high: int = 255
 
     def __post_init__(self) -> None:
-        if not self.low and not self.high:
+        if not self.low:
             raise ValueError("arbitration table needs at least one entry")
-        if not 0 <= self.limit_high <= 255:
-            raise ValueError(f"limit_high must be in [0, 255], got {self.limit_high}")
-
-    @classmethod
-    def uniform(cls, num_vls: int, weight: int = 4) -> "VlArbitrationTable":
-        """Equal-weight low-priority table over all VLs."""
-        return cls(low=tuple(VlArbEntry(vl, weight) for vl in range(num_vls)))
 
     @classmethod
     def from_weights(cls, weights: Sequence[int]) -> "VlArbitrationTable":
@@ -83,15 +68,21 @@ class VlArbitrationTable:
         return cls(low=entries)
 
 
-class _TableState:
-    """Cursor over one priority table: active entry + remaining units."""
+class WeightedVlArbiter:
+    """IBA-style weighted VL arbiter over one table.
+
+    Drop-in replacement for the transmitter's round-robin ``_pick_vl``:
+    ``pick(ready)`` returns the VL to send (or -1), ``charge(vl,
+    nbytes)`` accounts a transmitted packet.  The cursor is the active
+    entry plus its remaining weight units.
+    """
 
     __slots__ = ("entries", "index", "remaining")
 
-    def __init__(self, entries: Tuple[VlArbEntry, ...]):
-        self.entries = entries
+    def __init__(self, table: VlArbitrationTable):
+        self.entries = table.low
         self.index = 0
-        self.remaining = entries[0].weight if entries else 0
+        self.remaining = self.entries[0].weight
 
     def pick(self, ready: Callable[[int], bool]) -> int:
         """Next sendable VL per table order, or -1.
@@ -100,8 +91,6 @@ class _TableState:
         data; otherwise arbitration advances (recharging each entry's
         weight as it becomes active).
         """
-        if not self.entries:
-            return -1
         count = len(self.entries)
         for step in range(count):
             idx = (self.index + step) % count
@@ -118,60 +107,10 @@ class _TableState:
         self.remaining = self.entries[self.index].weight
         return -1
 
-    def charge(self, nbytes: int) -> None:
+    def charge(self, vl: int, nbytes: int) -> None:
         """Deduct a transmitted packet from the active entry."""
         units = max(1, (nbytes + WEIGHT_UNIT_BYTES - 1) // WEIGHT_UNIT_BYTES)
         self.remaining -= units
         if self.remaining <= 0:
             self.index = (self.index + 1) % len(self.entries)
             self.remaining = self.entries[self.index].weight
-
-
-class WeightedVlArbiter:
-    """IBA-style two-level weighted VL arbiter.
-
-    Drop-in replacement for the transmitter's round-robin ``_pick_vl``:
-    ``pick(ready)`` returns the VL to send (or -1), ``charge(vl,
-    nbytes)`` accounts a transmitted packet.
-    """
-
-    def __init__(self, table: VlArbitrationTable):
-        self.table = table
-        self._high = _TableState(table.high)
-        self._low = _TableState(table.low)
-        self._high_units_since_low = 0
-        self._last_was_high = False
-
-    def pick(self, ready: Callable[[int], bool]) -> int:
-        limit_units = self.table.limit_high * (MAX_WEIGHT + 1) if (
-            self.table.limit_high == 255
-        ) else self.table.limit_high
-        if self.table.high and (
-            self.table.limit_high == 255
-            or self._high_units_since_low < limit_units
-        ):
-            vl = self._high.pick(ready)
-            if vl >= 0:
-                self._last_was_high = True
-                return vl
-        vl = self._low.pick(ready)
-        if vl >= 0:
-            self._last_was_high = False
-            return vl
-        # Low empty: high may still send even past the limit when no
-        # low-priority traffic waits (no starvation to prevent).
-        if self.table.high:
-            vl = self._high.pick(ready)
-            if vl >= 0:
-                self._last_was_high = True
-                return vl
-        return -1
-
-    def charge(self, vl: int, nbytes: int) -> None:
-        units = max(1, (nbytes + WEIGHT_UNIT_BYTES - 1) // WEIGHT_UNIT_BYTES)
-        if self._last_was_high:
-            self._high.charge(nbytes)
-            self._high_units_since_low += units
-        else:
-            self._low.charge(nbytes)
-            self._high_units_since_low = 0

@@ -1,15 +1,8 @@
 """Tests for the failover experiment scenario."""
 
-import math
-
 import pytest
 
-from repro.experiments.failover import (
-    FAILOVER_COLUMNS,
-    default_link,
-    run_failover,
-    run_failover_sweep,
-)
+from repro.experiments.failover import default_link, run_failover
 from repro.ib.config import SimConfig
 
 
@@ -57,19 +50,13 @@ class TestRunFailover:
         with pytest.raises(ValueError, match="run_until"):
             run_failover(4, 2, t_fail=100.0, t_recover=500.0, run_until=400.0)
 
+    def test_negative_load_rejected(self):
+        # A negative load is an input error, not "no traffic".
+        with pytest.raises(ValueError, match="load=-0.5"):
+            run_failover(4, 2, load=-0.5)
+
     def test_default_link_is_first_root_down_port(self, ft42):
         sw, port = default_link(ft42)
         assert sw == ft42.switches_at_level(0)[0]
         assert port == 0
 
-
-class TestRunFailoverSweep:
-    def test_rows_cover_grid_in_column_order(self):
-        rows = run_failover_sweep(4, 2, loads=(0.0, 0.2))
-        assert len(rows) == 4  # 2 schemes x 2 loads
-        assert all(list(r.keys()) == FAILOVER_COLUMNS for r in rows)
-        assert {r["scheme"] for r in rows} == {"slid", "mlid"}
-        for row in rows:
-            assert row["repair_matches_offline"] is True
-            assert row["recovery_matches_initial"] is True
-            assert not math.isnan(row["time_to_repair"])

@@ -22,7 +22,7 @@ from repro.experiments import flowlevel
 from repro.experiments.analytical import uniform_saturation_bound
 from repro.experiments.configs import ExperimentConfig
 from repro.experiments.flowlevel import (
-    DEFAULT_KNEE_THRESHOLD,
+    KNEE_THRESHOLD,
     all_to_one_link_loads,
     build_flow_model,
     clear_flow_models,
@@ -32,8 +32,7 @@ from repro.experiments.flowlevel import (
     knee_utilization,
     select_backends,
 )
-from repro.experiments.runner import run_sweep
-from repro.experiments.sweep import run_figure
+from repro.experiments.sweep import run_figure, run_sweep
 from repro.ib.config import SimConfig
 from repro.topology.fattree import FatTree
 
@@ -217,23 +216,19 @@ def test_knee_utilization_linear_in_offered():
     assert knee_utilization(model, cfg, 0.3) == pytest.approx(3 * one)
 
 
-def test_select_backends():
+def test_select_backends(monkeypatch):
     model = build_flow_model(4, 2, "mlid", "uniform")
     cfg = SimConfig()
     loads = [0.05, 5.0]
     kus = [knee_utilization(model, cfg, off) for off in loads]
-    assert kus[0] < DEFAULT_KNEE_THRESHOLD < kus[1]
+    assert kus[0] < KNEE_THRESHOLD < kus[1]
     assert select_backends(model, cfg, loads, "hybrid") == ["flow", "packet"]
     assert select_backends(model, cfg, loads, "flow") == ["flow", "flow"]
     # The threshold moves the split.
-    assert select_backends(model, cfg, loads, "hybrid", math.inf) == [
-        "flow",
-        "flow",
-    ]
-    assert select_backends(model, cfg, loads, "hybrid", 0.0) == [
-        "packet",
-        "packet",
-    ]
+    monkeypatch.setattr(flowlevel, "KNEE_THRESHOLD", math.inf)
+    assert select_backends(model, cfg, loads, "hybrid") == ["flow", "flow"]
+    monkeypatch.setattr(flowlevel, "KNEE_THRESHOLD", 0.0)
+    assert select_backends(model, cfg, loads, "hybrid") == ["packet", "packet"]
     with pytest.raises(ValueError, match="unknown sweep mode"):
         select_backends(model, cfg, loads, "packet")
 
@@ -321,8 +316,8 @@ def test_run_sweep_hybrid_split_and_packet_bit_identity():
     model = get_flow_model(4, 2, "mlid", "uniform")
     cfg = SimConfig()
     low, high = 0.05, 5.0
-    assert knee_utilization(model, cfg, low) < DEFAULT_KNEE_THRESHOLD
-    assert knee_utilization(model, cfg, high) >= DEFAULT_KNEE_THRESHOLD
+    assert knee_utilization(model, cfg, low) < KNEE_THRESHOLD
+    assert knee_utilization(model, cfg, high) >= KNEE_THRESHOLD
     hybrid = run_sweep(
         4, 2, "mlid", "uniform", [low, high], seeds=(1, 2), mode="hybrid", **FAST
     )

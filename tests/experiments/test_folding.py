@@ -139,7 +139,7 @@ def test_link_loads_bit_identical_property(combo, a, b, c):
     )
 
 
-# -- the new sparse kernel oracle --------------------------------------
+# -- the route-kernel oracle, fed sparse class weights -----------------
 
 
 def _decode_keys(model):
@@ -147,14 +147,24 @@ def _decode_keys(model):
     return model.class_keys // key_mod, model.class_keys % key_mod
 
 
+def _kernel_class_loads(kern, model, w):
+    """Per-channel loads of ``model``'s classes, weighted by ``w``, read
+    off the kernel's route tensor: each class's weight lands on its
+    (leaf, DLID) cell of the dense matrix ``accumulate_link_loads``
+    takes.  Integer weights keep every sum exact."""
+    leaf, dlid = _decode_keys(model)
+    dense = np.zeros((kern.num_leaves, kern.num_lids))
+    np.add.at(dense, (leaf, dlid - 1), w)
+    return kern.accumulate_link_loads(dense)
+
+
 @pytest.mark.parametrize("scheme", ["mlid", "slid"])
 def test_sparse_kernel_oracle_matches_unfolded(scheme):
     model = _model(8, 2, scheme, "uniform", False)
     kern = _kernel(8, 2, scheme)
-    leaf, dlid = _decode_keys(model)
     w = _class_weights(model, 2, 1, 3).astype(float)
     assert np.array_equal(
-        kern.accumulate_class_link_loads(leaf, dlid, w),
+        _kernel_class_loads(kern, model, w),
         flow_link_loads(model, w),
     )
 
@@ -165,9 +175,8 @@ def test_sparse_kernel_representatives_match_folded_totals(scheme):
     folded model's per-type load totals straight from the route tensor."""
     model = _model(8, 2, scheme, "centric", True)
     kern = _kernel(8, 2, scheme)
-    leaf, dlid = _decode_keys(model)
     w = _class_weights(model, 1, 0, 2).astype(float)
-    rep = kern.accumulate_class_link_loads(leaf, dlid, w * model.class_mult)
+    rep = _kernel_class_loads(kern, model, w * model.class_mult)
     num_types = model.link_mult.size
     from_kernel = np.bincount(
         model.link_type_of_code, weights=rep.ravel(), minlength=num_types

@@ -10,7 +10,8 @@ from repro.experiments.parallel import (
     normalize_jobs,
     run_spec,
 )
-from repro.experiments.runner import run_sweep, sweep_specs
+from repro.experiments.runner import sweep_specs
+from repro.experiments.sweep import run_sweep
 from repro.experiments.sweep import run_figure
 from repro.experiments.configs import ExperimentConfig
 from repro.ib.config import SimConfig

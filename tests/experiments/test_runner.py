@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from repro.experiments.runner import run_point, run_sweep
-from repro.experiments.sweep import saturation_throughput
+from repro.experiments.runner import run_point
+from repro.experiments.sweep import run_sweep, saturation_throughput
 from repro.ib.config import SimConfig
 
 FAST = dict(warmup_ns=2_000.0, measure_ns=20_000.0)
@@ -44,6 +44,13 @@ def test_run_sweep_empty_inputs_rejected():
         run_sweep(4, 2, "mlid", "uniform", [], seeds=(1,))
     with pytest.raises(ValueError):
         run_sweep(4, 2, "mlid", "uniform", [0.1], seeds=())
+
+
+@pytest.mark.parametrize("mode", ["packet", "flow", "hybrid"])
+def test_run_sweep_repeated_seeds_rejected(mode):
+    # One seed is one replica; repeating it would count it twice.
+    with pytest.raises(ValueError, match="repeated seeds"):
+        run_sweep(4, 2, "mlid", "uniform", [0.1], seeds=(1, 1), mode=mode)
 
 
 def test_zero_load_gives_nan_latency():

@@ -5,7 +5,8 @@ import math
 import pytest
 
 from repro.experiments.configs import ExperimentConfig
-from repro.experiments.runner import run_sweep
+from repro.experiments.flowlevel import evaluate_curve, get_flow_model
+from repro.experiments.runner import aggregate_sweep, run_point
 from repro.experiments.sweep import FigureResult, run_figure
 from repro.ib.config import SimConfig
 
@@ -25,6 +26,40 @@ TINY = ExperimentConfig(
     seeds=(1,),
     quick_seeds=(1,),
 )
+
+
+def _curve_point_by_point(config, scheme, vls, backends):
+    """One quick-grid curve of ``config`` built without the pipeline:
+    every packet cell from its own ``run_point``, the flow cells from
+    one ``evaluate_curve`` over the curve's flow loads, folded by
+    ``aggregate_sweep``."""
+    cfg = SimConfig().with_vls(vls)
+    loads, seeds = config.quick_loads, config.quick_seeds
+    flow_loads = [off for off, b in zip(loads, backends) if b == "flow"]
+    model = get_flow_model(config.m, config.n, scheme, config.pattern)
+    flow = iter(
+        evaluate_curve(model, cfg, flow_loads, measure_ns=config.quick_measure_ns)
+    )
+    results = []
+    for offered, backend in zip(loads, backends):
+        if backend == "flow":
+            results.extend([next(flow)] * len(seeds))
+            continue
+        for seed in seeds:
+            results.append(
+                run_point(
+                    config.m,
+                    config.n,
+                    scheme,
+                    config.pattern,
+                    offered,
+                    cfg=cfg,
+                    warmup_ns=config.quick_warmup_ns,
+                    measure_ns=config.quick_measure_ns,
+                    seed=seed,
+                )
+            )
+    return aggregate_sweep(scheme, cfg, loads, seeds, results, backends=backends)
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +109,8 @@ def test_base_cfg_override():
 
 def test_chunk_slicing_with_mismatched_loads_and_seeds():
     """Per-curve result slicing must stay aligned when len(loads) !=
-    len(seeds): every curve is bit-identical to its own run_sweep."""
+    len(seeds): every curve is bit-identical to its points run one by
+    one."""
     config = ExperimentConfig(
         id="tiny-3x2",
         title="3 loads x 2 seeds",
@@ -92,17 +128,7 @@ def test_chunk_slicing_with_mismatched_loads_and_seeds():
     for (scheme, vls), points in res.curves.items():
         assert [p.offered for p in points] == [0.05, 0.1, 0.2]
         assert all(p.replicas == 2 for p in points)
-        expected = run_sweep(
-            4,
-            2,
-            scheme,
-            "uniform",
-            [0.05, 0.1, 0.2],
-            cfg=SimConfig().with_vls(vls),
-            seeds=(1, 2),
-            warmup_ns=1_000.0,
-            measure_ns=8_000.0,
-        )
+        expected = _curve_point_by_point(config, scheme, vls, ["packet"] * 3)
         assert points == expected
 
 
@@ -124,18 +150,7 @@ def test_hybrid_figure_reassembles_mixed_backends():
     res = run_figure(config, quick=True, mode="hybrid")
     for (scheme, vls), points in res.curves.items():
         assert [p.backend for p in points] == ["flow", "packet"]
-        expected = run_sweep(
-            4,
-            2,
-            scheme,
-            "uniform",
-            [0.05, 5.0],
-            cfg=SimConfig().with_vls(vls),
-            seeds=(1, 2),
-            warmup_ns=1_000.0,
-            measure_ns=8_000.0,
-            mode="hybrid",
-        )
+        expected = _curve_point_by_point(config, scheme, vls, ["flow", "packet"])
         assert points == expected
 
 

@@ -35,15 +35,6 @@ class TestTables:
         with pytest.raises(ValueError):
             VlArbitrationTable(low=())
 
-    def test_limit_high_range(self):
-        with pytest.raises(ValueError):
-            VlArbitrationTable(low=(VlArbEntry(0, 1),), limit_high=300)
-
-    def test_uniform_factory(self):
-        table = VlArbitrationTable.uniform(3, weight=7)
-        assert [e.vl for e in table.low] == [0, 1, 2]
-        assert all(e.weight == 7 for e in table.low)
-
     def test_from_weights_skips_zero(self):
         table = VlArbitrationTable.from_weights([4, 0, 2])
         assert [(e.vl, e.weight) for e in table.low] == [(0, 4), (2, 2)]
@@ -85,37 +76,6 @@ class TestLowPriorityArbitration:
         arb = WeightedVlArbiter(VlArbitrationTable.from_weights([2, 2]))
         assert arb.pick(ready_set()) == -1
         assert arb.pick(always_ready) in (0, 1)
-
-
-class TestHighPriority:
-    def table(self, limit=255):
-        return VlArbitrationTable(
-            low=(VlArbEntry(0, 4),),
-            high=(VlArbEntry(1, 1),),
-            limit_high=limit,
-        )
-
-    def test_high_preempts_low(self):
-        arb = WeightedVlArbiter(self.table())
-        assert arb.pick(always_ready) == 1
-
-    def test_high_limit_lets_low_through(self):
-        """limit_high=1: after one high unit, low gets a turn."""
-        arb = WeightedVlArbiter(self.table(limit=1))
-        first = arb.pick(always_ready)
-        assert first == 1
-        arb.charge(1, 64)
-        second = arb.pick(always_ready)
-        assert second == 0
-        arb.charge(0, 64)
-        # The low-priority send resets the high counter.
-        assert arb.pick(always_ready) == 1
-
-    def test_high_serves_when_low_idle_even_past_limit(self):
-        arb = WeightedVlArbiter(self.table(limit=1))
-        arb.charge(1, 64)  # pretend we sent high already
-        arb._high_units_since_low = 10
-        assert arb.pick(ready_set(1)) == 1
 
 
 class TestTransmitterIntegration:

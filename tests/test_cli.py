@@ -217,13 +217,13 @@ def test_sweep_flow_mode(capsys, tmp_path):
 
 
 def test_sweep_hybrid_mode_with_threshold(capsys):
+    # The knee is fixed (flowlevel.KNEE_THRESHOLD); hybrid needs no flag.
     assert (
         main(
             [
                 "sweep", "4", "2",
                 "--loads", "0.05",
                 "--mode", "hybrid",
-                "--knee-threshold", "0.9",
                 "--warmup", "1000",
                 "--measure", "6000",
             ]
@@ -238,11 +238,12 @@ def test_sweep_unknown_mode_rejected():
         main(["sweep", "4", "2", "--loads", "0.1", "--mode", "warp"])
 
 
-@pytest.mark.parametrize("flag", ["--cold-start", "--no-fold"])
+@pytest.mark.parametrize("flag", ["--cold-start", "--no-fold", "--knee-threshold"])
 @pytest.mark.parametrize("command", [["figure", "fig12"], ["sweep", "4", "2"]])
 def test_retired_flow_flags_are_usage_errors(command, flag, capsys):
     # The warm-started folded solve is the only flow path; its oracles
-    # live in the tests, not behind CLI flags.
+    # live in the tests, not behind CLI flags.  Hybrid's knee is a
+    # constant, not a knob.
     with pytest.raises(SystemExit) as exc:
         main([*command, flag])
     assert exc.value.code == 2
@@ -256,9 +257,10 @@ def test_sweep_bad_loads_rejected():
         main(["sweep", "4", "2", "--loads", ","])
 
 
-@pytest.mark.parametrize("seeds", ["1.5", "1,2.0", "-1"])
+@pytest.mark.parametrize("seeds", ["1.5", "1,2.0", "-1", "1,1"])
 def test_sweep_bad_seeds_rejected(seeds):
-    # Seeds are non-negative integers: a float is rejected, not truncated.
+    # Seeds are distinct non-negative integers: a float is rejected, not
+    # truncated, and a repeat is not a second replica.
     with pytest.raises(SystemExit, match="bad seeds list"):
         main(["sweep", "4", "2", "--seeds", seeds])
 
@@ -326,10 +328,12 @@ def test_failover_victim_from_level_and_port(victim, shown, capsys):
         (["--level", "2"], "--level 2 is outside [0, 2)"),
         (["--switch", "7"], "has no switch SW<7, 0>"),
         (["--switch", "x"], "label 'x' must have exactly 1 digits"),
+        # A negative load is not read as "no traffic".
+        (["--load", "-0.5"], "--load -0.5 must be non-negative"),
     ],
     ids=[
         "port-too-high", "port-negative", "node-port", "unknown-level",
-        "unknown-switch", "non-digit-switch",
+        "unknown-switch", "non-digit-switch", "negative-load",
     ],
 )
 def test_failover_bad_victim_rejected(victim, problem):
