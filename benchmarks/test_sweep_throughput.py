@@ -6,7 +6,9 @@ grid) under three execution modes:
 
 * ``serial fresh`` — the historical behavior: every point rebuilds
   FatTree + scheme + LFTs (``build_subnet`` without artifacts), the
-  reference the cache is checked against;
+  reference the cache is checked against.  It shares ``run_point``'s
+  point lifetime (``measure_point``: collector paused, subnet closed),
+  so the speedup column credits the cache alone;
 * ``serial cached`` — ``run_figure(jobs=1)``: the per-process
   routing-artifact cache;
 * ``parallel cached`` — ``jobs=min(4, cpus)``: process-pool fan-out on
@@ -24,11 +26,12 @@ from __future__ import annotations
 
 import os
 import time
+from functools import partial
 from multiprocessing import cpu_count
 
 from repro.experiments.configs import get_experiment
 from repro.experiments.report import render_table
-from repro.experiments.runner import _build_pattern, aggregate_sweep, sweep_specs
+from repro.experiments.runner import aggregate_sweep, measure_point, sweep_specs
 from repro.experiments.sweep import run_figure
 from repro.ib.artifacts import artifact_cache_info, clear_artifact_cache
 from repro.ib.config import SimConfig
@@ -54,12 +57,18 @@ def fresh_figure(config, quick):
                 hotspot_fraction=config.hotspot_fraction, warmup_ns=warmup,
                 measure_ns=measure, seeds=seeds,
             ):
-                net = build_subnet(spec.m, spec.n, spec.scheme, spec.cfg, seed=spec.seed)
-                net.attach_pattern(
-                    _build_pattern(spec.pattern, net.num_nodes, spec.hotspot_fraction)
-                )
                 results.append(
-                    net.run_measurement(spec.offered, spec.warmup_ns, spec.measure_ns)
+                    measure_point(
+                        partial(
+                            build_subnet, spec.m, spec.n, spec.scheme, spec.cfg,
+                            seed=spec.seed,
+                        ),
+                        spec.pattern,
+                        spec.offered,
+                        hotspot_fraction=spec.hotspot_fraction,
+                        warmup_ns=spec.warmup_ns,
+                        measure_ns=spec.measure_ns,
+                    )
                 )
             curves[(scheme, vls)] = aggregate_sweep(scheme, cfg, loads, seeds, results)
     return curves

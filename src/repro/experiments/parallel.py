@@ -54,22 +54,32 @@ class PointSpec:
 
 
 def run_spec(spec: PointSpec) -> dict:
-    """Execute one spec (in-process or inside a pool worker)."""
+    """Execute one spec (in-process or inside a pool worker).
+
+    A failing point names itself: the spec is attached to the exception
+    as a note, which keeps its type and message and survives the pool's
+    pickling (Python 3.11+; older interpreters raise it unannotated).
+    """
     # Late import: runner imports this module for execute_points.
     from repro.experiments.runner import run_point
 
-    return run_point(
-        spec.m,
-        spec.n,
-        spec.scheme,
-        spec.pattern,
-        spec.offered,
-        cfg=spec.cfg,
-        hotspot_fraction=spec.hotspot_fraction,
-        warmup_ns=spec.warmup_ns,
-        measure_ns=spec.measure_ns,
-        seed=spec.seed,
-    )
+    try:
+        return run_point(
+            spec.m,
+            spec.n,
+            spec.scheme,
+            spec.pattern,
+            spec.offered,
+            cfg=spec.cfg,
+            hotspot_fraction=spec.hotspot_fraction,
+            warmup_ns=spec.warmup_ns,
+            measure_ns=spec.measure_ns,
+            seed=spec.seed,
+        )
+    except Exception as exc:
+        if hasattr(exc, "add_note"):
+            exc.add_note(f"while running {spec!r}")
+        raise
 
 
 def normalize_jobs(jobs: Optional[int]) -> int:

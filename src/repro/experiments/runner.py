@@ -1,7 +1,8 @@
 """Point-level pieces of the sweep pipeline.
 
-``run_point`` builds a subnet, attaches the traffic pattern and
-measures one offered-load point.  Every run uses a fresh simulator
+``run_point`` builds a subnet, attaches the traffic pattern, measures
+one offered-load point and closes the subnet (``measure_point`` holds
+that lifetime).  Every run uses a fresh simulator
 (engine, switches, endnodes, RNG streams) so points are statistically
 independent (the paper's methodology: one simulation run per generation
 rate); the seed-independent routing artifacts (FatTree, scheme tables,
@@ -21,21 +22,24 @@ order, so ``jobs=N`` output is bit-for-bit identical to ``jobs=1``.
 
 from __future__ import annotations
 
+import gc
 import math
+from contextlib import closing
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.experiments import flowlevel
 from repro.experiments.parallel import PointSpec
 from repro.ib.artifacts import get_artifacts
 from repro.ib.config import SimConfig
-from repro.ib.subnet import build_subnet
+from repro.ib.subnet import Subnet, build_subnet
 from repro.traffic.patterns import make_pattern
 
 __all__ = [
     "SweepPoint",
     "run_point",
+    "measure_point",
     "sweep_specs",
     "aggregate_sweep",
     "plan_flow_curve",
@@ -109,13 +113,50 @@ def run_point(
 
     The seed-independent routing artifacts come from
     :func:`repro.ib.artifacts.get_artifacts`; the engine, switches,
-    endnodes and RNG streams are built fresh.
+    endnodes and RNG streams are built fresh, and closed once the point
+    is measured (:func:`measure_point`).
     """
     cfg = cfg or SimConfig()
     artifacts = get_artifacts(m, n, scheme, cfg)
-    net = build_subnet(m, n, scheme, cfg, seed=seed, artifacts=artifacts)
-    net.attach_pattern(_build_pattern(pattern, net.num_nodes, hotspot_fraction))
-    return net.run_measurement(offered, warmup_ns, measure_ns)
+    return measure_point(
+        lambda: build_subnet(m, n, scheme, cfg, seed=seed, artifacts=artifacts),
+        pattern,
+        offered,
+        hotspot_fraction=hotspot_fraction,
+        warmup_ns=warmup_ns,
+        measure_ns=measure_ns,
+    )
+
+
+def measure_point(
+    build: Callable[[], Subnet],
+    pattern: str,
+    offered: float,
+    *,
+    hotspot_fraction: float = 0.5,
+    warmup_ns: float = 30_000.0,
+    measure_ns: float = 120_000.0,
+) -> dict:
+    """One point's whole lifetime: build a subnet with ``build()``,
+    drive it with ``pattern`` at ``offered``, measure, and close it.
+
+    :meth:`Subnet.close` breaks the subnet's reference cycles, so
+    refcounting frees the point and the cyclic garbage collector has
+    nothing to find; it is paused for the point's lifetime, build
+    included, and the caller's collector state (on or off) comes back
+    even when the point raises.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        with closing(build()) as net:
+            net.attach_pattern(
+                _build_pattern(pattern, net.num_nodes, hotspot_fraction)
+            )
+            return net.run_measurement(offered, warmup_ns, measure_ns)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def sweep_specs(

@@ -356,8 +356,10 @@ class Endnode:
                 pid = self.pid
                 per[pid] = per.get(pid, 0) + 1
         upstream = self.upstream
+        if upstream is None:
+            return  # nobody to return the credit to
         vl = packet.vl
-        if engine.fused and upstream is not None:
+        if engine.fused:
             # Pooled credit return: reusable closure, no Event/handle.
             cb = self._credit_cbs[vl]
             if cb is None:
@@ -367,6 +369,16 @@ class Endnode:
         engine.schedule_after(
             self.cfg.flying_time_ns, lambda: upstream.credit_return(vl)
         )
+
+    # ------------------------------------------------------------------
+    def close(self) -> None:
+        """End of life (``Subnet.close``): drop the subnet's DLID
+        resolver and the generation handle, and close the NIC
+        transmitter, breaking the cycles through this node.
+        Idempotent."""
+        self.dlid_for = None
+        self._gen_event = None
+        self.tx.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Endnode(pid={self.pid}, slid={self.slid})"

@@ -39,7 +39,8 @@ reaped after a cancel).  Holders identify *their* incarnation by the
 ``seq`` token refreshed at every ``schedule_pooled`` — see
 ``Transmitter.fail`` — and ``schedule_pooled`` clears ``cancelled`` on
 reuse, so a stale cancel of a recycled object cannot suppress a later
-incarnation.
+incarnation.  ``release`` ends an object's life when its subnet is
+closed (``WheelEngine.close``, ``RoutingEngine.close``).
 """
 
 from __future__ import annotations
@@ -102,6 +103,13 @@ class HopEvent:
         self.routed_cb = self._routed
         self.consumed_cb = self._consumed
         self.tail_cb = self._tail
+
+    def release(self) -> None:
+        """End of life (``WheelEngine.close``, ``RoutingEngine.close``):
+        drop the stage callbacks bound to this object, the cycle that
+        refcounting cannot free."""
+        self.deliver_switch_cb = self.deliver_node_cb = None
+        self.routed_cb = self.consumed_cb = self.tail_cb = None
 
     # ------------------------------------------------------------------
     def _deliver_switch(self) -> None:

@@ -359,6 +359,18 @@ class Transmitter:
             account.reset(slots)
         self.kick()
 
+    def close(self) -> None:
+        """End of life (``Subnet.close``): drop the receiver link, the
+        owner's refill hook, the crossbar waiters and the in-flight
+        event handles, each of which closes a reference cycle through
+        this transmitter.  Counters stay readable.  Idempotent."""
+        self.receiver = None
+        self.on_free = None
+        for queue in self.waiters:
+            queue.clear()
+        self._deliver_ev = None
+        self._tail_ev = None
+
     # ------------------------------------------------------------------
     def utilization(self, elapsed: float) -> float:
         """Fraction of ``elapsed`` the wire spent transmitting."""

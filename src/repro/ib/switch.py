@@ -86,6 +86,15 @@ class RoutingEngine:
                 self._start(nxt)
         done()
 
+    def close(self) -> None:
+        """End of life: drop the queued requests (their closures hold
+        the input units, which hold this router), releasing queued
+        fused hops.  Idempotent."""
+        for done in self.queue:
+            if done.__class__ is HopEvent:
+                done.release()
+        self.queue.clear()
+
 
 class InputUnit:
     """Receiving side of one switch port: per-VL buffers + routing."""
@@ -252,6 +261,17 @@ class SwitchModel:
         tx = Transmitter(self.engine, self.cfg, f"{self.name}.tx{port}")
         self.tx[port] = tx
         self._txl[port] = tx
+
+    def close(self) -> None:
+        """End of life (``Subnet.close``): break the switch's reference
+        cycles — input units back to the switch, transmitters to their
+        receivers, the router's queue — so refcounting frees it.  The
+        forwarding table is shared and left untouched.  Idempotent."""
+        self.router.close()
+        for unit in self.rx.values():
+            unit.switch = None
+        for tx in self.tx.values():
+            tx.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SwitchModel({self.name!r}, ports={sorted(self.tx)})"

@@ -242,6 +242,23 @@ class Engine:
             heapq.heappop(heap)
         return heap[0][0] if heap else None
 
+    # ------------------------------------------------------------------
+    # End of life
+    # ------------------------------------------------------------------
+    def close(self) -> None:
+        """Drop every pending event, and with it the callbacks' hold on
+        the model (``Subnet.close`` calls this).
+
+        ``now`` and :attr:`events_processed` stay readable.  Idempotent;
+        like :meth:`peek_time` it raises :class:`SimulationError` from
+        inside a firing callback.
+        """
+        if self._running:
+            raise SimulationError(
+                "close() may not be called from inside a firing callback"
+            )
+        self._heap.clear()
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Engine(now={self.now}, pending={self.pending}, "

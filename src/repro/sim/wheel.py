@@ -65,7 +65,9 @@ objects exist only on the fused hop fast path
 recycled explicitly by their own final stage callback (or reaped here
 when found cancelled, via their ``pool`` attribute), and
 ``schedule_pooled`` resets ``cancelled`` on reuse so a stale cancel of
-a recycled object cannot suppress its next incarnation.
+a recycled object cannot suppress its next incarnation.  A pooled
+object also has ``release()``, which :meth:`WheelEngine.close` calls
+to end its life.
 """
 
 from __future__ import annotations
@@ -529,6 +531,31 @@ class WheelEngine:
                 return e[0]
             if not self._advance(None):
                 return None
+
+    # ------------------------------------------------------------------
+    # End of life
+    # ------------------------------------------------------------------
+    def close(self) -> None:
+        """Drop every pending entry and the hop pool (see Engine.close).
+
+        Every pooled event met on the way, queued or free, is
+        ``release()``-d: its stage callbacks are bound to itself, a
+        cycle that refcounting alone cannot free.
+        """
+        if self._running:
+            raise SimulationError(
+                "close() may not be called from inside a firing callback"
+            )
+        for bucket in (self._curlist, self._over, *self._l0, *self._l1, *self._l2):
+            for entry in bucket:
+                if getattr(entry[2], "pool", None) is not None:
+                    entry[2].release()
+            bucket.clear()
+        self._l1c = self._l2c = 0
+        pool = self.hop_pool
+        for ev in pool:
+            ev.release()
+        pool.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

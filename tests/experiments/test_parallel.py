@@ -1,6 +1,7 @@
 """Determinism and plumbing of the parallel sweep executor."""
 
 import dataclasses
+import sys
 
 import pytest
 
@@ -69,6 +70,20 @@ def test_execute_points_preserves_spec_order():
     assert [r["offered"] for r in results] == [0.05, 0.05, 0.2, 0.2]
     # And each entry matches the spec's own in-process execution.
     assert results[0] == run_spec(specs[0])
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failing_point_names_its_spec(jobs):
+    """The exception keeps its type and message and carries the failing
+    spec as a note, also across the process pool."""
+    good = PointSpec(m=4, n=2, scheme="mlid", pattern="uniform", offered=0.1,
+                     cfg=SimConfig(), **FAST)
+    bad = dataclasses.replace(good, warmup_ns=-1.0)
+    with pytest.raises(ValueError) as info:
+        execute_points([good, bad], jobs=jobs)
+    assert str(info.value) == "warmup must be >= 0 and measure window positive"
+    if sys.version_info >= (3, 11):
+        assert info.value.__notes__ == [f"while running {bad!r}"]
 
 
 def test_jobs_validation():

@@ -9,6 +9,7 @@ from repro.ib.endnode import Endnode, FifoInjection, PerDestinationInjection
 from repro.ib.packet import Packet
 from repro.sim.engine import Engine
 from repro.sim.stats import LatencyStats, ThroughputMeter, WarmupFilter
+from repro.sim.wheel import WheelEngine
 
 
 def make_node(num_vls=1, queueing="per_destination", seed=0, **cfg_kw):
@@ -207,9 +208,6 @@ class TestSink:
         node.latency = LatencyStats()
         node.net_latency = LatencyStats()
         node.throughput = ThroughputMeter(WarmupFilter(0.0, 1e9))
-        up = node.tx  # reuse as a dummy upstream credit target
-        node.upstream = up
-        up.credits[0].consume()  # make room for the return
         p = Packet(5, 1, 4, 0, 256, 0, t_created=0.0)
         p.t_injected = 100.0
         eng.schedule(500.0, lambda: node.receive(p))
@@ -219,6 +217,19 @@ class TestSink:
         assert node.latency.count == 1
         assert node.latency.mean == pytest.approx(756.0)
         assert node.net_latency.mean == pytest.approx(656.0)
+
+    @pytest.mark.parametrize("engine", [Engine, WheelEngine], ids=["heap", "wheel"])
+    def test_no_upstream_no_credit_return(self, engine):
+        """A node wired to no leaf switch consumes the packet and has
+        nobody to return the credit to: nothing is scheduled for it."""
+        eng = engine()
+        node = Endnode(eng, SimConfig(), pid=0, slid=1, rng=np.random.default_rng(0))
+        p = Packet(5, 1, 4, 0, 256, 0, t_created=0.0)
+        node.receive(p)
+        eng.run()
+        assert p.t_delivered == 256.0
+        assert node.packets_received == 1
+        assert eng.events_processed == 1
 
     def test_misdelivery_detected(self):
         eng, cfg, node = make_node()

@@ -326,3 +326,37 @@ def test_call_after_fires_without_handle(eng):
     assert eng.events_processed == 1
     with pytest.raises(SimulationError):
         eng.call_after(-1.0, lambda: None)
+
+
+def test_close_drops_pending_and_keeps_counters(eng):
+    """close() ends the engine's life: every pending entry, at any
+    wheel level or beyond, is dropped unfired; the clock and the
+    processed count stay readable.  Idempotent."""
+    fired = []
+    eng.schedule(1.0, lambda: fired.append(eng.now))
+    eng.schedule(5.0, lambda: fired.append(eng.now))
+    eng.schedule(50_000.0, lambda: fired.append(eng.now))  # level 1
+    eng.schedule(5e6, lambda: fired.append(eng.now))  # level 2
+    eng.schedule(1e9, lambda: fired.append(eng.now))  # overflow
+    eng.call_after(3.0, lambda: fired.append(eng.now))
+    eng.run(until=2.0)
+    eng.close()
+    assert eng.pending == 0
+    eng.close()
+    eng.run()
+    assert fired == [1.0]
+    assert eng.now == 2.0
+    assert eng.events_processed == 1
+
+
+def test_close_rejected_inside_callback(eng):
+    caught = []
+
+    def nested():
+        with pytest.raises(SimulationError):
+            eng.close()
+        caught.append(True)
+
+    eng.schedule(1.0, nested)
+    eng.run()
+    assert caught == [True]

@@ -240,6 +240,32 @@ def test_cancelled_pooled_event_reaped_to_pool():
     assert ev.pool == [ev]
 
 
+def test_close_releases_pooled_events():
+    """close() releases every pooled event it holds, queued or free:
+    a pooled event's stage callbacks may be bound to itself."""
+
+    class Pooled:
+        __slots__ = ("time", "seq", "cancelled", "pool", "released")
+
+        def __init__(self, pool):
+            self.time = 0.0
+            self.seq = 0
+            self.cancelled = False
+            self.pool = pool
+            self.released = False
+
+        def release(self):
+            self.released = True
+
+    eng = WheelEngine()
+    queued, free = Pooled(eng.hop_pool), Pooled(eng.hop_pool)
+    eng.hop_pool.append(free)
+    eng.schedule_pooled(5.0, queued, lambda: None)
+    eng.close()
+    assert queued.released and free.released
+    assert eng.hop_pool == [] and eng.pending == 0
+
+
 def test_exhausted_advance_parks_cursor_at_now():
     """Peeking (or running dry) an idle engine must not strand the
     cursor a rotation ahead of ``now`` — an overshot cursor sends
