@@ -14,9 +14,9 @@ Two gates from DESIGN.md §11, updated for the §15 fast path:
   every paper figure.
 
 * **Scale.**  Full fig-style sweeps through the flow-level evaluator,
-  timed per phase (cold symmetry-folded compile, warm disk reload,
-  point evaluation, fixed-point iterations of the warm-started curve
-  against per-load cold solves) and persisted to
+  timed per phase (cold symmetry-folded compile, point evaluation,
+  fixed-point iterations of the warm-started curve against per-load
+  cold solves) and persisted to
   ``benchmarks/results/BENCH_scale.json``.  The full grid runs
   FT(32, 3) — 8192 nodes, 2 097 152 LIDs, far beyond the packet
   simulator — plus the first FT(64, 2) row; the quick grid stands in
@@ -32,10 +32,9 @@ Timing protocol: compile and evaluation are wall-clock on whatever
 this host is; the headline comparison is against the recorded
 *unfolded, serial* FT(32, 3) baseline of this same benchmark
 (``BASELINE_FT32_TOTAL_S``, measured before symmetry folding landed),
-same grid, same schemes, same config.  The cold phase compiles from
-scratch into a private model store; the warm phase drops the
-in-process LRU and reloads memory-mapped artifacts from that store,
-so the report separates "first run ever" from "every run after".
+same grid, same schemes, same config.  The compile phase builds each
+folded model from scratch against an empty private model store, which
+folded models never enter (DESIGN.md §15).
 """
 
 from __future__ import annotations
@@ -122,7 +121,7 @@ def _sweep_one_fabric(config, base_cfg, store):
     loads = config.loads if FULL else config.quick_loads
     flowlevel.clear_flow_models()
 
-    # -- cold: symmetry-folded compile from scratch, spilled to disk --
+    # -- cold: symmetry-folded compile from scratch ------------------
     compile_stats = {}
     t_fabric = time.perf_counter()
     for scheme in config.schemes:
@@ -148,20 +147,6 @@ def _sweep_one_fabric(config, base_cfg, store):
             ),
         }
     compile_wall = time.perf_counter() - t_fabric
-
-    # -- warm: drop the LRU, reload the mmap artifacts from disk ------
-    flowlevel.clear_flow_models()
-    t0 = time.perf_counter()
-    for scheme in config.schemes:
-        flowlevel.get_flow_model(
-            config.m,
-            config.n,
-            scheme,
-            config.pattern,
-            config.hotspot_fraction,
-            store=store,
-        )
-    warm_load_wall = time.perf_counter() - t0
 
     # -- fixed-point iterations: warm curve vs per-load cold solves ---
     iteration_stats = {}
@@ -190,7 +175,7 @@ def _sweep_one_fabric(config, base_cfg, store):
             "cold_solve_s": cold_s,
         }
 
-    # -- the real sweep stack (warm models, warm-started curves) ------
+    # -- the real sweep stack (compiled models, warm-started curves) --
     t0 = time.perf_counter()
     result = run_figure(config, quick=not FULL, base_cfg=base_cfg, mode="flow")
     eval_wall = time.perf_counter() - t0
@@ -215,7 +200,6 @@ def _sweep_one_fabric(config, base_cfg, store):
         "iterations": iteration_stats,
         "wall_s": {
             "compile_cold": compile_wall,
-            "model_reload_warm": warm_load_wall,
             "evaluate": eval_wall,
             "total": total_wall,
         },
@@ -264,9 +248,8 @@ def test_scale_flow_sweep():
         },
         protocol={
             "phases": (
-                "compile_cold = folded compile from scratch + disk spill; "
-                "model_reload_warm = LRU dropped, mmap reload from store; "
-                "evaluate = run_figure(mode='flow') over warm models; "
+                "compile_cold = folded compile from scratch; "
+                "evaluate = run_figure(mode='flow') over the compiled models; "
                 "iterations compare the warm-started evaluate_curve with "
                 "per-load cold evaluate_point solves on the same load grid"
             ),
@@ -282,7 +265,6 @@ def test_scale_flow_sweep():
         wall = fab["wall_s"]
         print(
             f"\n{name}: {fab['points']} points in {wall['total']:.2f}s "
-            f"(compile {wall['compile_cold']:.2f}s, warm reload "
-            f"{wall['model_reload_warm']:.3f}s, evaluate "
+            f"(compile {wall['compile_cold']:.2f}s, evaluate "
             f"{wall['evaluate']:.2f}s) -> {path}"
         )

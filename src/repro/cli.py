@@ -64,8 +64,14 @@ from repro.experiments import (
     run_sweep,
     to_csv,
 )
+from repro.experiments.parallel import normalize_jobs
 from repro.topology import FatTree
-from repro.topology.labels import format_node, format_switch
+from repro.topology.labels import (
+    check_arity,
+    format_node,
+    format_switch,
+    validate_node_label,
+)
 from repro.traffic import available_patterns
 
 __all__ = ["main", "build_parser"]
@@ -76,6 +82,15 @@ def _parse_label(text: str, n: int) -> tuple:
     if len(digits) != n or not all(ch.isdecimal() for ch in digits):
         raise SystemExit(f"label {text!r} must have exactly {n} digits")
     return tuple(int(ch) for ch in digits)
+
+
+def _parse_node(text: str, m: int, n: int) -> tuple:
+    label = _parse_label(text, n)
+    try:
+        validate_node_label(m, n, label)
+    except ValueError as exc:
+        raise SystemExit(f"node {text!r}: {exc}") from None
+    return label
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
@@ -118,8 +133,10 @@ def _cmd_table1(_args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     ft = FatTree(args.m, args.n)
     scheme = get_scheme(args.scheme, ft)
-    src = _parse_label(args.src, args.n)
-    dst = _parse_label(args.dst, args.n)
+    src = _parse_node(args.src, args.m, args.n)
+    dst = _parse_node(args.dst, args.m, args.n)
+    if src == dst:
+        raise SystemExit(f"src and dst are both {format_node(src)}; a route needs two nodes")
     trace = trace_path(scheme, src, dst)
     print(
         f"{args.scheme.upper()} route {format_node(src)} -> {format_node(dst)} "
@@ -165,14 +182,35 @@ def _seed(text: str) -> int:
     return seed
 
 
-def _jobs_arg(text: str) -> int:
-    try:
-        jobs = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
-    return jobs
+def _int_arg(check: Callable[[int], object]) -> Callable[[str], int]:
+    """An argparse ``type=``: an integer that ``check`` accepts, where a
+    ``ValueError`` from ``check`` becomes the usage error's message."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        try:
+            check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    return parse
+
+
+def _add_arity_args(parser: argparse.ArgumentParser) -> None:
+    """The ``m n`` positionals: an invalid FT(m, n) is a usage error."""
+    parser.add_argument(
+        "m", type=_int_arg(lambda m: check_arity(m, 1)), help="switch port count"
+    )
+    parser.add_argument(
+        "n", type=_int_arg(lambda n: check_arity(4, n)), help="tree dimension"
+    )
+
+
+_jobs_arg = _int_arg(normalize_jobs)
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
@@ -533,24 +571,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("info", help="structural summary of FT(m, n)")
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
+    _add_arity_args(p)
     p.set_defaults(func=_cmd_info)
 
     p = sub.add_parser("table1", help="regenerate the paper's Table 1")
     p.set_defaults(func=_cmd_table1)
 
     p = sub.add_parser("trace", help="trace a route between two nodes")
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
+    _add_arity_args(p)
     p.add_argument("src", help="source label, e.g. 000")
     p.add_argument("dst", help="destination label, e.g. 300")
     p.add_argument("--scheme", default="mlid", choices=["mlid", "slid"])
     p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser("verify", help="verify a scheme's forwarding tables")
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
+    _add_arity_args(p)
     p.add_argument(
         "--scheme",
         default="mlid",
@@ -576,8 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_figure)
 
     p = sub.add_parser("sweep", help="run one offered-load sweep")
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
+    _add_arity_args(p)
     p.add_argument("--scheme", default="mlid")
     p.add_argument("--pattern", default="uniform")
     p.add_argument("--loads", default="0.1,0.3,0.7", help="comma-separated offered loads")
@@ -596,14 +630,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("draw", help="ASCII diagram of FT(m, n)")
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
+    _add_arity_args(p)
     p.add_argument("--max-cells", type=int, default=16)
     p.set_defaults(func=_cmd_draw)
 
     p = sub.add_parser("probe", help="simulate briefly and print a heat report")
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
+    _add_arity_args(p)
     p.add_argument("--scheme", default="mlid")
     p.add_argument("--pattern", default="uniform")
     p.add_argument("--load", type=float, default=0.3)
@@ -611,8 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_probe)
 
     p = sub.add_parser("faults", help="repair tables around random link failures")
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
+    _add_arity_args(p)
     p.add_argument("count", type=int, help="number of random failed links")
     p.add_argument("--scheme", default="mlid", choices=["mlid", "slid"])
     p.add_argument("--seed", type=int, default=0)
@@ -621,8 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "failover", help="live link failure + recovery with the dynamic SM"
     )
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
+    _add_arity_args(p)
     p.add_argument("--scheme", default="mlid", choices=["mlid", "slid"])
     p.add_argument(
         "--switch",
@@ -673,8 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "serve", help="run the route-query service (TCP, line-delimited JSON)"
     )
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
+    _add_arity_args(p)
     p.add_argument("--scheme", default="mlid", choices=["mlid", "slid"])
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument(

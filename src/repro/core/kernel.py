@@ -107,45 +107,58 @@ class FabricArrays:
 
 
 def fabric_arrays(ft: FatTree) -> FabricArrays:
-    """Build (and memoize on ``ft``) the fabric's integer-array view."""
+    """Build (and memoize on ``ft``) the fabric's integer-array view.
+
+    Closed form from ``(m, n)`` and the Section 3 wiring rules, with no
+    walk over the per-port wiring (which the flow model never builds).
+    A switch's id is its level's offset plus the mixed-radix value of
+    its label, where digit ``i`` weighs ``(m/2)^(n-2-i)`` at every
+    level; a node's id is its PID.  The nodes of one leaf are
+    consecutive PIDs, hung off its down ports in order.
+    """
     cached = getattr(ft, "_fabric_arrays", None)
     if cached is not None:
         return cached
+    m, n, half = ft.m, ft.n, ft.half
     num_switches, num_nodes = ft.num_switches, ft.num_nodes
-    peer_switch = np.full((num_switches, ft.m), -1, np.int32)
-    peer_node = np.full((num_switches, ft.m), -1, np.int32)
-    for i, sw in enumerate(ft.switches):
-        for k, ep in enumerate(ft.ports(sw)):
-            if ep.is_node:
-                peer_node[i, k] = ft.node_id(ep.node)
-            elif ep.is_switch:
-                peer_switch[i, k] = ft.switch_id(ep.switch)
-    switch_level = np.array([lvl for _, lvl in ft.switches], dtype=np.int32)
-    switch_digits = np.array(
-        [w for w, _ in ft.switches], dtype=np.int64
-    ).reshape(num_switches, ft.n - 1)
-    node_digits = np.array(ft.nodes, dtype=np.int64).reshape(num_nodes, ft.n)
+    # The root row has (m/2)^(n-1) switches, every other level twice that.
+    roots = half ** (n - 1)
+    first = [0] + [roots * (2 * lvl - 1) for lvl in range(1, n)]
+    counts = np.diff(first + [num_switches])
+    switch_level = np.repeat(np.arange(n, dtype=np.int32), counts)
+    in_level = np.arange(num_switches, dtype=np.int64) - np.repeat(first, counts)
+    node_weight = half ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    weight = node_weight[1:]
+    switch_digits = in_level[:, None] // weight
+    switch_digits[:, 1:] %= half
+    node_digits = np.arange(num_nodes, dtype=np.int64)[:, None] // node_weight
+    node_digits[:, 1:] %= half
 
-    leaves = ft.switches_at_level(ft.n - 1)
-    num_leaves = len(leaves)
-    leaf_switch = np.array([ft.switch_id(s) for s in leaves], dtype=np.int32)
-    leaf_row = {int(s): i for i, s in enumerate(leaf_switch)}
-    attach_switch = np.array(
-        [ft.switch_id(ft.node_attachment(p).switch) for p in ft.nodes],
-        dtype=np.int32,
-    )
-    attach_leaf = np.array(
-        [leaf_row[int(s)] for s in attach_switch], dtype=np.int32
-    )
+    num_leaves = num_switches - first[-1]
     per_leaf = num_nodes // num_leaves
-    leaf_nodes = np.full((num_leaves, per_leaf), -1, np.int32)
-    fill = [0] * num_leaves
-    for node_id, row in enumerate(attach_leaf):
-        leaf_nodes[row, fill[row]] = node_id
-        fill[row] += 1
+    leaf_switch = np.arange(first[-1], num_switches, dtype=np.int32)
+    attach_leaf = np.arange(num_nodes, dtype=np.int32) // per_leaf
+    attach_switch = leaf_switch[attach_leaf]
+    leaf_nodes = np.arange(num_nodes, dtype=np.int32).reshape(num_leaves, per_leaf)
+    peer_node = np.full((num_switches, m), -1, np.int32)
+    peer_node[leaf_switch, :per_leaf] = leaf_nodes
+    # SW<w, l> port c reaches SW<w', l+1>, w' = w with digit l set to c;
+    # the child's port w_l + m/2 leads back.
+    peer_switch = np.full((num_switches, m), -1, np.int32)
+    for lvl in range(n - 1):
+        parent = np.arange(first[lvl], first[lvl + 1], dtype=np.int64)
+        digit = switch_digits[parent, lvl]
+        fanout = np.arange(m if lvl == 0 else half, dtype=np.int64)
+        child = (
+            first[lvl + 1]
+            + (in_level[parent] - digit * weight[lvl])[:, None]
+            + fanout * weight[lvl]
+        )
+        peer_switch[parent, : len(fanout)] = child
+        peer_switch[child, (digit + half)[:, None]] = parent[:, None]
     arrays = FabricArrays(
-        m=ft.m,
-        n=ft.n,
+        m=m,
+        n=n,
         num_switches=num_switches,
         num_nodes=num_nodes,
         num_leaves=num_leaves,

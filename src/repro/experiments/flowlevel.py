@@ -535,10 +535,13 @@ def get_flow_model(
     """LRU-cached :func:`build_flow_model` (compile at most once).
 
     Misses consult the on-disk model store
-    (:mod:`repro.experiments.modelstore`) before compiling, and spill
-    freshly compiled models back to it — a repeated FT(32, 3) sweep
-    skips the compile entirely.  ``store=False`` disables the disk
-    layer; a path overrides the default cache directory.
+    (:mod:`repro.experiments.modelstore`) before compiling.  Freshly
+    compiled *unfolded* models spill back to it, so a repeated sweep
+    skips their minutes-long compile.  Folded models do not: a folded
+    FT(32, 3) compile takes milliseconds, no longer than writing its 17
+    files, and what that write costs depends on the file system, not
+    the model.  ``store=False`` disables the disk layer; a path
+    overrides the default cache directory.
     """
     from repro.experiments import modelstore
 
@@ -553,7 +556,8 @@ def get_flow_model(
             model = build_flow_model(
                 m, n, scheme, pattern, hotspot_fraction, fold=fold
             )
-            modelstore.save_model(model, fold=bool(fold), store=store)
+            if not fold:
+                modelstore.save_model(model, fold=False, store=store)
         _MODELS[key] = model
     else:
         _MODELS.move_to_end(key)

@@ -1,11 +1,13 @@
 """Persistent, memory-mapped store for compiled flow models.
 
 Compiling an *unfolded* FT(32, 3) MLID :class:`FlowModel` costs
-minutes of route tracing; even the folded quotient is worth keeping
-across processes.  This module spills compiled models to disk — one
-directory per model, one ``.npy`` file per array plus a ``meta.json``
-— and loads them back with ``numpy`` memory mapping, so a repeated
-sweep touches pages on demand instead of re-tracing routes.
+minutes of route tracing.  This module spills compiled models to disk
+— one directory per model, one ``.npy`` file per array plus a
+``meta.json`` — and loads them back with ``numpy`` memory mapping, so
+a repeated sweep touches pages on demand instead of re-tracing routes.
+:func:`~repro.experiments.flowlevel.get_flow_model` spills only
+unfolded models; a folded compile takes milliseconds, no longer than
+its spill.
 
 Layout::
 

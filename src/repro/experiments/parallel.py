@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -123,9 +124,23 @@ def execute_points(
         return [run_spec(spec) for spec in specs]
     # ~4 chunks per worker balances load against cache locality.
     chunksize = max(1, len(specs) // (jobs * 4))
+    results: List[dict] = []
     with ProcessPoolExecutor(
         max_workers=min(jobs, len(specs)),
         initializer=_worker_init,
         initargs=(list(sys.path),),
     ) as pool:
-        return list(pool.map(run_spec, specs, chunksize=chunksize))
+        try:
+            for result in pool.map(run_spec, specs, chunksize=chunksize):
+                results.append(result)
+        except BrokenProcessPool as exc:
+            # A worker killed by a signal raises nothing of its own:
+            # name the points whose results never came back instead.
+            if hasattr(exc, "add_note"):
+                lost = specs[len(results) :]
+                exc.add_note(
+                    f"{len(lost)} point(s) lost; a dead worker was running "
+                    "one of them:\n" + "\n".join(f"  {spec!r}" for spec in lost)
+                )
+            raise
+    return results

@@ -1,7 +1,7 @@
 """Construction of the m-port n-tree FT(m, n) (Section 3 of the paper).
 
-A :class:`FatTree` materializes every switch, every processing node and
-every port-to-port link of ``FT(m, n)``:
+A :class:`FatTree` enumerates every switch and every processing node of
+``FT(m, n)`` and, on the first port query, every port-to-port link:
 
 * **Nodes** ``P(p0 … p_{n-1})`` hang off leaf switches (level n-1):
   ``SW<w, n-1>`` port ``k`` connects ``P(p)`` iff ``w = p0…p_{n-2}``
@@ -15,11 +15,17 @@ for root switches, which have no parents) and **up ports** are
 ``m/2 … m-1``.  Port numbers here are the paper's 0-based ``k``; the
 InfiniBand realization (:mod:`repro.ib`) maps them to physical ports
 ``k + 1`` because IBA reserves port 0 for management.
+
+The per-port wiring (one :class:`Endpoint` per switch port) is built on
+first use: the folded flow model reads only the integer arrays of
+:func:`repro.core.kernel.fabric_arrays`, which follow in closed form
+from the rules above, and never pays for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterator, List, Optional
 
 from repro.topology import groups
@@ -99,24 +105,38 @@ class FatTree:
         self._switch_index: Dict[SwitchLabel, int] = {
             s: i for i, s in enumerate(self.switches)
         }
-        # wiring[switch] = list of Endpoint, indexed by 0-based port k
-        self._wiring: Dict[SwitchLabel, List[Endpoint]] = {
-            s: [Endpoint()] * m for s in self.switches
-        }
-        self._node_port: Dict[NodeLabel, PortRef] = {}
-        self._wire()
 
     # ------------------------------------------------------------------
-    # Construction
+    # Construction: the per-port wiring, built on first use
     # ------------------------------------------------------------------
+    @cached_property
+    def _wiring(self) -> Dict[SwitchLabel, List[Endpoint]]:
+        """``wiring[switch]``: list of Endpoint, indexed by 0-based port k."""
+        self._wire()
+        return self.__dict__["_wiring"]
+
+    @cached_property
+    def _node_port(self) -> Dict[NodeLabel, PortRef]:
+        """The (leaf switch, port) of every node."""
+        self._wire()
+        return self.__dict__["_node_port"]
+
     def _wire(self) -> None:
+        """Set ``_wiring`` and ``_node_port``; runs when either is first read.
+
+        Both are published whole, at the end: were a tree's first port
+        queries to race in two threads, it would be wired twice, each
+        time completely.
+        """
         m, n, half = self.m, self.n, self.half
+        wiring = {s: [Endpoint()] * m for s in self.switches}
+        node_port: Dict[NodeLabel, PortRef] = {}
         # Leaf switches to processing nodes.
         for p in self.nodes:
             leaf: SwitchLabel = (p[: n - 1], n - 1)
             k = p[n - 1]
-            self._attach(leaf, k, Endpoint(node=p))
-            self._node_port[p] = PortRef(leaf, k)
+            self._attach(wiring, leaf, k, Endpoint(node=p))
+            node_port[p] = PortRef(leaf, k)
         # Switch-to-switch links, level l (parent) to level l+1 (child).
         for (w, l) in self.switches:
             if l == n - 1:
@@ -127,11 +147,18 @@ class FatTree:
                 child: SwitchLabel = (w_child, l + 1)
                 k_parent = child_digit  # k = w'_l
                 k_child = w[l] + half  # k' = w_l + m/2
-                self._attach((w, l), k_parent, Endpoint(switch=child, port=k_child))
-                self._attach(child, k_child, Endpoint(switch=(w, l), port=k_parent))
+                self._attach(wiring, (w, l), k_parent, Endpoint(switch=child, port=k_child))
+                self._attach(wiring, child, k_child, Endpoint(switch=(w, l), port=k_parent))
+        self._node_port, self._wiring = node_port, wiring
 
-    def _attach(self, switch: SwitchLabel, port: int, endpoint: Endpoint) -> None:
-        ports = self._wiring[switch]
+    @staticmethod
+    def _attach(
+        wiring: Dict[SwitchLabel, List[Endpoint]],
+        switch: SwitchLabel,
+        port: int,
+        endpoint: Endpoint,
+    ) -> None:
+        ports = wiring[switch]
         existing = ports[port]
         if existing.is_node or existing.is_switch:
             raise RuntimeError(

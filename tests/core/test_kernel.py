@@ -7,6 +7,7 @@ The scalar side is :func:`~repro.core.verification.trace_path`: the
 verifier :func:`~repro.core.verification.scalar_verify_scheme` and the
 ``scalar_*`` helpers below are built on it."""
 
+import dataclasses
 from collections import Counter
 
 import networkx as nx
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from repro.core import verification as v
 from repro.core.extensions import DestStaggeredMlidScheme, HashedMlidScheme
 from repro.core.forwarding import MlidScheme
-from repro.core.kernel import RouteKernel, compile_kernel
+from repro.core.kernel import FabricArrays, RouteKernel, compile_kernel, fabric_arrays
 from repro.core.scheme import RoutingScheme
 from repro.core.slid import SlidScheme
 from repro.core.updown import UpDownScheme
@@ -463,3 +464,89 @@ def test_retraced_queries_equal_fresh_compile():
             got = retraced.flows_crossing(sw, k)
             want = fresh.flows_crossing(sw, k)
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+# ----------------------------------------------------------------------
+# Fabric arrays: the closed form against a walk over the per-port wiring
+# ----------------------------------------------------------------------
+def walked_fabric_arrays(ft):
+    """The oracle: every array read port by port off ``ft``'s wiring."""
+    num_switches, num_nodes = ft.num_switches, ft.num_nodes
+    peer_switch = np.full((num_switches, ft.m), -1, np.int32)
+    peer_node = np.full((num_switches, ft.m), -1, np.int32)
+    for i, sw in enumerate(ft.switches):
+        for k, ep in enumerate(ft.ports(sw)):
+            if ep.is_node:
+                peer_node[i, k] = ft.node_id(ep.node)
+            elif ep.is_switch:
+                peer_switch[i, k] = ft.switch_id(ep.switch)
+    switch_level = np.array([lvl for _, lvl in ft.switches], dtype=np.int32)
+    switch_digits = np.array(
+        [w for w, _ in ft.switches], dtype=np.int64
+    ).reshape(num_switches, ft.n - 1)
+    node_digits = np.array(ft.nodes, dtype=np.int64).reshape(num_nodes, ft.n)
+
+    leaves = ft.switches_at_level(ft.n - 1)
+    num_leaves = len(leaves)
+    leaf_switch = np.array([ft.switch_id(s) for s in leaves], dtype=np.int32)
+    leaf_row = {int(s): i for i, s in enumerate(leaf_switch)}
+    attach_switch = np.array(
+        [ft.switch_id(ft.node_attachment(p).switch) for p in ft.nodes],
+        dtype=np.int32,
+    )
+    attach_leaf = np.array(
+        [leaf_row[int(s)] for s in attach_switch], dtype=np.int32
+    )
+    per_leaf = num_nodes // num_leaves
+    leaf_nodes = np.full((num_leaves, per_leaf), -1, np.int32)
+    fill = [0] * num_leaves
+    for node_id, row in enumerate(attach_leaf):
+        leaf_nodes[row, fill[row]] = node_id
+        fill[row] += 1
+    return FabricArrays(
+        m=ft.m,
+        n=ft.n,
+        num_switches=num_switches,
+        num_nodes=num_nodes,
+        num_leaves=num_leaves,
+        peer_switch=peer_switch,
+        peer_node=peer_node,
+        switch_level=switch_level,
+        switch_digits=switch_digits,
+        node_digits=node_digits,
+        leaf_switch=leaf_switch,
+        attach_switch=attach_switch,
+        attach_leaf=attach_leaf,
+        leaf_nodes=leaf_nodes,
+    )
+
+
+#: Every FT(m, n), m in 4..64 and n in 1..4, with at most 70k nodes.
+FABRICS = [
+    (m, n)
+    for m in (4, 8, 16, 32, 64)
+    for n in (1, 2, 3, 4)
+    if 2 * (m // 2) ** n <= 70_000
+]
+
+
+@pytest.mark.parametrize("m,n", FABRICS)
+def test_fabric_arrays_equal_per_port_walk(m, n):
+    """Same value, dtype and shape in every field, without the wiring."""
+    ft = FatTree(m, n)
+    got = fabric_arrays(ft)
+    assert "_wiring" not in vars(ft) and "_node_port" not in vars(ft)
+    want = walked_fabric_arrays(ft)
+    for field in dataclasses.fields(FabricArrays):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), field.name
+            assert np.array_equal(a, b), field.name
+        else:
+            assert (type(a), a) == (type(b), b), field.name
+
+
+def test_fabric_arrays_memoized_per_tree():
+    ft = FatTree(8, 2)
+    assert fabric_arrays(ft) is fabric_arrays(ft)
+    assert fabric_arrays(FatTree(8, 2)) is not fabric_arrays(ft)

@@ -137,6 +137,21 @@ def test_unknown_pattern_rejected():
         build_flow_model(4, 2, "mlid", "permutation")
 
 
+@pytest.mark.parametrize("pattern", ["uniform", "centric"])
+@pytest.mark.parametrize("scheme", ["mlid", "slid"])
+@pytest.mark.parametrize("m,n", [(32, 3), (64, 2)])
+def test_folded_compile_never_builds_port_wiring(m, n, scheme, pattern, monkeypatch):
+    """The paper-scale folded compile reads only the closed-form fabric
+    arrays: building FT(32, 3)'s 50k port objects would triple its cost."""
+
+    def wire(self):
+        raise AssertionError(f"per-port wiring of FT({self.m}, {self.n}) built")
+
+    monkeypatch.setattr(FatTree, "_wire", wire)
+    model = build_flow_model(m, n, scheme, pattern)
+    assert model.folded
+
+
 # -- fixed point and latency -------------------------------------------
 
 

@@ -137,17 +137,28 @@ def test_get_flow_model_hits_disk_after_process_restart(monkeypatch):
     # First call compiles and spills to the (test-isolated) default
     # store; dropping the LRU simulates a fresh process.  The second
     # call must come straight from disk — compiling again is an error.
-    first = get_flow_model(4, 2, "mlid", "centric")
+    first = get_flow_model(4, 2, "mlid", "centric", fold=False)
     clear_flow_models()
 
     def _boom(*a, **k):
         raise AssertionError("cache miss: model was recompiled")
 
     monkeypatch.setattr(flowlevel, "build_flow_model", _boom)
-    second = get_flow_model(4, 2, "mlid", "centric")
+    second = get_flow_model(4, 2, "mlid", "centric", fold=False)
     assert second is not first
     _arrays_equal(first, second)
     assert evaluate_point(second, CFG, 0.7) == evaluate_point(first, CFG, 0.7)
+
+
+def test_get_flow_model_spills_only_unfolded_models():
+    # A folded compile takes milliseconds, no longer than its spill;
+    # only the unfolded model, minutes to compile at scale, is kept.
+    get_flow_model(4, 2, "mlid", "centric")
+    assert modelstore.list_models() == []
+    get_flow_model(4, 2, "mlid", "centric", fold=False)
+    assert [e["key"] for e in modelstore.list_models()] == [
+        modelstore.model_key(4, 2, "mlid", "centric", 0.5, False)
+    ]
 
 
 def test_get_flow_model_lru_is_bounded(monkeypatch):
@@ -162,7 +173,7 @@ def test_get_flow_model_lru_is_bounded(monkeypatch):
 
 
 def test_routing_cache_info_cross_references_stores():
-    get_flow_model(4, 2, "mlid", "uniform")
+    get_flow_model(4, 2, "mlid", "uniform", fold=False)
     info = routing_cache_info()
     assert info["flow_models"]["size"] >= 1
     assert info["flow_store"]["models"] >= 1  # spilled to the isolated dir

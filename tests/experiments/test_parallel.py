@@ -1,7 +1,10 @@
 """Determinism and plumbing of the parallel sweep executor."""
 
 import dataclasses
+import multiprocessing
+import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -84,6 +87,32 @@ def test_failing_point_names_its_spec(jobs):
     assert str(info.value) == "warmup must be >= 0 and measure window positive"
     if sys.version_info >= (3, 11):
         assert info.value.__notes__ == [f"while running {bad!r}"]
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 11) or multiprocessing.get_start_method() != "fork",
+    reason="needs exception notes, and workers forked after the patch",
+)
+def test_killed_worker_names_lost_points(monkeypatch):
+    """A worker that dies without raising (a signal, an OOM kill) breaks
+    the pool; the error lists the points whose results never came back."""
+    from repro.experiments import runner
+
+    def run_point(m, n, scheme, pattern, offered, **kwargs):
+        if offered == 0.3:
+            os._exit(1)
+        return {"offered": offered}
+
+    monkeypatch.setattr(runner, "run_point", run_point)
+    specs = [
+        PointSpec(m=4, n=2, scheme="mlid", pattern="uniform", offered=load,
+                  cfg=SimConfig(), **FAST)
+        for load in (0.1, 0.2, 0.3, 0.4)
+    ]
+    with pytest.raises(BrokenProcessPool) as info:
+        execute_points(specs, jobs=2)
+    (note,) = info.value.__notes__
+    assert repr(specs[2]) in note
 
 
 def test_jobs_validation():

@@ -44,6 +44,48 @@ def test_trace_bad_label():
         main(["trace", "4", "3", "00", "300"])
 
 
+#: Every subcommand that takes ``m n``, with the rest of its positionals.
+FABRIC_COMMANDS = {
+    "info": [],
+    "trace": ["00", "10"],
+    "verify": [],
+    "sweep": [],
+    "draw": [],
+    "probe": [],
+    "faults": ["1"],
+    "failover": [],
+    "serve": [],
+}
+BAD_INPUT = [
+    *(
+        ([command, m, n, *rest], f"argument {arg}: {problem}")
+        for command, rest in FABRIC_COMMANDS.items()
+        for m, n, arg, problem in [
+            ("6", "2", "m", "m must be a power of two >= 4, got 6"),
+            ("4", "0", "n", "n must be >= 1, got 0"),
+        ]
+    ),
+    (["trace", "4", "2", "95", "00"], "node '95': p0 must be in [0, 4), got (9, 5)"),
+    (["trace", "4", "2", "00", "00"], "src and dst are both P(00)"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,problem", BAD_INPUT, ids=[" ".join(argv) for argv, _ in BAD_INPUT]
+)
+def test_bad_fabric_or_node_exits_with_one_line(argv, problem, capsys):
+    # An invalid FT(m, n) is a usage error (exit 2) before any work
+    # starts; a bad trace endpoint exits 1.  Neither is a traceback.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    if exc.value.code == 2:
+        message = capsys.readouterr().err.splitlines()[-1]
+    else:
+        message = exc.value.code
+    assert problem in message
+    assert "\n" not in message
+
+
 def test_verify(capsys):
     assert main(["verify", "4", "2"]) == 0
     out = capsys.readouterr().out

@@ -135,3 +135,42 @@ def test_degenerate_single_switch_tree():
     assert only == ((), 0)
     hosted = [ep.node for ep in ft.ports(only) if ep.is_node]
     assert sorted(hosted) == [(0,), (1,), (2,), (3,)]
+
+
+class TestLazyWiring:
+    """The per-port wiring is built on the first port query, not before."""
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            lambda ft: ft.peer(ft.switches[0], 0),
+            lambda ft: ft.ports(ft.switches[-1]),
+            lambda ft: ft.node_attachment(ft.nodes[0]),
+        ],
+        ids=["peer", "ports", "node_attachment"],
+    )
+    def test_first_query_builds_all_of_it(self, query):
+        ft = FatTree(4, 3)
+        assert "_wiring" not in vars(ft) and "_node_port" not in vars(ft)
+        query(ft)
+        assert len(ft._wiring) == ft.num_switches
+        assert len(ft._node_port) == ft.num_nodes
+        for p in ft.nodes:
+            ref = ft.node_attachment(p)
+            assert ft.peer(ref.switch, ref.port) == Endpoint(node=p)
+
+    def test_built_once(self, monkeypatch):
+        ft = FatTree(4, 2)
+        calls = []
+        wire = FatTree._wire
+        monkeypatch.setattr(FatTree, "_wire", lambda self: calls.append(wire(self)))
+        ft.node_attachment(ft.nodes[0])
+        ft.ports(ft.switches[0])
+        ft.peer(ft.switches[0], 1)
+        assert len(calls) == 1
+
+    def test_wired_twice_still_detected(self):
+        ft = FatTree(4, 2)
+        ft.switches.append(ft.switches[0])  # a root listed twice
+        with pytest.raises(RuntimeError, match="wired twice"):
+            ft.peer(ft.switches[0], 0)
