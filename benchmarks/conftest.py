@@ -6,7 +6,10 @@ reproduced curves, and writes them to ``benchmarks/results/<id>.txt``
 so the EXPERIMENTS.md evidence can be regenerated at any time.
 
 Set ``REPRO_BENCH_FULL=1`` to sweep the full load grids (slow; this is
-what the committed EXPERIMENTS.md numbers used).
+what the committed EXPERIMENTS.md numbers used).  Quick runs write their
+timing outputs (``BENCH_*.json`` and the throughput tables) under the
+git-ignored ``benchmarks/out/``, so a smoke run leaves the tree clean;
+full runs write the tracked files in ``results/``.
 """
 
 from __future__ import annotations
@@ -27,6 +30,17 @@ from repro.experiments import (
 )
 
 RESULTS_DIR = Path(__file__).parent / "results"
+#: Quick runs' timing outputs: machine- and run-dependent, so git
+#: ignores them (``.gitignore``).
+QUICK_TIMING_DIR = Path(__file__).parent / "out"
+
+
+def timing_dir(full: bool) -> Path:
+    """Where a timing output goes: the tracked ``results/`` for full
+    runs, the ignored :data:`QUICK_TIMING_DIR` for quick ones."""
+    out_dir = RESULTS_DIR if full else QUICK_TIMING_DIR
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
 
 
 def provenance() -> dict:
@@ -88,15 +102,10 @@ def write_bench_report(
 
 
 def write_bench_json(name: str, report: dict, *, full: bool) -> Path:
-    """Write one ``BENCH_*.json`` with the provenance stamp prepended.
-
-    Quick-grid runs land in ``results/quick/`` so they never clobber
-    the committed full-protocol evidence in ``results/``.
-    """
+    """Write one ``BENCH_*.json`` with the provenance stamp prepended
+    (:func:`timing_dir` picks the directory)."""
     stamped = {"provenance": provenance(), **report}
-    out_dir = RESULTS_DIR if full else RESULTS_DIR / "quick"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
+    path = timing_dir(full) / name
     path.write_text(
         json.dumps(stamped, indent=2) + "\n", encoding="utf-8"
     )
@@ -150,5 +159,18 @@ def save_result():
         print(text)
         RESULTS_DIR.mkdir(exist_ok=True)
         (RESULTS_DIR / f"{name}.txt").write_text(text, encoding="utf-8")
+
+    return _save
+
+
+@pytest.fixture
+def save_timing():
+    """Persist a throughput bench's rendered table (:func:`timing_dir`)."""
+
+    def _save(name: str, text: str) -> None:
+        print()
+        print(text)
+        full = os.environ.get("REPRO_BENCH_FULL", "0") == "1"
+        (timing_dir(full) / f"{name}.txt").write_text(text, encoding="utf-8")
 
     return _save

@@ -5,8 +5,8 @@ backends (heap oracle vs. timing wheel).
 The headline benchmark (``test_backend_speedup_ft8_3``) measures the
 wheel backend's speedup on the paper's FT(8,3) uniform-traffic
 workload and persists the evidence to
-``benchmarks/results/BENCH_engine.json`` (quick grids go to
-``results/quick/`` like every other benchmark here).
+``benchmarks/results/BENCH_engine.json`` (quick grids go to the
+ignored ``benchmarks/out/`` like every other timing output here).
 
 Measurement protocol
 --------------------

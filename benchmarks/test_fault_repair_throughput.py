@@ -12,7 +12,7 @@ on the scenarios the dynamic SM actually faces —
 
 — and persists the evidence to
 ``benchmarks/results/BENCH_fault_repair.json`` (quick grids go to
-``results/quick/``).
+the ignored ``benchmarks/out/``).
 
 Measurement protocol
 --------------------

@@ -122,7 +122,7 @@ def measure():
     return rows, cache_info, num_points
 
 
-def test_sweep_throughput(benchmark, save_result):
+def test_sweep_throughput(benchmark, save_timing):
     rows, cache_info, num_points = benchmark.pedantic(
         measure, rounds=1, iterations=1
     )
@@ -134,7 +134,7 @@ def test_sweep_throughput(benchmark, save_result):
             f"{cache_info['hits']} hits / {cache_info['misses']} misses)"
         ),
     )
-    save_result("sweep_throughput", text)
+    save_timing("sweep_throughput", text)
     # The cache must never hurt: allow timing noise but catch pathology.
     serial, cached = rows[0], rows[1]
     assert cached["seconds"] < serial["seconds"] * 1.25

@@ -64,7 +64,7 @@ def measure():
     return rows
 
 
-def test_verification_throughput(benchmark, save_result):
+def test_verification_throughput(benchmark, save_timing):
     rows = benchmark.pedantic(measure, rounds=1, iterations=1)
     text = render_table(
         rows,
@@ -73,7 +73,7 @@ def test_verification_throughput(benchmark, save_result):
             "kernel (delivery + minimality + up*/down*, all LIDs)"
         ),
     )
-    save_result("verification_throughput", text)
+    save_timing("verification_throughput", text)
     headline = rows[0]
     assert headline["speedup"] >= MIN_SPEEDUP, (
         f"kernel speedup {headline['speedup']:.1f}x on {headline['fabric']} "

@@ -50,6 +50,7 @@ Subcommands
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Callable, List, Optional
 
@@ -65,6 +66,7 @@ from repro.experiments import (
     to_csv,
 )
 from repro.experiments.parallel import normalize_jobs
+from repro.ib.config import SimConfig
 from repro.topology import FatTree
 from repro.topology.labels import (
     check_arity,
@@ -200,6 +202,65 @@ def _int_arg(check: Callable[[int], object]) -> Callable[[str], int]:
     return parse
 
 
+def _load(text: str) -> float:
+    """An offered load: a finite number >= 0."""
+    load = float(text)
+    if not (math.isfinite(load) and load >= 0):
+        raise ValueError(f"offered load must be a finite number >= 0, got {text!r}")
+    return load
+
+
+def _load_arg(text: str) -> float:
+    """An argparse ``type=`` for one offered load."""
+    try:
+        return _load(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _loads_arg(text: str) -> list:
+    """An argparse ``type=`` for a comma-separated list of loads."""
+    loads = []
+    for tok in text.split(","):
+        if not tok.strip():
+            continue
+        try:
+            loads.append(_load(tok))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(
+                f"bad loads list {text!r}: {exc}"
+            ) from None
+    if not loads:
+        raise argparse.ArgumentTypeError(f"loads list {text!r} is empty")
+    return loads
+
+
+def _check_vls(vls: int) -> None:
+    SimConfig(num_vls=vls)  # its ValueError names the valid range
+
+
+_vls_arg = _int_arg(_check_vls)
+
+
+def _check_count(count: int) -> None:
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+
+
+class _LinkCount(argparse.Action):
+    """``faults``' COUNT: at most the fabric's switch-to-switch links,
+    (n - 1) * 2 * (m/2)^n of them (``m n`` are parsed first)."""
+
+    def __call__(self, parser, namespace, count, option_string=None):
+        m, n = namespace.m, namespace.n
+        links = (n - 1) * 2 * (m // 2) ** n
+        if count > links:
+            raise argparse.ArgumentError(
+                self, f"FT({m}, {n}) has {links} switch links, asked to fail {count}"
+            )
+        setattr(namespace, self.dest, count)
+
+
 def _add_arity_args(parser: argparse.ArgumentParser) -> None:
     """The ``m n`` positionals: an invalid FT(m, n) is a usage error."""
     parser.add_argument(
@@ -234,9 +295,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.ib.config import SimConfig
-
-    loads = _parse_list(args.loads, "loads", float, "0.1,0.3,0.7")
+    loads = args.loads
     seeds = _parse_list(args.seeds, "seeds", _seed, "1,2,3")
     if len(set(seeds)) < len(seeds):
         raise SystemExit(f"bad seeds list {args.seeds!r}; each seed may appear once")
@@ -326,7 +385,6 @@ def _cmd_draw(args: argparse.Namespace) -> int:
 
 
 def _cmd_probe(args: argparse.Namespace) -> int:
-    from repro.ib.config import SimConfig
     from repro.ib.instrumentation import probe_fabric, routing_pressure
     from repro.ib.subnet import build_subnet
     from repro.traffic import make_pattern
@@ -411,7 +469,6 @@ def _failover_link(args: argparse.Namespace, ft: FatTree) -> tuple:
 
 def _cmd_failover(args: argparse.Namespace) -> int:
     from repro.experiments.failover import run_failover
-    from repro.ib.config import SimConfig
 
     if args.load < 0:
         raise SystemExit(f"--load {args.load} must be non-negative (0 = no traffic)")
@@ -613,10 +670,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run one offered-load sweep")
     _add_arity_args(p)
     p.add_argument("--scheme", default="mlid")
-    p.add_argument("--pattern", default="uniform")
-    p.add_argument("--loads", default="0.1,0.3,0.7", help="comma-separated offered loads")
+    p.add_argument("--pattern", default="uniform", choices=available_patterns())
+    p.add_argument(
+        "--loads", type=_loads_arg, default="0.1,0.3,0.7",
+        help="comma-separated offered loads",
+    )
     p.add_argument("--seeds", default="1", help="comma-separated seeds")
-    p.add_argument("--vls", type=int, default=1)
+    p.add_argument("--vls", type=_vls_arg, default=1)
     p.add_argument("--warmup", type=float, default=15_000.0, help="warmup window (ns)")
     p.add_argument("--measure", type=float, default=45_000.0, help="measure window (ns)")
     p.add_argument(
@@ -637,14 +697,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("probe", help="simulate briefly and print a heat report")
     _add_arity_args(p)
     p.add_argument("--scheme", default="mlid")
-    p.add_argument("--pattern", default="uniform")
-    p.add_argument("--load", type=float, default=0.3)
-    p.add_argument("--vls", type=int, default=1)
+    p.add_argument("--pattern", default="uniform", choices=available_patterns())
+    p.add_argument("--load", type=_load_arg, default=0.3)
+    p.add_argument("--vls", type=_vls_arg, default=1)
     p.set_defaults(func=_cmd_probe)
 
     p = sub.add_parser("faults", help="repair tables around random link failures")
     _add_arity_args(p)
-    p.add_argument("count", type=int, help="number of random failed links")
+    p.add_argument(
+        "count", type=_int_arg(_check_count), action=_LinkCount,
+        help="number of random failed links",
+    )
     p.add_argument("--scheme", default="mlid", choices=["mlid", "slid"])
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_faults)

@@ -32,7 +32,8 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -47,6 +48,7 @@ from repro.topology.labels import SwitchLabel
 __all__ = [
     "RoutingArtifacts",
     "build_artifacts",
+    "dlid_row_lists",
     "get_artifacts",
     "artifact_cache_info",
     "clear_artifact_cache",
@@ -78,6 +80,12 @@ class RoutingArtifacts:
     def ft(self) -> FatTree:
         return self.scheme.ft
 
+    @cached_property
+    def dlid_rows(self) -> List[List[int]]:
+        """:func:`dlid_row_lists` of the DLID matrix, built on the
+        first subnet build and shared by every later one."""
+        return dlid_row_lists(self.dlid_flat, self.ft.num_nodes)
+
     @property
     def key(self) -> ArtifactKey:
         return (self.m, self.n, self.scheme_name, self.cfg)
@@ -89,6 +97,18 @@ class RoutingArtifacts:
         from repro.service.snapshot import baseline_snapshot
 
         return baseline_snapshot(self)
+
+
+def dlid_row_lists(dlid_flat: np.ndarray, num_nodes: int) -> List[List[int]]:
+    """The flattened DLID matrix as one Python list per source PID,
+    indexed by destination PID, for the endnodes' per-packet lookup.
+    Equal DLIDs share one ``int`` object across rows."""
+    interned: Dict[int, int] = {}
+    intern = interned.setdefault
+    return [
+        [intern(d, d) for d in row]
+        for row in dlid_flat.reshape(num_nodes, num_nodes).tolist()
+    ]
 
 
 def build_artifacts(

@@ -34,17 +34,19 @@ packet is received").
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Callable, Deque, List, Optional
 
 import numpy as np
 
 from repro.ib.config import SimConfig
-from repro.ib.fastpath import _credit_cb
+from repro.ib.fastpath import _credit_cb, _start
 from repro.ib.link import Transmitter
 from repro.ib.packet import Packet
 from repro.sim.engine import Engine
 from repro.sim.stats import LatencyStats, ThroughputMeter
+from repro.sim.wheel import _G, _M0, _SPAN0
 
 __all__ = ["Endnode", "FifoInjection", "PerDestinationInjection"]
 
@@ -54,6 +56,8 @@ class FifoInjection:
 
     def __init__(self, num_vls: int):
         self._queues: List[Deque[Packet]] = [deque() for _ in range(num_vls)]
+        #: Per VL, non-empty exactly when a packet of that VL is queued.
+        self.ready = self._queues
 
     def push(self, packet: Packet) -> None:
         self._queues[packet.vl].append(packet)
@@ -84,6 +88,8 @@ class PerDestinationInjection:
         self._num_vls = num_vls
         self._queues: dict[int, Deque[Packet]] = {}
         self._rings: List[Deque[int]] = [deque() for _ in range(num_vls)]
+        #: Per VL, non-empty exactly when a packet of that VL is queued.
+        self.ready = self._rings
 
     def push(self, packet: Packet) -> None:
         vl = packet.vl
@@ -113,8 +119,8 @@ class PerDestinationInjection:
 
 class _GenEvent:
     """An endnode's pooled generation event (wheel backend): the one
-    cancellable handle ``_generate`` reschedules in place through
-    ``schedule_pooled``, instead of a fresh :class:`Event` per gap."""
+    cancellable handle the fused source reschedules in place, instead
+    of a fresh :class:`Event` per gap."""
 
     __slots__ = ("time", "seq", "cancelled")
 
@@ -154,9 +160,12 @@ class Endnode:
         else:
             self.injection = FifoInjection(cfg.num_vls)
         self.upstream: Optional[Transmitter] = None  # leaf switch tx toward us
-        # Set by the subnet: destination chooser and DLID resolver.
+        # Set by the subnet: destination chooser and DLID resolver, and
+        # the resolver's answers from this node as a list indexed by
+        # destination PID (the fused source reads it).
         self.choose_destination: Optional[Callable[[np.random.Generator], int]] = None
         self.dlid_for: Optional[Callable[[int, int], int]] = None
+        self.dlid_row: Optional[List[int]] = None
         # Measurement hooks (shared across the subnet).
         self.latency: Optional[LatencyStats] = None
         self.net_latency: Optional[LatencyStats] = None
@@ -166,12 +175,16 @@ class Endnode:
         self._vl_rr = 0
         self._interval: float = 0.0
         self._gen_event = None
+        self._gen_cb = None
         self._burst_left = 0
         # Hot-loop constants, hoisted out of the per-packet path.
         self._byte_ns = cfg.byte_time_ns
+        self._flying_ns = cfg.flying_time_ns
         self._message_packets = cfg.message_packets
         self._packet_bytes = cfg.packet_bytes
         self._exponential = cfg.arrival_process == "exponential"
+        self._num_vls = cfg.num_vls
+        self._hash_vl = cfg.vl_policy == "hash"
         # Reusable per-VL credit-return closures (wheel backend).
         self._credit_cbs: List[Optional[Callable[[], None]]] = [None] * cfg.num_vls
 
@@ -181,22 +194,29 @@ class Endnode:
     def start_generation(self, rate_pkts_per_ns: float) -> None:
         """Begin constant-mean-rate generation (``rate`` packets/ns).
 
-        On a fused (wheel) engine the process runs on one pooled
-        :class:`_GenEvent`, fresh per call so that a handle cancelled
-        by :meth:`stop_generation` stays cancelled; on the heap oracle
-        every gap gets its own :class:`~repro.sim.engine.Event`.  Both
-        schedule at the same times in the same order."""
-        if rate_pkts_per_ns < 0:
-            raise ValueError(f"rate must be non-negative, got {rate_pkts_per_ns}")
+        On a fused (wheel) engine, once the subnet has given this node
+        its :attr:`dlid_row`, every step is one :meth:`_generate_fused`
+        callback on one pooled :class:`_GenEvent`, fresh per call so
+        that a handle cancelled by :meth:`stop_generation` stays
+        cancelled.  Otherwise (the heap oracle, or a node outside a
+        subnet) every gap is an :class:`~repro.sim.engine.Event` for
+        :meth:`_generate`.  Both schedule at the same times in the same
+        order."""
+        if not 0 <= rate_pkts_per_ns < math.inf:
+            # An infinite rate would fire at one instant forever.
+            raise ValueError(
+                f"rate must be a finite number >= 0, got {rate_pkts_per_ns}"
+            )
         if rate_pkts_per_ns == 0:
             return
         self._interval = 1.0 / rate_pkts_per_ns
         # Random initial phase in [0, interval) de-synchronizes nodes.
         first = float(self.rng.uniform(0.0, self._interval))
         engine = self.engine
-        if engine.fused:
+        if engine.fused and self.dlid_row is not None:
             self._gen_event = _GenEvent()
-            engine.schedule_pooled(first, self._gen_event, self._generate)
+            self._gen_cb = self._generate_fused
+            engine.schedule_pooled(first, self._gen_event, self._gen_cb)
         else:
             self._gen_event = engine.schedule_after(first, self._generate)
 
@@ -234,17 +254,87 @@ class Endnode:
         )
 
     def _generate(self) -> None:
+        """One generation step (the oracle :meth:`_generate_fused`
+        mirrors)."""
         self._emit_one()
         # The rate parameter is packets/ns, so a k-packet message is
         # generated every k inter-packet gaps on average.
         gap = 0.0
         for _ in range(self._message_packets):
             gap += self._next_gap()
-        engine = self.engine
-        if engine.fused:
-            engine.schedule_pooled(gap, self._gen_event, self._generate)
+        self._gen_event = self.engine.schedule_after(gap, self._generate)
+
+    def _generate_fused(self) -> None:
+        """One generation step on a fused engine, in one callback:
+        :meth:`_generate` with ``_emit_one``, ``dlid_for``, the hash VL
+        policy, the injection push, ``_refill``, ``Transmitter.accept``,
+        ``_next_gap`` and ``schedule_pooled`` inlined.
+
+        It draws from the node's stream and schedules in the oracle's
+        order: destination, VL, the message's queueing (whose NIC start
+        schedules the hop), gap, then the next generation.  A single
+        packet that finds its NIC slot free and nothing of its VL
+        queued skips the injection queue: there the oracle's push and
+        pull of the one packet leave the queue as it was.
+        """
+        rng = self.rng
+        pid = self.pid
+        dst_pid = self.choose_destination(rng)
+        if dst_pid == pid:
+            raise RuntimeError(f"traffic pattern sent node {pid} to itself")
+        dlid = self.dlid_row[dst_pid]
+        nvl = self._num_vls
+        if nvl == 1:
+            vl = 0
+        elif self._hash_vl:
+            vl = (pid * 0x9E3779B1 ^ dst_pid * 0x85EBCA77) % nvl
         else:
-            self._gen_event = engine.schedule_after(gap, self._generate)
+            vl = self._assign_vl(dst_pid)
+        eng = self.engine
+        now = eng.now
+        count = self._message_packets
+        if count == 1:
+            packet = Packet(
+                self.slid, dlid, pid, dst_pid, self._packet_bytes, vl, now, -1, True
+            )
+            self.packets_generated += 1
+            tx = self.tx
+            fifo = tx._fifos[vl]
+            if tx.alive and len(fifo) >= tx._cap:
+                self.injection.push(packet)  # NIC slot taken: no refill
+            elif not tx.alive or self.injection.ready[vl]:
+                self.injection.push(packet)
+                self._refill(vl)
+            else:
+                # Transmitter.accept, inlined: the slot is free.
+                fifo.append(packet)
+                if not tx._wire_busy:
+                    if tx._rrf:
+                        _start(tx)
+                    else:
+                        tx.kick()
+        else:
+            self._queue_message(dst_pid, dlid, vl)
+        if self._exponential and count == 1:
+            gap = rng.exponential(self._interval)
+        else:
+            gap = 0.0
+            for _ in range(count):
+                gap += self._next_gap()
+        # engine.schedule_pooled(gap, self._gen_event, self._gen_cb),
+        # inlined (WheelEngine internals — see repro.sim.wheel), minus
+        # the dead stores: nothing reads the handle's `time`, and
+        # `cancelled` is False, since the handle just fired.
+        t = now + gap
+        seq = eng._seq + 1
+        eng._seq = seq
+        ev = self._gen_event
+        ev.seq = seq
+        si = int(t) >> _G
+        if 0 <= si - eng._cur < _SPAN0:
+            eng._l0[si & _M0].append((t, seq, ev, self._gen_cb))
+        else:
+            eng._insert((t, seq, ev, self._gen_cb), si)
 
     def _emit_one(self) -> Packet:
         """Emit one message (``message_packets`` packets, back-to-back,
@@ -254,6 +344,11 @@ class Endnode:
             raise RuntimeError(f"traffic pattern sent node {self.pid} to itself")
         dlid = self.dlid_for(self.pid, dst_pid)
         vl = self._assign_vl(dst_pid)
+        return self._queue_message(dst_pid, dlid, vl)
+
+    def _queue_message(self, dst_pid: int, dlid: int, vl: int) -> Packet:
+        """Queue one message's packets and refill the NIC; returns the
+        tail packet."""
         count = self._message_packets
         size = self._packet_bytes
         now = self.engine.now
@@ -373,11 +468,12 @@ class Endnode:
     # ------------------------------------------------------------------
     def close(self) -> None:
         """End of life (``Subnet.close``): drop the subnet's DLID
-        resolver and the generation handle, and close the NIC
+        resolver, the generation handle and callback, and close the NIC
         transmitter, breaking the cycles through this node.
         Idempotent."""
         self.dlid_for = None
         self._gen_event = None
+        self._gen_cb = None
         self.tx.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

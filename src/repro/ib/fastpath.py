@@ -63,7 +63,7 @@ class HopEvent:
       ``_routed`` + ``_move`` + ``accept`` + ``kick``); falls back to
       the general waiter path when the output buffer is full.
     * ``_deliver_node`` / ``_consumed`` — header/tail arrival at an
-      :class:`Endnode` (oracle: ``receive`` + ``_consumed``).
+      :class:`Endnode` (oracle: ``receive`` + ``_consumed``, inlined).
     * ``_tail`` — the packet's tail leaves the sending wire (oracle:
       ``Transmitter._tx_done`` + ``kick``).
 
@@ -313,17 +313,61 @@ class HopEvent:
             eng._insert((t, seq, self, self.consumed_cb), si)
 
     def _consumed(self) -> None:
-        """Oracle: Endnode._consumed (delegated — stats + credit)."""
+        """Oracle: Endnode._consumed, inlined — the delivery check, the
+        measurement window, both latency records, the counters and the
+        pooled credit return (``engine.call_after``)."""
         node = self.node
         packet = self.packet
         self.packet = None
         self.node = None
         self.pool.append(self)
-        node._consumed(packet)
+        pid = node.pid
+        if packet.dst_pid != pid:
+            raise RuntimeError(
+                f"node {pid} received packet for {packet.dst_pid} "
+                f"(DLID {packet.dlid}) — forwarding tables are wrong"
+            )
+        eng = node.engine
+        now = eng.now
+        packet.t_delivered = now
+        node.packets_received += 1
+        throughput = node.throughput
+        if throughput is not None:
+            window = throughput.window
+            if window.warmup_end <= now <= window.measure_end:
+                if packet.is_message_tail:
+                    if node.latency is not None:
+                        # packet.latency, with t_delivered == now >= 0
+                        node.latency.record(now - packet.t_created)
+                    if node.net_latency is not None and packet.t_injected >= 0:
+                        node.net_latency.record(now - packet.t_injected)
+                throughput.bytes_delivered += packet.size_bytes
+                throughput.packets_delivered += 1
+                per = throughput._per_destination
+                per[pid] = per.get(pid, 0) + 1
+        upstream = node.upstream
+        if upstream is None:
+            return  # nobody to return the credit to
+        vl = packet.vl
+        cb = node._credit_cbs[vl]
+        if cb is None:
+            cb = node._credit_cbs[vl] = _credit_cb(upstream, vl)
+        # engine.call_after(flying_time_ns, cb), inlined (the delay is
+        # a non-negative constant, so the negative-delay check is dead).
+        ct = now + node._flying_ns
+        seq = eng._seq + 1
+        eng._seq = seq
+        si = int(ct) >> _G
+        if 0 <= si - eng._cur < _SPAN0:
+            eng._l0[si & _M0].append((ct, seq, _NEVER, cb))
+        else:
+            eng._insert((ct, seq, _NEVER, cb), si)
 
     # ------------------------------------------------------------------
     def _tail(self) -> None:
-        """Oracle: Transmitter._tx_done + kick, inlined."""
+        """Oracle: Transmitter._tx_done + kick, inlined; a wire whose
+        FIFOs are all empty skips :func:`_start`, which would scan them
+        and start nothing."""
         tx = self.tx
         vl = self.vl
         self.tx = None
@@ -342,7 +386,8 @@ class HopEvent:
                 on_free(vl)
         if not tx._wire_busy:  # a waiter/refill may have restarted it
             if tx._rrf:
-                _start(tx)
+                if any(tx._fifos):
+                    _start(tx)
             else:
                 tx.kick()
 

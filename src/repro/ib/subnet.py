@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from repro.core.scheme import RoutingScheme, get_scheme
-from repro.ib.artifacts import RoutingArtifacts
+from repro.ib.artifacts import RoutingArtifacts, dlid_row_lists
 from repro.ib.config import SimConfig
 from repro.ib.endnode import Endnode
 from repro.ib.sm import SubnetManager
@@ -45,6 +45,7 @@ class Subnet:
         switches: Dict[SwitchLabel, SwitchModel],
         endnodes: List[Endnode],
         dlid_flat: Optional[np.ndarray] = None,
+        dlid_rows: Optional[List[List[int]]] = None,
     ):
         self.ft = ft
         self.scheme = scheme
@@ -54,14 +55,18 @@ class Subnet:
         self.endnodes = endnodes
         self.latency: Optional[LatencyStats] = None
         self.throughput: Optional[ThroughputMeter] = None
-        # Dense DLID matrix (vectorized per scheme where possible);
-        # cached builds pass the precomputed flattened matrix in.
+        # Dense DLID matrix (vectorized per scheme where possible) and
+        # its per-source rows; cached builds pass both in, shared by
+        # every subnet of the fabric.
         if dlid_flat is None:
             dlid_flat = scheme.dlid_matrix().reshape(-1)
+        if dlid_rows is None:
+            dlid_rows = dlid_row_lists(dlid_flat, ft.num_nodes)
         self._dlid = dlid_flat
         self._closed = False
         for node in endnodes:
             node.dlid_for = self.dlid_for
+            node.dlid_row = dlid_rows[node.pid]
 
     # ------------------------------------------------------------------
     def dlid_for(self, src_pid: int, dst_pid: int) -> int:
@@ -215,6 +220,7 @@ def build_subnet(
     """
     cfg = cfg or SimConfig()
     dlid_flat: Optional[np.ndarray] = None
+    rows: Optional[List[List[int]]] = None
     if artifacts is not None:
         if artifacts.m != m or artifacts.n != n:
             raise ValueError(
@@ -230,6 +236,7 @@ def build_subnet(
         scheme_obj = artifacts.scheme
         lfts = artifacts.lfts
         dlid_flat = artifacts.dlid_flat
+        rows = artifacts.dlid_rows
     else:
         ft = FatTree(m, n)
         if isinstance(scheme, str):
@@ -284,5 +291,6 @@ def build_subnet(
                 peer_model.rx[peer_phys].upstream = model.tx[phys]
 
     return Subnet(
-        ft, scheme_obj, cfg, engine, switches, endnodes, dlid_flat=dlid_flat
+        ft, scheme_obj, cfg, engine, switches, endnodes,
+        dlid_flat=dlid_flat, dlid_rows=rows,
     )

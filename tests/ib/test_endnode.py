@@ -113,6 +113,14 @@ class TestGeneration:
         with pytest.raises(ValueError):
             node.start_generation(-1.0)
 
+    @pytest.mark.parametrize("rate", [float("inf"), float("nan")])
+    def test_non_finite_rate_rejected(self, rate):
+        # An infinite rate would schedule every gap at one instant, and
+        # run() would never return.
+        eng, cfg, node = make_node()
+        with pytest.raises(ValueError, match="finite"):
+            node.start_generation(rate)
+
     def test_deterministic_rate(self):
         eng, cfg, node = make_node(arrival_process="deterministic")
         node.tx.connect(Recorder(eng))

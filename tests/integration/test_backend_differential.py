@@ -11,7 +11,8 @@ simulation semantics and is a bug.  The cases cover every path the
 paper's figures run (1, 2 and 4 VLs, uniform and 50%-centric traffic)
 and the fallbacks around the fused start: weighted VL arbitration,
 per-port routing engines, FIFO injection of bursty multi-packet
-messages, and generation stopped and restarted mid-run.
+messages, and generation stopped and restarted mid-run.  The fused
+source is covered under every VL policy and both injection queues.
 
 The heap side goes through ``build_subnet``'s ``engine=`` seam, and
 asserts that the seam took: a seam that stopped applying would
@@ -49,7 +50,10 @@ def _measure(engine, m, n, seed, load, pattern="uniform", **cfg_kw):
     net = _build(engine, m, n, SimConfig(**cfg_kw), seed)
     net.attach_pattern(make_pattern(pattern, net.num_nodes))
     stats = net.run_measurement(load, warmup_ns=2_000, measure_ns=20_000)
-    return stats, _channels(net), net.engine.events_processed
+    # Per-destination deliveries in full: the fairness index in `stats`
+    # does not change when every count scales alike.
+    per_destination = net.throughput.per_destination
+    return stats, per_destination, _channels(net), net.engine.events_processed
 
 
 @pytest.mark.parametrize("m,n", [(4, 2), (8, 2)])
@@ -113,6 +117,19 @@ def test_measurement_bit_identical_deterministic_arrivals():
             4, 2, "uniform", {"num_vls": 2, "vl_policy": "roundrobin"},
             id="roundrobin-vl-policy",
         ),
+        pytest.param(
+            4, 2, "uniform", {"num_vls": 4, "vl_policy": "random"},
+            id="random-vl-policy",
+        ),
+        pytest.param(
+            8, 2, "centric", {"num_vls": 2, "vl_policy": "dest"},
+            id="dest-vl-policy",
+        ),
+        pytest.param(8, 3, "centric", {}, id="ft8x3-centric-1vl"),
+        pytest.param(
+            4, 2, "centric", {"num_vls": 2, "message_packets": 3},
+            id="per-destination-exponential-messages",
+        ),
     ],
 )
 def test_measurement_bit_identical_multi_vl(m, n, pattern, cfg_kw):
@@ -120,7 +137,13 @@ def test_measurement_bit_identical_multi_vl(m, n, pattern, cfg_kw):
     VLs round-robin from the transmitter's pointer exactly as kick does,
     and the cases around it: weighted arbitration stays on kick(); the
     others run the fused start under per-port routing, bursty
-    FIFO-queued messages and per-packet VL assignment."""
+    FIFO-queued messages and per-packet VL assignment.  The fused
+    source draws the destination, the VL and the gap from the node's
+    stream in the oracle's order: the random VL policy draws between
+    the destination and the gap, the dest and round-robin policies do
+    not draw, fig19's 1-VL centric points queue most of what they
+    generate, and multi-packet exponential messages go through the
+    per-destination queues."""
     heap = _measure("heap", m, n, 1, 0.7, pattern, **cfg_kw)
     wheel = _measure("wheel", m, n, 1, 0.7, pattern, **cfg_kw)
     assert heap == wheel
@@ -157,6 +180,47 @@ def test_stop_and_restart_generation_bit_identical():
     assert heap == wheel
     nodes, _, _, _ = wheel
     assert sum(node[0] for node in nodes) == sum(node[1] for node in nodes) > 0
+
+
+def _nic_fail_revive(engine):
+    """Two NICs die mid-run and come back: while dead, each generation
+    queues its message and the refill drops the queue head; after the
+    revive, a NIC with a free slot faces an injection backlog."""
+    cfg = SimConfig(num_vls=2)
+    net = _build(engine, 4, 2, cfg, 5)
+    net.attach_pattern(make_pattern("uniform", net.num_nodes))
+    rate = cfg.offered_load_to_rate(0.9)
+    for node in net.endnodes:
+        node.start_generation(rate)
+    eng = net.engine
+    nics = [net.endnodes[0].tx, net.endnodes[3].tx]
+    eng.run(until=4_000.0)
+    for tx in nics:
+        tx.fail()
+    eng.run(until=7_000.0)
+    for tx in nics:
+        rx = tx.receiver
+        tx.revive([rx._cap - len(fifo) for fifo in rx._fifos])
+    eng.run(until=15_000.0)
+    for node in net.endnodes:
+        node.stop_generation()
+    eng.run()
+    nodes = [
+        (node.packets_generated, node.packets_received, node.backlog)
+        for node in net.endnodes
+    ]
+    return nodes, _channels(net), eng.events_processed, eng.now
+
+
+def test_nic_fail_and_revive_bit_identical():
+    """The fused source's queueing branches: a dead NIC, and a live
+    one with a free slot behind an injection backlog, take the
+    oracle's push-and-refill."""
+    heap = _nic_fail_revive("heap")
+    wheel = _nic_fail_revive("wheel")
+    assert heap == wheel
+    _, channels, _, _ = wheel
+    assert sum(dropped for dropped, _ in channels) > 0
 
 
 def _failover_row(engine):

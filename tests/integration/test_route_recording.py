@@ -9,7 +9,9 @@ the static verifier together.
 import pytest
 
 from repro.core.verification import trace_path
+from repro.ib import endnode
 from repro.ib.config import SimConfig
+from repro.ib.packet import Packet
 from repro.ib.subnet import build_subnet
 from repro.topology.labels import format_switch
 from repro.traffic import UniformPattern
@@ -34,7 +36,7 @@ def test_single_packet_route_matches_static_trace(scheme):
 
 
 @pytest.mark.parametrize("scheme", ["mlid", "slid"])
-def test_loaded_run_routes_all_match(scheme):
+def test_loaded_run_routes_all_match(scheme, monkeypatch):
     """Under real load with contention, every delivered packet still
     took exactly its statically predicted route (deterministic
     forwarding is load-independent)."""
@@ -42,17 +44,20 @@ def test_loaded_run_routes_all_match(scheme):
     net = build_subnet(4, 2, scheme, cfg, seed=3)
     net.attach_pattern(UniformPattern(net.num_nodes))
 
-    captured = []
-    for node in net.endnodes:
-        original = node._consumed
+    # Every packet the sources build, recorded at construction: the
+    # fused sink consumes packets without a per-node method to hook.
+    generated = []
 
-        def capture(packet, _orig=original):
-            captured.append(packet)
-            _orig(packet)
+    class RecordedPacket(Packet):
+        __slots__ = ()
 
-        node._consumed = capture
+        def __init__(self, *args):
+            super().__init__(*args)
+            generated.append(self)
 
+    monkeypatch.setattr(endnode, "Packet", RecordedPacket)
     net.run_measurement(0.4, warmup_ns=2_000, measure_ns=20_000)
+    captured = [p for p in generated if p.t_delivered >= 0]
     assert len(captured) > 100
     for p in captured:
         static = trace_path(

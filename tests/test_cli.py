@@ -67,6 +67,18 @@ BAD_INPUT = [
     ),
     (["trace", "4", "2", "95", "00"], "node '95': p0 must be in [0, 4), got (9, 5)"),
     (["trace", "4", "2", "00", "00"], "src and dst are both P(00)"),
+    (["sweep", "4", "2", "--vls", "0"], "argument --vls: num_vls must be in [1, 15], got 0"),
+    (
+        ["sweep", "4", "2", "--loads", "-0.1"],
+        "argument --loads: bad loads list '-0.1': offered load must be a finite number >= 0",
+    ),
+    (
+        ["probe", "4", "2", "--load", "-1"],
+        "argument --load: offered load must be a finite number >= 0, got '-1'",
+    ),
+    (["probe", "4", "2", "--pattern", "bogus"], "argument --pattern: invalid choice: 'bogus'"),
+    (["faults", "4", "2", "-1"], "argument count: count must be >= 0, got -1"),
+    (["faults", "4", "2", "100"], "argument count: FT(4, 2) has 8 switch links, asked to fail 100"),
 ]
 
 
@@ -74,8 +86,9 @@ BAD_INPUT = [
     "argv,problem", BAD_INPUT, ids=[" ".join(argv) for argv, _ in BAD_INPUT]
 )
 def test_bad_fabric_or_node_exits_with_one_line(argv, problem, capsys):
-    # An invalid FT(m, n) is a usage error (exit 2) before any work
-    # starts; a bad trace endpoint exits 1.  Neither is a traceback.
+    # An invalid FT(m, n), VL count, load, pattern or link count is a
+    # usage error (exit 2) before any work starts; a bad trace endpoint
+    # exits 1.  Neither is a traceback.
     with pytest.raises(SystemExit) as exc:
         main(argv)
     if exc.value.code == 2:
