@@ -7,9 +7,9 @@ so the EXPERIMENTS.md evidence can be regenerated at any time.
 
 Set ``REPRO_BENCH_FULL=1`` to sweep the full load grids (slow; this is
 what the committed EXPERIMENTS.md numbers used).  Quick runs write their
-timing outputs (``BENCH_*.json`` and the throughput tables) under the
-git-ignored ``benchmarks/out/``, so a smoke run leaves the tree clean;
-full runs write the tracked files in ``results/``.
+timing outputs (``BENCH_*.json``) under the git-ignored
+``benchmarks/out/``, so a smoke run leaves the tree clean; full runs
+write the tracked files in ``results/``.
 """
 
 from __future__ import annotations
@@ -159,18 +159,5 @@ def save_result():
         print(text)
         RESULTS_DIR.mkdir(exist_ok=True)
         (RESULTS_DIR / f"{name}.txt").write_text(text, encoding="utf-8")
-
-    return _save
-
-
-@pytest.fixture
-def save_timing():
-    """Persist a throughput bench's rendered table (:func:`timing_dir`)."""
-
-    def _save(name: str, text: str) -> None:
-        print()
-        print(text)
-        full = os.environ.get("REPRO_BENCH_FULL", "0") == "1"
-        (timing_dir(full) / f"{name}.txt").write_text(text, encoding="utf-8")
 
     return _save

@@ -23,8 +23,8 @@ Two gates from DESIGN.md §11, updated for the §15 fast path:
   FT(16, 2) so CI exercises the same path in seconds.
 
 The scale sweep uses per-port routing engines
-(``routing_engines_per_switch=0``, the paper's switch model, as in
-``test_engine_throughput.py``): with the default shared-engine pool
+(``routing_engines_per_switch=0``, the paper's switch model): with the
+default shared-engine pool
 every FT(32, 3) curve saturates at the engine bound near offered 0.08
 and the load grid would be flat.
 

@@ -65,6 +65,7 @@ from repro.experiments import (
     run_sweep,
     to_csv,
 )
+from repro.experiments.flowlevel import SUPPORTED_PATTERNS
 from repro.experiments.parallel import normalize_jobs
 from repro.ib.config import SimConfig
 from repro.topology import FatTree
@@ -74,7 +75,7 @@ from repro.topology.labels import (
     format_switch,
     validate_node_label,
 )
-from repro.traffic import available_patterns
+from repro.traffic import available_patterns, make_pattern
 
 __all__ = ["main", "build_parser"]
 
@@ -180,7 +181,7 @@ def _parse_list(text: str, what: str, convert: Callable, example: str) -> list:
 def _seed(text: str) -> int:
     seed = int(text)
     if seed < 0:
-        raise ValueError(f"negative seed {seed}")
+        raise ValueError(f"seed must be >= 0, got {seed}")
     return seed
 
 
@@ -202,20 +203,29 @@ def _int_arg(check: Callable[[int], object]) -> Callable[[str], int]:
     return parse
 
 
-def _load(text: str) -> float:
-    """An offered load: a finite number >= 0."""
-    load = float(text)
-    if not (math.isfinite(load) and load >= 0):
-        raise ValueError(f"offered load must be a finite number >= 0, got {text!r}")
-    return load
+def _nonnegative(text: str, what: str = "offered load") -> float:
+    """A finite number >= 0: an offered load, or the quantity ``what``
+    names."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{what} must be a finite number >= 0, got {text!r}")
+    return value
 
 
-def _load_arg(text: str) -> float:
-    """An argparse ``type=`` for one offered load."""
-    try:
-        return _load(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _float_arg(what: str) -> Callable[[str], float]:
+    """An argparse ``type=`` for one finite number >= 0."""
+
+    def parse(text: str) -> float:
+        try:
+            return _nonnegative(text, what)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
+
+
+_load_arg = _float_arg("offered load")
+_time_arg = _float_arg("time (ns)")
 
 
 def _loads_arg(text: str) -> list:
@@ -225,7 +235,7 @@ def _loads_arg(text: str) -> list:
         if not tok.strip():
             continue
         try:
-            loads.append(_load(tok))
+            loads.append(_nonnegative(tok))
         except ValueError as exc:
             raise argparse.ArgumentTypeError(
                 f"bad loads list {text!r}: {exc}"
@@ -272,6 +282,24 @@ def _add_arity_args(parser: argparse.ArgumentParser) -> None:
 
 
 _jobs_arg = _int_arg(normalize_jobs)
+
+
+def _pattern_problem(args: argparse.Namespace) -> Optional[str]:
+    """Why ``--pattern`` cannot drive this FT(m, n) run, or None: flow
+    and hybrid points take only the flow model's patterns, and a
+    pattern may need a node count of some shape (transpose: a
+    square)."""
+    mode = getattr(args, "mode", "packet")
+    if mode != "packet" and args.pattern not in SUPPORTED_PATTERNS:
+        return (
+            f"{mode} mode takes {', '.join(SUPPORTED_PATTERNS)}, "
+            f"got {args.pattern!r}"
+        )
+    try:
+        make_pattern(args.pattern, FatTree(args.m, args.n).num_nodes)
+    except ValueError as exc:
+        return f"{args.pattern} on FT({args.m}, {args.n}): {exc}"
+    return None
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
@@ -470,8 +498,6 @@ def _failover_link(args: argparse.Namespace, ft: FatTree) -> tuple:
 def _cmd_failover(args: argparse.Namespace) -> int:
     from repro.experiments.failover import run_failover
 
-    if args.load < 0:
-        raise SystemExit(f"--load {args.load} must be non-negative (0 = no traffic)")
     if args.recover_at <= args.fail_at:
         raise SystemExit(
             f"--recover-at {args.recover_at} must follow --fail-at {args.fail_at}"
@@ -709,7 +735,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="number of random failed links",
     )
     p.add_argument("--scheme", default="mlid", choices=["mlid", "slid"])
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_arg(_seed), default=0)
     p.set_defaults(func=_cmd_faults)
 
     p = sub.add_parser(
@@ -731,31 +757,31 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=0, help="victim 0-based port (default: 0)"
     )
     p.add_argument(
-        "--fail-at", type=float, default=20_000.0, help="link-down time (ns)"
+        "--fail-at", type=_time_arg, default=20_000.0, help="link-down time (ns)"
     )
     p.add_argument(
-        "--recover-at", type=float, default=60_000.0, help="link-up time (ns)"
+        "--recover-at", type=_time_arg, default=60_000.0, help="link-up time (ns)"
     )
     p.add_argument(
         "--detect-latency",
-        type=float,
+        type=_time_arg,
         default=500.0,
         help="SM detection latency (ns; 0 = oracle SM)",
     )
     p.add_argument(
         "--program-time",
-        type=float,
+        type=_time_arg,
         default=200.0,
         help="LFT programming time per modified switch (ns)",
     )
     p.add_argument(
         "--load",
-        type=float,
+        type=_load_arg,
         default=0.0,
         help="offered load in bytes/ns/node (0 = control plane only)",
     )
-    p.add_argument("--pattern", default="uniform")
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--pattern", default="uniform", choices=available_patterns())
+    p.add_argument("--seed", type=_int_arg(_seed), default=1)
     p.add_argument(
         "--json",
         action="store_true",
@@ -836,11 +862,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("list", help="list experiments, schemes, patterns")
     p.set_defaults(func=_cmd_list)
 
+    for p in sub.choices.values():
+        p.set_defaults(usage_error=p.error)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    # A pattern that does not fit the fabric or the mode is a usage
+    # error too; it needs m, n and --mode, whatever their order.
+    if getattr(args, "pattern", None) is not None:
+        problem = _pattern_problem(args)
+        if problem is not None:
+            args.usage_error(f"argument --pattern: {problem}")
     return args.func(args)
 
 

@@ -40,27 +40,17 @@ class SimConfig:
     #: Packets per message ("messages are sent as packets"); the
     #: generator emits whole messages, all packets to one destination
     #: on one VL back-to-back, and message latency is measured at the
-    #: delivery of the last packet.  The paper's runs use single-packet
-    #: messages (its packet size *is* its message size).
+    #: delivery of the last packet.  Generation is a Poisson process
+    #: of the requested packet rate: a message waits one exponential
+    #: gap per packet.  The paper's runs use single-packet messages
+    #: (its packet size *is* its message size).
     message_packets: int = 1
     num_vls: int = 1
     buffer_packets_per_vl: int = 1
-    #: VL assignment policy at the source: "hash" (per src/dst pair),
-    #: "roundrobin" (per-source counter), "random", or "dest"
-    #: (vl = dst_pid mod num_vls — partitions destinations into VL
-    #: classes, the basis of the QoS ablation A8).
+    #: VL assignment policy at the source: "hash" (per src/dst pair)
+    #: or "dest" (vl = dst_pid mod num_vls — partitions destinations
+    #: into VL classes, the basis of the QoS ablation A8).
     vl_policy: str = "hash"
-    #: Packet inter-generation times: "exponential" (Poisson process of
-    #: the requested mean rate), "deterministic" (fixed period), or
-    #: "onoff" (bursty two-state process: ON periods emit at
-    #: ``onoff_peak_ratio`` times the mean rate, OFF periods are
-    #: silent; the duty cycle keeps the requested mean).
-    arrival_process: str = "exponential"
-    #: For "onoff": the ON-state rate as a multiple of the mean rate
-    #: (also sets the duty cycle: ON fraction = 1/peak_ratio).
-    onoff_peak_ratio: float = 4.0
-    #: For "onoff": mean packets emitted per ON burst.
-    onoff_burst_packets: float = 8.0
     #: VL arbitration at every transmitter: "roundrobin" (the paper's
     #: model) or "weighted" (IBA VLArbitration low-priority table with
     #: per-VL weights from ``vl_weights``; see repro.ib.vl_arbitration).
@@ -110,16 +100,8 @@ class SimConfig:
             raise ValueError("message_packets must be >= 1")
         if self.buffer_packets_per_vl < 1:
             raise ValueError("buffer_packets_per_vl must be >= 1")
-        if self.vl_policy not in ("hash", "roundrobin", "random", "dest"):
+        if self.vl_policy not in ("hash", "dest"):
             raise ValueError(f"unknown vl_policy {self.vl_policy!r}")
-        if self.arrival_process not in ("exponential", "deterministic", "onoff"):
-            raise ValueError(
-                f"unknown arrival_process {self.arrival_process!r}"
-            )
-        if self.onoff_peak_ratio <= 1.0:
-            raise ValueError("onoff_peak_ratio must exceed 1")
-        if self.onoff_burst_packets < 1.0:
-            raise ValueError("onoff_burst_packets must be >= 1")
         if self.vl_arbitration not in ("roundrobin", "weighted"):
             raise ValueError(
                 f"unknown vl_arbitration {self.vl_arbitration!r}"

@@ -2,10 +2,10 @@
 
 **Producer.**  A constant-mean-rate generation process (the paper: "the
 packet generation rate is constant and the same for all processing
-nodes"; inter-arrival times are exponential by default, deterministic
-optionally) draws a destination from the traffic pattern, builds the
-packet with the routing scheme's DLID, assigns a VL per the configured
-policy and hands it to the *injection queue*.  Whatever the fabric
+nodes"; inter-arrival times are exponential, a Poisson process) draws
+a destination from the traffic pattern, builds the packet with the
+routing scheme's DLID, assigns a VL per the configured policy and
+hands it to the *injection queue*.  Whatever the fabric
 cannot carry accumulates there — this is offered traffic, which is how
 the paper drives the network past saturation.
 
@@ -41,7 +41,7 @@ from typing import Callable, Deque, List, Optional
 import numpy as np
 
 from repro.ib.config import SimConfig
-from repro.ib.fastpath import _credit_cb, _start
+from repro.ib.fastpath import _start
 from repro.ib.link import Transmitter
 from repro.ib.packet import Packet
 from repro.sim.engine import Engine
@@ -79,9 +79,8 @@ class PerDestinationInjection:
     ring per VL holds the keys of that VL's non-empty queues, in
     round-robin order; ``pull`` serves the ring head and re-appends it
     while its queue stays non-empty.  So ``pull(vl)`` returns only
-    packets of ``vl``, also under the per-packet VL policies
-    (``roundrobin``, ``random``) that spread one destination over
-    several VLs.
+    packets of ``vl``, whatever VL each packet of a destination
+    carries.
     """
 
     def __init__(self, num_vls: int):
@@ -172,20 +171,18 @@ class Endnode:
         self.throughput: Optional[ThroughputMeter] = None
         self.packets_generated = 0
         self.packets_received = 0
-        self._vl_rr = 0
         self._interval: float = 0.0
         self._gen_event = None
         self._gen_cb = None
-        self._burst_left = 0
         # Hot-loop constants, hoisted out of the per-packet path.
         self._byte_ns = cfg.byte_time_ns
         self._flying_ns = cfg.flying_time_ns
         self._message_packets = cfg.message_packets
         self._packet_bytes = cfg.packet_bytes
-        self._exponential = cfg.arrival_process == "exponential"
         self._num_vls = cfg.num_vls
         self._hash_vl = cfg.vl_policy == "hash"
-        # Reusable per-VL credit-return closures (wheel backend).
+        # Reusable per-VL credit-return closures (the wheel's inlined
+        # sink, fastpath.HopEvent._consumed).
         self._credit_cbs: List[Optional[Callable[[], None]]] = [None] * cfg.num_vls
 
     # ------------------------------------------------------------------
@@ -226,49 +223,31 @@ class Endnode:
             self._gen_event.cancel()
             self._gen_event = None
 
-    def _next_gap(self) -> float:
-        if self._exponential:
-            return float(self.rng.exponential(self._interval))
-        if self.cfg.arrival_process == "onoff":
-            return self._onoff_gap()
-        return self._interval
-
-    def _onoff_gap(self) -> float:
-        """Bursty two-state gaps preserving the mean rate.
-
-        Bursts are geometric with mean ``onoff_burst_packets``; inside a
-        burst, gaps are exponential at ``onoff_peak_ratio`` times the
-        mean rate; between bursts an OFF gap restores the long-run
-        mean: off_mean = burst · interval · (1 - 1/peak_ratio).
-        """
-        ratio = self.cfg.onoff_peak_ratio
-        if self._burst_left > 0:
-            self._burst_left -= 1
-            return float(self.rng.exponential(self._interval / ratio))
-        burst = self.cfg.onoff_burst_packets
-        self._burst_left = int(self.rng.geometric(1.0 / burst))
-        off_mean = burst * self._interval * (1.0 - 1.0 / ratio)
-        return float(
-            self.rng.exponential(off_mean)
-            + self.rng.exponential(self._interval / ratio)
-        )
+    def _message_gap(self) -> float:
+        """Gap to the next message: one exponential draw per packet,
+        summed.  The rate parameter is packets/ns, so a k-packet
+        message is generated every k inter-packet gaps on average."""
+        rng = self.rng
+        interval = self._interval
+        gap = 0.0
+        for _ in range(self._message_packets):
+            gap += rng.exponential(interval)
+        return gap
 
     def _generate(self) -> None:
         """One generation step (the oracle :meth:`_generate_fused`
         mirrors)."""
         self._emit_one()
-        # The rate parameter is packets/ns, so a k-packet message is
-        # generated every k inter-packet gaps on average.
-        gap = 0.0
-        for _ in range(self._message_packets):
-            gap += self._next_gap()
-        self._gen_event = self.engine.schedule_after(gap, self._generate)
+        self._gen_event = self.engine.schedule_after(
+            self._message_gap(), self._generate
+        )
 
     def _generate_fused(self) -> None:
         """One generation step on a fused engine, in one callback:
-        :meth:`_generate` with ``_emit_one``, ``dlid_for``, the hash VL
-        policy, the injection push, ``_refill``, ``Transmitter.accept``,
-        ``_next_gap`` and ``schedule_pooled`` inlined.
+        :meth:`_generate` with ``_emit_one``, ``dlid_for``,
+        ``_assign_vl``, the injection push, ``_refill``,
+        ``Transmitter.accept``, a single packet's gap and
+        ``schedule_pooled`` inlined.
 
         It draws from the node's stream and schedules in the oracle's
         order: destination, VL, the message's queueing (whose NIC start
@@ -289,7 +268,7 @@ class Endnode:
         elif self._hash_vl:
             vl = (pid * 0x9E3779B1 ^ dst_pid * 0x85EBCA77) % nvl
         else:
-            vl = self._assign_vl(dst_pid)
+            vl = dst_pid % nvl  # "dest"
         eng = self.engine
         now = eng.now
         count = self._message_packets
@@ -313,14 +292,10 @@ class Endnode:
                         _start(tx)
                     else:
                         tx.kick()
-        else:
-            self._queue_message(dst_pid, dlid, vl)
-        if self._exponential and count == 1:
             gap = rng.exponential(self._interval)
         else:
-            gap = 0.0
-            for _ in range(count):
-                gap += self._next_gap()
+            self._queue_message(dst_pid, dlid, vl)
+            gap = self._message_gap()
         # engine.schedule_pooled(gap, self._gen_event, self._gen_cb),
         # inlined (WheelEngine internals — see repro.sim.wheel), minus
         # the dead stores: nothing reads the handle's `time`, and
@@ -382,19 +357,13 @@ class Endnode:
             self.choose_destination = saved
 
     def _assign_vl(self, dst_pid: int) -> int:
-        nvl = self.cfg.num_vls
+        nvl = self._num_vls
         if nvl == 1:
             return 0
-        policy = self.cfg.vl_policy
-        if policy == "hash":
+        if self._hash_vl:
             # Cheap deterministic pair hash; spreads flows over VLs.
             return (self.pid * 0x9E3779B1 ^ dst_pid * 0x85EBCA77) % nvl
-        if policy == "roundrobin":
-            self._vl_rr = (self._vl_rr + 1) % nvl
-            return self._vl_rr
-        if policy == "dest":
-            return dst_pid % nvl
-        return int(self.rng.integers(0, nvl))
+        return dst_pid % nvl  # "dest"
 
     def _refill(self, vl: int) -> None:
         """NIC output buffer slot freed: pull the next queued packet."""
@@ -422,6 +391,8 @@ class Endnode:
         )
 
     def _consumed(self, packet: Packet) -> None:
+        """Tail arrival (heap oracle; the wheel runs the inlined
+        :meth:`repro.ib.fastpath.HopEvent._consumed`)."""
         if packet.dst_pid != self.pid:
             raise RuntimeError(
                 f"node {self.pid} received packet for {packet.dst_pid} "
@@ -434,8 +405,7 @@ class Endnode:
         throughput = self.throughput
         if throughput is not None:
             window = throughput.window
-            # window.accepts(now) and record_accepted(...), inlined:
-            # this runs once per delivered packet on both backends.
+            # window.accepts(now) and record_accepted(...), inlined.
             if window.warmup_end <= now <= window.measure_end:
                 # Message latency: recorded at the last packet (the
                 # paper's "time … until the packet is received at the
@@ -454,13 +424,6 @@ class Endnode:
         if upstream is None:
             return  # nobody to return the credit to
         vl = packet.vl
-        if engine.fused:
-            # Pooled credit return: reusable closure, no Event/handle.
-            cb = self._credit_cbs[vl]
-            if cb is None:
-                cb = self._credit_cbs[vl] = _credit_cb(upstream, vl)
-            engine.call_after(self.cfg.flying_time_ns, cb)
-            return
         engine.schedule_after(
             self.cfg.flying_time_ns, lambda: upstream.credit_return(vl)
         )

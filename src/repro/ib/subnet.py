@@ -71,9 +71,14 @@ class Subnet:
     # ------------------------------------------------------------------
     def dlid_for(self, src_pid: int, dst_pid: int) -> int:
         """Path-selected DLID for a (source, destination) PID pair."""
+        num = self.ft.num_nodes
+        if not (0 <= src_pid < num and 0 <= dst_pid < num):
+            raise ValueError(
+                f"PIDs must be in [0, {num}), got ({src_pid}, {dst_pid})"
+            )
         if src_pid == dst_pid:
             raise ValueError(f"src == dst == {src_pid}")
-        return int(self._dlid[src_pid * self.ft.num_nodes + dst_pid])
+        return int(self._dlid[src_pid * num + dst_pid])
 
     def dlid_matrix(self) -> np.ndarray:
         """Every :meth:`dlid_for` answer as a (src, dst) PID matrix view

@@ -1,5 +1,10 @@
 """A deterministic discrete-event engine.
 
+Every production run uses the timing wheel
+(:class:`repro.sim.wheel.WheelEngine`), which reproduces this engine's
+event order exactly; this heap engine is its oracle, reached through
+``build_subnet(..., engine=Engine())`` (DESIGN.md §9).
+
 Design notes
 ------------
 The engine is a classic calendar queue built on :mod:`heapq`.  Each
@@ -10,8 +15,7 @@ what makes simulation runs exactly reproducible for a given seed.
 
 Events carry a plain callback.  Cancellation is *lazy*: a cancelled
 event stays in the heap but is skipped when popped — this is O(1) per
-cancel and keeps the hot loop branch-light, which profiling showed to
-be the engine's bottleneck (see ``benchmarks/test_engine_throughput``).
+cancel and keeps the hot loop branch-light.
 
 Time is modelled in nanoseconds as floats.  All of the paper's timing
 constants (flying time, routing time, byte injection time) are integral

@@ -128,6 +128,44 @@ class TestIncrementalDifferential:
         assert_matches_scalar(kernel, scheme, fs)
 
 
+def _sm_scenario(ft, scenario):
+    """The fault sets an SM re-sweep sequence walks through, in order:
+    one link, four links at once, or a six-step flap of two links."""
+    if scenario == "single-link":
+        return [FaultSet.random(ft, 1, seed=2)]
+    if scenario == "multi-link":
+        return [FaultSet.random(ft, 4, seed=7)]
+    a = FaultSet.random(ft, 1, seed=2).links
+    b = FaultSet.random(ft, 1, seed=3).links
+    assert a != b
+    fa, fb, fab = FaultSet(links=a), FaultSet(links=b), FaultSet(links=a | b)
+    return [fa, fab, fb, fab, fa, fab]
+
+
+@pytest.mark.parametrize("scenario", ["single-link", "multi-link", "flapping"])
+def test_sm_scenarios_ft8x3_scalar_batched_incremental_agree(scenario):
+    """FT(8,3) MLID: at every step of the scenario, the batched repair
+    and the incremental repair (warmed on the fault-free fabric) equal
+    the scalar oracle."""
+    ft, scheme, kernel = ctx(8, 3, "mlid")
+    sets = _sm_scenario(ft, scenario)
+    oracle = {}
+    for fs in sets:
+        if fs not in oracle:
+            oracle[fs] = scalar_tables(scheme, fs)
+    kernel.reset()
+    for fs in sets:
+        result = kernel.repair(fs, incremental=False)
+        np.testing.assert_array_equal(result.array, oracle[fs][0])
+        assert result.repaired_entries == oracle[fs][1]
+    kernel.reset()
+    kernel.repair(FaultSet())
+    for fs in sets:
+        result = kernel.repair(fs)
+        np.testing.assert_array_equal(result.array, oracle[fs][0])
+        assert result.repaired_entries == oracle[fs][1]
+
+
 class TestDisconnectionParity:
     def test_error_message_matches_scalar(self):
         ft, scheme, kernel = ctx(8, 2, "mlid")

@@ -81,6 +81,49 @@ def test_cached_measurement_bit_identical_to_fresh():
     assert fresh == cached
 
 
+def test_figure_cached_equals_fresh_one_build_per_curve():
+    """A whole figure through the cache equals the same points built
+    from scratch, and the cache builds once per (scheme, VL) curve."""
+    from functools import partial
+
+    from repro.experiments.configs import ExperimentConfig
+    from repro.experiments.runner import aggregate_sweep, measure_point, sweep_specs
+    from repro.experiments.sweep import run_figure
+
+    config = ExperimentConfig(
+        id="tiny", title="tiny", m=4, n=2, pattern="centric",
+        schemes=("slid", "mlid"), vl_counts=(1, 2), quick_loads=(0.1, 0.6),
+        quick_seeds=(1, 2), quick_warmup_ns=2_000.0, quick_measure_ns=8_000.0,
+    )
+    fresh = {}
+    for vls in config.vl_counts:
+        cfg = SimConfig().with_vls(vls)
+        for scheme in config.schemes:
+            specs = sweep_specs(
+                config.m, config.n, scheme, config.pattern, config.quick_loads,
+                cfg=cfg, hotspot_fraction=config.hotspot_fraction,
+                warmup_ns=config.quick_warmup_ns,
+                measure_ns=config.quick_measure_ns, seeds=config.quick_seeds,
+            )
+            results = [
+                measure_point(
+                    partial(build_subnet, s.m, s.n, s.scheme, s.cfg, seed=s.seed),
+                    s.pattern, s.offered, hotspot_fraction=s.hotspot_fraction,
+                    warmup_ns=s.warmup_ns, measure_ns=s.measure_ns,
+                )
+                for s in specs
+            ]
+            fresh[(scheme, vls)] = aggregate_sweep(
+                scheme, cfg, config.quick_loads, config.quick_seeds, results
+            )
+    assert artifact_cache_info()["misses"] == 0  # fresh builds skip the cache
+    cached = run_figure(config, quick=True, jobs=1).curves
+    assert artifact_cache_info()["misses"] == len(config.schemes) * len(
+        config.vl_counts
+    )
+    assert cached == fresh
+
+
 def test_artifacts_validated_against_request():
     cfg = SimConfig()
     artifacts = get_artifacts(4, 2, "mlid", cfg)

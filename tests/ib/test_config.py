@@ -1,5 +1,7 @@
 """Tests for SimConfig validation and derived quantities."""
 
+import dataclasses
+
 import pytest
 
 from repro.ib.config import IBA_MAX_DATA_VLS, SimConfig
@@ -52,13 +54,27 @@ def test_offered_load_conversion():
     dict(num_vls=IBA_MAX_DATA_VLS + 1),
     dict(buffer_packets_per_vl=0),
     dict(vl_policy="magic"),
-    dict(arrival_process="pareto"),
+    dict(vl_policy="roundrobin"),
     dict(injection_queueing="lifo"),
     dict(routing_engines_per_switch=-1),
+    dict(vl_policy="random"),
 ])
 def test_invalid_configs_rejected(bad):
     with pytest.raises(ValueError):
         SimConfig(**bad)
+
+
+def test_fifteen_fields():
+    assert len(dataclasses.fields(SimConfig)) == 15
+
+
+@pytest.mark.parametrize(
+    "removed", ["arrival_process", "onoff_peak_ratio", "onoff_burst_packets"]
+)
+def test_removed_arrival_fields_rejected(removed):
+    # Generation is Poisson only: the arrival-process knobs are gone.
+    with pytest.raises(TypeError, match=removed):
+        SimConfig(**{removed: 1})
 
 
 def test_vl_count_up_to_iba_limit():

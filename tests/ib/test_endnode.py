@@ -1,5 +1,6 @@
 """Tests for the endnode: generation, injection queues, sink."""
 
+import itertools
 
 import numpy as np
 import pytest
@@ -121,19 +122,43 @@ class TestGeneration:
         with pytest.raises(ValueError, match="finite"):
             node.start_generation(rate)
 
-    def test_deterministic_rate(self):
-        eng, cfg, node = make_node(arrival_process="deterministic")
-        node.tx.connect(Recorder(eng))
-        node.start_generation(0.001)  # one per 1000 ns
-        eng.run(until=10_500)
-        assert node.packets_generated == 10 or node.packets_generated == 11
-
     def test_exponential_rate_mean(self):
-        eng, cfg, node = make_node(arrival_process="exponential")
+        eng, cfg, node = make_node()
         node.tx.connect(Recorder(eng))
         node.start_generation(0.01)
         eng.run(until=100_000)
         assert node.packets_generated == pytest.approx(1000, rel=0.15)
+
+    @pytest.mark.parametrize("engine", [Engine, WheelEngine], ids=["heap", "wheel"])
+    @pytest.mark.parametrize("packets", [1, 3])
+    def test_gap_is_one_exponential_draw_per_packet(self, engine, packets):
+        """After a uniform initial phase, each message waits the sum of
+        one exponential draw per packet, in the oracle (heap) and in
+        the fused source (wheel, with a DLID row) alike."""
+        eng = engine()
+        cfg = SimConfig(message_packets=packets)
+        node = Endnode(eng, cfg, pid=0, slid=1, rng=np.random.default_rng(4))
+        node.dlid_for = lambda s, d: d + 1
+        node.dlid_row = [d + 1 for d in range(4)]
+        node.tx.connect(Recorder(eng))
+        times = []
+        node.choose_destination = lambda rng: times.append(eng.now) or 1
+        rate = 0.01
+        node.start_generation(rate)
+        eng.run(until=5_000)
+        replica = np.random.default_rng(4)
+        interval = 1.0 / rate
+        t = replica.uniform(0.0, interval)
+        expected = []
+        while t <= 5_000:
+            expected.append(t)
+            gap = 0.0
+            for _ in range(packets):
+                gap += replica.exponential(interval)
+            t += gap
+        assert len(expected) > 10
+        assert times == expected
+        assert node.packets_generated == packets * len(expected)
 
     def test_self_traffic_detected(self):
         eng, cfg, node = make_node()
@@ -172,15 +197,39 @@ class TestVlAssignment:
         vls = {node.send_now(d).vl for d in range(1, 30)}
         assert len(vls) > 1
 
-    def test_roundrobin_policy_cycles(self):
-        eng, cfg, node = make_node(num_vls=2, vl_policy="roundrobin")
-        vls = [node.send_now(3).vl for _ in range(4)]
-        assert vls == [1, 0, 1, 0]
+    def test_dest_policy_partitions_destinations(self):
+        eng, cfg, node = make_node(num_vls=4, vl_policy="dest")
+        assert [node.send_now(d).vl for d in range(1, 9)] == [1, 2, 3, 0] * 2
 
-    def test_random_policy_in_range(self):
-        eng, cfg, node = make_node(num_vls=4, vl_policy="random")
-        for _ in range(20):
-            assert 0 <= node.send_now(3).vl < 4
+    @pytest.mark.parametrize("policy", ["hash", "dest"])
+    def test_fused_source_assigns_the_oracle_vl(self, policy, monkeypatch):
+        """The fused source inlines ``_assign_vl``.  A relabelling of
+        the VLs leaves every aggregate statistic of a run unchanged, so
+        the differential suite cannot see one; each generated packet's
+        VL is checked here instead."""
+        import repro.ib.endnode as endnode_module
+
+        made = []
+
+        class RecordedPacket(Packet):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(endnode_module, "Packet", RecordedPacket)
+        eng = WheelEngine()
+        cfg = SimConfig(num_vls=4, vl_policy=policy)
+        node = Endnode(eng, cfg, pid=3, slid=4, rng=np.random.default_rng(0))
+        node.dlid_row = [d + 1 for d in range(16)]
+        node.tx.connect(Recorder(eng))
+        destinations = itertools.cycle([d for d in range(16) if d != 3])
+        node.choose_destination = lambda rng: next(destinations)
+        node.start_generation(0.01)
+        eng.run(until=5_000)
+        assert len(made) > 30
+        assert [p.vl for p in made] == [node._assign_vl(p.dst_pid) for p in made]
 
 
 class TestNicPath:

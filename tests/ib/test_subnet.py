@@ -47,6 +47,15 @@ def test_dlid_for_self_rejected():
         net.dlid_for(3, 3)
 
 
+@pytest.mark.parametrize("src,dst", [(0, 8), (0, -1), (8, 0), (-1, 0)])
+def test_dlid_for_out_of_range_rejected(src, dst):
+    """The flattened matrix would answer (0, 8) with pair (1, 0)'s DLID
+    and wrap a negative PID to the other end; both are errors."""
+    net = build_subnet(4, 2)
+    with pytest.raises(ValueError, match=r"\[0, 8\)"):
+        net.dlid_for(src, dst)
+
+
 class TestSinglePacketTiming:
     """Closed-form end-to-end latency of one unloaded packet."""
 

@@ -1,60 +1,11 @@
-"""Tests for ON/OFF arrivals and the fairness metric."""
+"""Tests for the receive-fairness metric."""
 
 import math
 
 import pytest
 
-from repro.ib.config import SimConfig
 from repro.ib.subnet import build_subnet
 from repro.traffic import CentricPattern, UniformPattern
-
-
-class TestOnOffArrivals:
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SimConfig(arrival_process="onoff", onoff_peak_ratio=1.0)
-        with pytest.raises(ValueError):
-            SimConfig(arrival_process="onoff", onoff_burst_packets=0.5)
-
-    def test_mean_rate_preserved(self):
-        """Long-run generated packet count matches the requested mean."""
-        cfg = SimConfig(arrival_process="onoff")
-        net = build_subnet(4, 2, "mlid", cfg, seed=3)
-        net.attach_pattern(UniformPattern(net.num_nodes))
-        rate = cfg.offered_load_to_rate(0.1)
-        for node in net.endnodes:
-            node.start_generation(rate)
-        horizon = 600_000.0
-        net.engine.run(until=horizon)
-        generated = sum(nd.packets_generated for nd in net.endnodes)
-        expected = rate * horizon * net.num_nodes
-        assert generated == pytest.approx(expected, rel=0.12)
-
-    def test_burstier_than_poisson(self):
-        """ON/OFF inter-arrival gaps have a higher coefficient of
-        variation than the exponential process."""
-        import numpy as np
-
-        cvs = {}
-        for process in ("exponential", "onoff"):
-            cfg = SimConfig(arrival_process=process)
-            net = build_subnet(4, 2, "mlid", cfg, seed=5)
-            node = net.endnodes[0]
-            node._interval = 1000.0
-            gaps = np.array([node._next_gap() for _ in range(4000)])
-            cvs[process] = gaps.std() / gaps.mean()
-        assert cvs["onoff"] > 1.3 * cvs["exponential"]
-
-    def test_bursty_traffic_raises_latency(self):
-        """At equal mean load, bursty arrivals queue more."""
-        lat = {}
-        for process in ("exponential", "onoff"):
-            cfg = SimConfig(arrival_process=process)
-            net = build_subnet(8, 2, "mlid", cfg, seed=2)
-            net.attach_pattern(UniformPattern(net.num_nodes))
-            res = net.run_measurement(0.2, warmup_ns=10_000, measure_ns=60_000)
-            lat[process] = res["latency_mean"]
-        assert lat["onoff"] > lat["exponential"]
 
 
 class TestFairness:

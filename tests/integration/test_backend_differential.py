@@ -10,9 +10,9 @@ means the scheduler or the fused hop path (repro.ib.fastpath) changed
 simulation semantics and is a bug.  The cases cover every path the
 paper's figures run (1, 2 and 4 VLs, uniform and 50%-centric traffic)
 and the fallbacks around the fused start: weighted VL arbitration,
-per-port routing engines, FIFO injection of bursty multi-packet
-messages, and generation stopped and restarted mid-run.  The fused
-source is covered under every VL policy and both injection queues.
+per-port routing engines, FIFO injection of multi-packet messages,
+and generation stopped and restarted mid-run.  The fused source is
+covered under both VL policies and both injection queues.
 
 The heap side goes through ``build_subnet``'s ``engine=`` seam, and
 asserts that the seam took: a seam that stopped applying would
@@ -74,16 +74,26 @@ def test_measurement_bit_identical_contended():
     assert heap == wheel
 
 
-def test_measurement_bit_identical_deterministic_arrivals():
-    heap = _measure(
-        "heap", 8, 2, 2, 0.2,
-        arrival_process="deterministic", message_packets=4,
-    )
-    wheel = _measure(
-        "wheel", 8, 2, 2, 0.2,
-        arrival_process="deterministic", message_packets=4,
-    )
+def test_measurement_bit_identical_multi_packet_messages():
+    heap = _measure("heap", 8, 2, 2, 0.2, message_packets=4)
+    wheel = _measure("wheel", 8, 2, 2, 0.2, message_packets=4)
     assert heap == wheel
+
+
+def test_per_port_buffered_messages_ft8x3_bit_identical_and_repeatable():
+    """FT(8,3) uniform at 0.22 with per-port routing engines, 4-packet
+    buffers and 4-packet messages: the backends agree, and a second
+    run of either backend repeats the first exactly."""
+    cfg_kw = dict(
+        routing_engines_per_switch=0, buffer_packets_per_vl=4, message_packets=4
+    )
+    runs = {
+        engine: [_measure(engine, 8, 3, 1, 0.22, **cfg_kw) for _ in range(2)]
+        for engine in ENGINES
+    }
+    assert runs["heap"][0] == runs["heap"][1]
+    assert runs["wheel"][0] == runs["wheel"][1]
+    assert runs["heap"][0] == runs["wheel"][0]
 
 
 @pytest.mark.parametrize(
@@ -105,22 +115,11 @@ def test_measurement_bit_identical_deterministic_arrivals():
         ),
         pytest.param(
             4, 2, "centric",
-            {
-                "num_vls": 2,
-                "injection_queueing": "fifo",
-                "message_packets": 3,
-                "arrival_process": "onoff",
-            },
-            id="fifo-onoff-messages",
+            {"num_vls": 2, "injection_queueing": "fifo", "message_packets": 3},
+            id="fifo-messages",
         ),
-        pytest.param(
-            4, 2, "uniform", {"num_vls": 2, "vl_policy": "roundrobin"},
-            id="roundrobin-vl-policy",
-        ),
-        pytest.param(
-            4, 2, "uniform", {"num_vls": 4, "vl_policy": "random"},
-            id="random-vl-policy",
-        ),
+        pytest.param(4, 2, "uniform", {"num_vls": 2}, id="ft4x2-uniform-2vl"),
+        pytest.param(4, 2, "uniform", {"num_vls": 4}, id="ft4x2-uniform-4vl"),
         pytest.param(
             8, 2, "centric", {"num_vls": 2, "vl_policy": "dest"},
             id="dest-vl-policy",
@@ -136,13 +135,11 @@ def test_measurement_bit_identical_multi_vl(m, n, pattern, cfg_kw):
     """The figures' 2- and 4-VL points, where the fused start scans the
     VLs round-robin from the transmitter's pointer exactly as kick does,
     and the cases around it: weighted arbitration stays on kick(); the
-    others run the fused start under per-port routing, bursty
-    FIFO-queued messages and per-packet VL assignment.  The fused
-    source draws the destination, the VL and the gap from the node's
-    stream in the oracle's order: the random VL policy draws between
-    the destination and the gap, the dest and round-robin policies do
-    not draw, fig19's 1-VL centric points queue most of what they
-    generate, and multi-packet exponential messages go through the
+    others run the fused start under per-port routing, FIFO-queued
+    multi-packet messages and the dest VL policy.  The fused source
+    draws the destination and the gap from the node's stream in the
+    oracle's order: fig19's 1-VL centric points queue most of what
+    they generate, and multi-packet messages go through the
     per-destination queues."""
     heap = _measure("heap", m, n, 1, 0.7, pattern, **cfg_kw)
     wheel = _measure("wheel", m, n, 1, 0.7, pattern, **cfg_kw)

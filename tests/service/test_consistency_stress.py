@@ -7,8 +7,9 @@ archived LFTs of *some* published generation — the generation the
 answer itself claims.  A torn read (a query spanning two generations,
 or a snapshot built mid-sweep) would diverge from every archive entry.
 
-Also asserted: generations observed per reader are monotonic, and the
-store's publish sequence is strictly increasing.  A hypothesis test
+Also asserted: generations observed per reader, and per TCP
+connection, are monotonic, and the store's publish sequence is strictly
+increasing.  A hypothesis test
 drives :class:`SnapshotStore.publish` with arbitrary generation
 sequences to pin down the monotonic/no-op contract exactly.
 """
@@ -140,6 +141,112 @@ def test_stress_bit_identity_under_storm():
         for dst in range(ft.num_nodes):
             if src != dst:
                 final.trace(src, dst)
+
+
+def _tcp_reader(port, nodes, seed, out):
+    """One connection's (generation, op, src, dst, answer) stream, 3:1
+    dlid:path; a path through a mid-repair black hole is an error frame
+    with no generation, so it is left out."""
+    from repro.service import ServiceClient
+    from repro.service.client import ServiceError
+
+    rng = np.random.default_rng(seed)
+    seen = []
+    with ServiceClient("127.0.0.1", port) as c:
+        for i in range(QUERIES_PER_READER // 3):
+            src = int(rng.integers(nodes))
+            dst = int(rng.integers(nodes - 1))
+            dst += dst >= src
+            if i % 4 == 3:
+                try:
+                    resp = c.path(src, dst)
+                except ServiceError:
+                    continue
+                answer = (resp["dlid"], resp["switches"], resp["ports"])
+                seen.append((resp["generation"], "path", src, dst, answer))
+            else:
+                resp = c.dlid(src, dst)
+                seen.append((resp["generation"], "dlid", src, dst, resp["dlid"]))
+            time.sleep(READ_PAUSE_S)
+    out[seed] = seen
+
+
+def test_tcp_answers_follow_the_archive_under_storm():
+    """Over the wire, under the same storm: each connection's
+    generations never move backwards, and every answer equals a kernel
+    compiled from the archived LFTs of the generation it names."""
+    import asyncio
+
+    from repro.service import RouteQueryServer, ServiceClient
+    from repro.topology.labels import format_switch
+
+    storm = LinkFlapStorm(
+        4, 2, "mlid", flap_links=2, horizon_ns=120_000.0, pace_s=0.005,
+        keep_lfts=True,
+    )
+    service = RouteQueryService(storm.store, storm=storm)
+    server = RouteQueryServer(service, telemetry_interval_s=0.5)
+    started = threading.Event()
+
+    def serve():
+        loop = asyncio.new_event_loop()
+        asyncio.set_event_loop(loop)
+        loop.run_until_complete(server.start())
+        started.set()
+        loop.run_until_complete(server.serve_until_shutdown())
+        loop.close()
+
+    server_thread = threading.Thread(target=serve, daemon=True)
+    server_thread.start()
+    assert started.wait(10)
+    nodes = service.ft.num_nodes
+    out = {}
+    try:
+        with storm:
+            readers = [
+                threading.Thread(
+                    target=_tcp_reader, args=(server.port, nodes, seed, out)
+                )
+                for seed in (21, 22)
+            ]
+            for r in readers:
+                r.start()
+            for r in readers:
+                r.join()
+            deadline = time.monotonic() + 60
+            while storm.running() and time.monotonic() < deadline:
+                time.sleep(0.005)
+    finally:
+        with ServiceClient("127.0.0.1", server.port, timeout_s=5.0) as c:
+            c.shutdown()
+        server_thread.join(timeout=10)
+    assert not server_thread.is_alive()
+    assert sorted(out) == [21, 22], "a reader crashed"
+    # The connections saw the storm republish, not one snapshot.
+    assert len({g for seen in out.values() for g, *_ in seen}) > 2
+
+    archive = storm.publisher.lft_archive
+    ft = service.ft
+    oracles = {}
+    for seen in out.values():
+        generations = [g for g, *_ in seen]
+        assert generations == sorted(generations)
+        for generation, op, src, dst, answer in seen:
+            kernel = oracles.get(generation)
+            if kernel is None:
+                kernel = oracles[generation] = RouteKernel.from_lfts(
+                    storm.mgr.scheme, archive[generation]
+                )
+            if op == "dlid":
+                assert answer == int(kernel.selected[src, dst])
+                continue
+            trace = kernel.path(ft.node_from_pid(src), ft.node_from_pid(dst))
+            expected = (
+                trace.dlid,
+                [format_switch(*sw) for sw in trace.switches],
+                list(trace.ports),
+            )
+            assert answer == expected, (generation, src, dst)
 
 
 def test_zero_delta_sweeps_do_not_republish():

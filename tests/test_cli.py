@@ -79,6 +79,40 @@ BAD_INPUT = [
     (["probe", "4", "2", "--pattern", "bogus"], "argument --pattern: invalid choice: 'bogus'"),
     (["faults", "4", "2", "-1"], "argument count: count must be >= 0, got -1"),
     (["faults", "4", "2", "100"], "argument count: FT(4, 2) has 8 switch links, asked to fail 100"),
+    (["faults", "4", "2", "1", "--seed", "-1"], "argument --seed: seed must be >= 0, got -1"),
+    *(
+        (
+            [command, "4", "2", "--pattern", "transpose"],
+            "argument --pattern: transpose on FT(4, 2): num_nodes must be a perfect square, got 8",
+        )
+        for command in ("probe", "sweep", "failover")
+    ),
+    (
+        ["sweep", "4", "2", "--pattern", "ring", "--mode", "flow"],
+        "argument --pattern: flow mode takes uniform, centric, got 'ring'",
+    ),
+    (
+        ["failover", "4", "2", "--load", "0.3", "--pattern", "bogus"],
+        "argument --pattern: invalid choice: 'bogus'",
+    ),
+    (
+        ["failover", "4", "2", "--load", "nan"],
+        "argument --load: offered load must be a finite number >= 0, got 'nan'",
+    ),
+    *(
+        (
+            ["failover", "4", "2", flag, value],
+            f"argument {flag}: time (ns) must be a finite number >= 0, got {value!r}",
+        )
+        for flag, value in [
+            ("--fail-at", "nan"),
+            ("--fail-at", "-5"),
+            ("--recover-at", "inf"),
+            ("--detect-latency", "-1"),
+            ("--program-time", "-5"),
+        ]
+    ),
+    (["failover", "4", "2", "--seed", "-1"], "argument --seed: seed must be >= 0, got -1"),
 ]
 
 
@@ -384,18 +418,25 @@ def test_failover_victim_from_level_and_port(victim, shown, capsys):
         (["--switch", "7"], "has no switch SW<7, 0>"),
         (["--switch", "x"], "label 'x' must have exactly 1 digits"),
         # A negative load is not read as "no traffic".
-        (["--load", "-0.5"], "--load -0.5 must be non-negative"),
+        (
+            ["--load", "-0.5"],
+            "argument --load: offered load must be a finite number >= 0, got '-0.5'",
+        ),
     ],
     ids=[
         "port-too-high", "port-negative", "node-port", "unknown-level",
         "unknown-switch", "non-digit-switch", "negative-load",
     ],
 )
-def test_failover_bad_victim_rejected(victim, problem):
-    # A one-line exit naming the problem, before any simulation runs.
+def test_failover_bad_victim_rejected(victim, problem, capsys):
+    # A one-line exit naming the problem, before any simulation runs: a
+    # usage error (exit 2) for a bad option value, a message otherwise.
     with pytest.raises(SystemExit) as exc:
         main(["failover", "4", "2", *victim])
-    message = str(exc.value.code)
+    if exc.value.code == 2:
+        message = capsys.readouterr().err.splitlines()[-1]
+    else:
+        message = str(exc.value.code)
     assert problem in message
     assert "\n" not in message
 
