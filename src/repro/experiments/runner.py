@@ -7,8 +7,11 @@ that lifetime).  Every run uses a fresh simulator
 independent (the paper's methodology: one simulation run per generation
 rate); the seed-independent routing artifacts (FatTree, scheme tables,
 LFTs) are reused through the per-process cache of
-:mod:`repro.ib.artifacts`.  A cached point is bit-identical to one
-built from scratch (``build_subnet`` without ``artifacts``), which
+:mod:`repro.ib.artifacts`, and the offered traffic of points that share
+a traffic key through the tapes
+:func:`~repro.experiments.parallel.execute_points` passes in.  A cached
+point is bit-identical to one built from scratch (``build_subnet``
+without ``artifacts`` or ``traffic``), which
 ``tests/ib/test_artifacts.py`` checks.
 
 ``sweep_specs`` lists a curve's packet points in grid order,
@@ -33,6 +36,7 @@ from repro.experiments import flowlevel
 from repro.experiments.parallel import PointSpec
 from repro.ib.artifacts import get_artifacts
 from repro.ib.config import SimConfig
+from repro.ib.endnode import TrafficTapes
 from repro.ib.subnet import Subnet, build_subnet
 from repro.traffic.patterns import make_pattern
 
@@ -108,18 +112,23 @@ def run_point(
     warmup_ns: float = 30_000.0,
     measure_ns: float = 120_000.0,
     seed: int = 1,
+    traffic: Optional[TrafficTapes] = None,
 ) -> dict:
     """Measure one offered-load point on a fresh simulator.
 
     The seed-independent routing artifacts come from
-    :func:`repro.ib.artifacts.get_artifacts`; the engine, switches,
-    endnodes and RNG streams are built fresh, and closed once the point
-    is measured (:func:`measure_point`).
+    :func:`repro.ib.artifacts.get_artifacts`; the engine, switches and
+    endnodes are built fresh, and closed once the point is measured
+    (:func:`measure_point`).  The RNG streams are fresh too, unless
+    ``traffic`` hands in the tapes of points with this point's traffic
+    key (``build_subnet(traffic=...)``).
     """
     cfg = cfg or SimConfig()
     artifacts = get_artifacts(m, n, scheme, cfg)
     return measure_point(
-        lambda: build_subnet(m, n, scheme, cfg, seed=seed, artifacts=artifacts),
+        lambda: build_subnet(
+            m, n, scheme, cfg, seed=seed, artifacts=artifacts, traffic=traffic
+        ),
         pattern,
         offered,
         hotspot_fraction=hotspot_fraction,

@@ -26,6 +26,14 @@ Two injection-queue disciplines (``SimConfig.injection_queueing``):
 latency/throughput, and returns the credit after the packet has fully
 vacated the wire.
 
+**Traffic tape.**  Generation is open loop: a node's draws read only
+its own stream, never the network.  So every point with the same
+seed, fabric, pattern, hot-spot fraction, rate and message size is
+offered the very same packets, whatever its scheme, VL count or
+queueing.  On the wheel the fused source reads its draws through the
+node's tape (:class:`TrafficTapes`): it replays what an earlier point
+recorded and draws, and records, only past the tape's end.
+
 Latency is recorded on two clocks: from generation (includes source
 queueing) and from injection (first byte on the wire — the paper's
 "time elapsed since the packet transmission is initiated until the
@@ -36,7 +44,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Callable, Deque, List, Optional
+from typing import Callable, Deque, List, Optional, Tuple
 
 import numpy as np
 
@@ -45,10 +53,11 @@ from repro.ib.fastpath import _start
 from repro.ib.link import Transmitter
 from repro.ib.packet import Packet
 from repro.sim.engine import Engine
+from repro.sim.rng import spawn_rngs
 from repro.sim.stats import LatencyStats, ThroughputMeter
 from repro.sim.wheel import _G, _M0, _SPAN0
 
-__all__ = ["Endnode", "FifoInjection", "PerDestinationInjection"]
+__all__ = ["Endnode", "FifoInjection", "PerDestinationInjection", "TrafficTapes"]
 
 
 class FifoInjection:
@@ -116,6 +125,41 @@ class PerDestinationInjection:
         return sum(len(q) for q in self._queues.values())
 
 
+class TrafficTapes:
+    """The offered traffic of one traffic key (seed, fabric, pattern,
+    hot-spot fraction, rate, message size): each node's generator and
+    tape.
+
+    A node's tape holds what its stream yields to the fused source, in
+    draw order: at every ``start_generation`` the generation parameters
+    ``(interval, message_packets)`` and the initial phase, then the
+    destination and the gap of each generation step.  The first subnet
+    built on these tapes records them; a later one, through
+    ``build_subnet(traffic=...)``, replays them and continues the
+    shared stream past their end.  Tapes hold numbers only, never a
+    node or a subnet.
+    """
+
+    def __init__(self, seed: Optional[int]):
+        self.seed = seed
+        self.rngs: List[np.random.Generator] = []
+        self.tapes: List[list] = []
+
+    def streams(self, num_nodes: int) -> Tuple[List[np.random.Generator], List[list]]:
+        """Each node's generator and tape: spawned from the seed on the
+        first call (:func:`~repro.sim.rng.spawn_rngs`), the same
+        objects on every later one."""
+        if not self.rngs:
+            self.rngs = spawn_rngs(self.seed, num_nodes)
+            self.tapes = [[] for _ in range(num_nodes)]
+        elif len(self.rngs) != num_nodes:
+            raise ValueError(
+                f"traffic tapes were spawned for {len(self.rngs)} nodes, "
+                f"not {num_nodes}"
+            )
+        return self.rngs, self.tapes
+
+
 class _GenEvent:
     """An endnode's pooled generation event (wheel backend): the one
     cancellable handle the fused source reschedules in place, instead
@@ -146,12 +190,16 @@ class Endnode:
         pid: int,
         slid: int,
         rng: np.random.Generator,
+        tape: Optional[list] = None,
     ):
         self.engine = engine
         self.cfg = cfg
         self.pid = pid
         self.slid = slid
         self.rng = rng
+        # The fused source's draws (TrafficTapes), and the read position.
+        self._tape = [] if tape is None else tape
+        self._tape_at = 0
         self.tx = Transmitter(engine, cfg, f"node{pid}.tx")
         self.tx.on_free = self._refill
         if cfg.injection_queueing == "per_destination":
@@ -195,10 +243,20 @@ class Endnode:
         its :attr:`dlid_row`, every step is one :meth:`_generate_fused`
         callback on one pooled :class:`_GenEvent`, fresh per call so
         that a handle cancelled by :meth:`stop_generation` stays
-        cancelled.  Otherwise (the heap oracle, or a node outside a
-        subnet) every gap is an :class:`~repro.sim.engine.Event` for
-        :meth:`_generate`.  Both schedule at the same times in the same
-        order."""
+        cancelled, and the initial phase is read through the node's
+        tape.  Otherwise (the heap oracle, or a node outside a subnet)
+        every gap is an :class:`~repro.sim.engine.Event` for
+        :meth:`_generate`, and every draw is made inline.  Both
+        schedule at the same times in the same order.
+
+        Raises ``RuntimeError`` while the node is already generating
+        (two processes would share one handle), and ``ValueError`` when
+        the tape replays a start recorded at another rate or message
+        size."""
+        if self._gen_event is not None:
+            raise RuntimeError(
+                f"node {self.pid} is already generating; stop_generation first"
+            )
         if not 0 <= rate_pkts_per_ns < math.inf:
             # An infinite rate would fire at one instant forever.
             raise ValueError(
@@ -206,15 +264,30 @@ class Endnode:
             )
         if rate_pkts_per_ns == 0:
             return
-        self._interval = 1.0 / rate_pkts_per_ns
-        # Random initial phase in [0, interval) de-synchronizes nodes.
-        first = float(self.rng.uniform(0.0, self._interval))
+        self._interval = interval = 1.0 / rate_pkts_per_ns
+        # A random initial phase in [0, interval) de-synchronizes nodes.
         engine = self.engine
         if engine.fused and self.dlid_row is not None:
+            tape = self._tape
+            at = self._tape_at
+            self._tape_at = at + 2
+            start = (interval, self._message_packets)
+            if at < len(tape):
+                if tape[at] != start:
+                    raise ValueError(
+                        f"node {self.pid}'s tape was recorded at (interval, "
+                        f"message_packets) {tape[at]}, replayed at {start}"
+                    )
+                first = tape[at + 1]
+            else:
+                first = float(self.rng.uniform(0.0, interval))
+                tape.append(start)
+                tape.append(first)
             self._gen_event = _GenEvent()
             self._gen_cb = self._generate_fused
             engine.schedule_pooled(first, self._gen_event, self._gen_cb)
         else:
+            first = float(self.rng.uniform(0.0, interval))
             self._gen_event = engine.schedule_after(first, self._generate)
 
     def stop_generation(self) -> None:
@@ -246,21 +319,32 @@ class Endnode:
         """One generation step on a fused engine, in one callback:
         :meth:`_generate` with ``_emit_one``, ``dlid_for``,
         ``_assign_vl``, the injection push, ``_refill``,
-        ``Transmitter.accept``, a single packet's gap and
-        ``schedule_pooled`` inlined.
+        ``Transmitter.accept`` and ``schedule_pooled`` inlined.
 
-        It draws from the node's stream and schedules in the oracle's
-        order: destination, VL, the message's queueing (whose NIC start
-        schedules the hop), gap, then the next generation.  A single
-        packet that finds its NIC slot free and nothing of its VL
-        queued skips the injection queue: there the oracle's push and
-        pull of the one packet leave the queue as it was.
+        The destination and the gap come from the node's tape; past its
+        end they are drawn from the node's stream, destination first,
+        and appended.  Nothing else draws from that stream, so a replay
+        reads the values the oracle draws, in its order.  It schedules
+        in the oracle's order: the message's queueing (whose NIC start
+        schedules the hop), then the next generation.  A single packet
+        that finds its NIC slot free and nothing of its VL queued skips
+        the injection queue: there the oracle's push and pull of the
+        one packet leave the queue as it was.
         """
-        rng = self.rng
         pid = self.pid
-        dst_pid = self.choose_destination(rng)
-        if dst_pid == pid:
-            raise RuntimeError(f"traffic pattern sent node {pid} to itself")
+        tape = self._tape
+        at = self._tape_at
+        self._tape_at = at + 2
+        if at < len(tape):
+            dst_pid = tape[at]
+            gap = tape[at + 1]
+        else:
+            dst_pid = self.choose_destination(self.rng)
+            if dst_pid == pid:
+                raise RuntimeError(f"traffic pattern sent node {pid} to itself")
+            gap = self._message_gap()
+            tape.append(dst_pid)
+            tape.append(gap)
         dlid = self.dlid_row[dst_pid]
         nvl = self._num_vls
         if nvl == 1:
@@ -292,10 +376,8 @@ class Endnode:
                         _start(tx)
                     else:
                         tx.kick()
-            gap = rng.exponential(self._interval)
         else:
             self._queue_message(dst_pid, dlid, vl)
-            gap = self._message_gap()
         # engine.schedule_pooled(gap, self._gen_event, self._gen_cb),
         # inlined (WheelEngine internals — see repro.sim.wheel), minus
         # the dead stores: nothing reads the handle's `time`, and

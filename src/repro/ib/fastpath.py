@@ -201,10 +201,17 @@ class HopEvent:
         else:  # preserve the LFT's out-of-range semantics (drop)
             out_port = unit.switch.lft.lookup(packet.dlid)
         if out_port == unit.port:
-            raise RuntimeError(
-                f"switch {unit.switch.name}: DLID {packet.dlid} routed back "
-                f"out of its input port {unit.port}"
-            )
+            if not unit.switch.drops_reflected:
+                raise RuntimeError(
+                    f"switch {unit.switch.name}: DLID {packet.dlid} routed "
+                    f"back out of its input port {unit.port}"
+                )
+            # Oracle: the rest of InputUnit._routed.  Chain over — recycle.
+            self.packet = None
+            self.unit = None
+            self.pool.append(self)
+            unit._drop_reflected(vl)
+            return
         tx = unit._txl[out_port]
         alive = tx.alive
         if alive:
@@ -234,9 +241,9 @@ class HopEvent:
             cb = unit._credit_cbs[vl]
             if cb is None:
                 cb = unit._credit_cbs[vl] = _credit_cb(upstream, vl)
-            # engine.call_after(unit._flying_ns, cb), inlined (the
-            # delay is a non-negative constant, so the negative-delay
-            # check is dead).
+            # engine.schedule_after(unit._flying_ns, cb) without a
+            # handle, inlined (the delay is a non-negative constant, so
+            # the negative-delay check is dead).
             eng = unit.engine
             ct = eng.now + unit._flying_ns
             seq = eng._seq + 1
@@ -315,7 +322,8 @@ class HopEvent:
     def _consumed(self) -> None:
         """Oracle: Endnode._consumed, inlined — the delivery check, the
         measurement window, both latency records, the counters and the
-        pooled credit return (``engine.call_after``)."""
+        pooled credit return (``engine.schedule_after`` without a
+        handle)."""
         node = self.node
         packet = self.packet
         self.packet = None
@@ -352,8 +360,9 @@ class HopEvent:
         cb = node._credit_cbs[vl]
         if cb is None:
             cb = node._credit_cbs[vl] = _credit_cb(upstream, vl)
-        # engine.call_after(flying_time_ns, cb), inlined (the delay is
-        # a non-negative constant, so the negative-delay check is dead).
+        # engine.schedule_after(flying_time_ns, cb) without a handle,
+        # inlined (the delay is a non-negative constant, so the
+        # negative-delay check is dead).
         ct = now + node._flying_ns
         seq = eng._seq + 1
         eng._seq = seq

@@ -20,11 +20,10 @@ import numpy as np
 from repro.core.scheme import RoutingScheme, get_scheme
 from repro.ib.artifacts import RoutingArtifacts, dlid_row_lists
 from repro.ib.config import SimConfig
-from repro.ib.endnode import Endnode
+from repro.ib.endnode import Endnode, TrafficTapes
 from repro.ib.sm import SubnetManager
 from repro.ib.switch import SwitchModel
 from repro.sim.engine import Engine
-from repro.sim.rng import spawn_rngs
 from repro.sim.stats import LatencyStats, ThroughputMeter, WarmupFilter
 from repro.sim.wheel import WheelEngine
 from repro.topology.fattree import FatTree
@@ -195,6 +194,7 @@ def build_subnet(
     artifacts: Optional[RoutingArtifacts] = None,
     *,
     engine: Optional[Engine] = None,
+    traffic: Optional[TrafficTapes] = None,
 ) -> Subnet:
     """Construct and wire a complete IBFT(m, n) subnet.
 
@@ -213,15 +213,24 @@ def build_subnet(
         :mod:`repro.ib.artifacts`).  When given, the FatTree, scheme,
         LFTs and DLID matrix are reused instead of rebuilt — the
         resulting subnet is bit-for-bit identical to a fresh build.
-        All per-seed state (engine, switches, endnodes, RNG streams)
-        is still constructed fresh.  Without it, everything is built
-        from scratch (the reference the cache is tested against).
+        All per-seed state (engine, switches, endnodes, and the RNG
+        streams unless ``traffic`` is given) is still constructed
+        fresh.  Without it, everything is built from scratch (the
+        reference the cache is tested against).
     engine:
         The event engine to build on, which must be fresh; defaults to
         a new :class:`~repro.sim.wheel.WheelEngine`.  A test seam: the
         differential tests pass the heap
         :class:`~repro.sim.engine.Engine`, which the wheel is
         bit-identical to.
+    traffic:
+        The per-node generators and tapes of an earlier subnet with the
+        same seed, fabric, pattern, hot-spot fraction, rate and message
+        size (its *traffic key*), to replay instead of spawning fresh
+        streams from ``seed``; the subnet is bit-for-bit identical to a
+        fresh build.  Only the fused source reads tapes, so a
+        ``traffic`` on an engine that draws inline (the heap) raises
+        ``ValueError``, as does one spawned from another seed.
     """
     cfg = cfg or SimConfig()
     dlid_flat: Optional[np.ndarray] = None
@@ -258,6 +267,18 @@ def build_subnet(
         lfts = sm.configure()
     if engine is None:
         engine = WheelEngine()
+    if traffic is None:
+        traffic = TrafficTapes(seed)
+    elif not engine.fused:
+        raise ValueError(
+            "shared traffic tapes need the fused source; "
+            f"{type(engine).__name__} draws inline"
+        )
+    elif traffic.seed != seed:
+        raise ValueError(
+            f"traffic tapes were spawned from seed {traffic.seed}, "
+            f"requested seed {seed}"
+        )
 
     switches: Dict[SwitchLabel, SwitchModel] = {}
     for sw in ft.switches:
@@ -268,11 +289,12 @@ def build_subnet(
             model.add_port(port)
         switches[sw] = model
 
-    rngs = spawn_rngs(seed, ft.num_nodes)
+    rngs, tapes = traffic.streams(ft.num_nodes)
     endnodes: List[Endnode] = []
     for pid, label in enumerate(ft.nodes):
         node = Endnode(
-            engine, cfg, pid=pid, slid=scheme_obj.base_lid(label), rng=rngs[pid]
+            engine, cfg, pid=pid, slid=scheme_obj.base_lid(label),
+            rng=rngs[pid], tape=tapes[pid],
         )
         endnodes.append(node)
 

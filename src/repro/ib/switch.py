@@ -170,15 +170,39 @@ class InputUnit:
         else:  # preserve the LFT's out-of-range semantics (drop)
             out_port = self.switch.lft.lookup(packet.dlid)
         if out_port == self.port:
-            raise RuntimeError(
-                f"switch {self.switch.name}: DLID {packet.dlid} routed back "
-                f"out of its input port {self.port}"
-            )
+            if not self.switch.drops_reflected:
+                raise RuntimeError(
+                    f"switch {self.switch.name}: DLID {packet.dlid} routed "
+                    f"back out of its input port {self.port}"
+                )
+            self._drop_reflected(vl)
+            return
         tx = self.switch.tx[out_port]
         if tx.can_accept(vl):
             self._move(vl, tx)
         else:
             tx.waiters[vl].append(lambda: self._move(vl, tx))
+
+    def _drop_reflected(self, vl: int) -> None:
+        """Drop the head packet of ``vl``, which this switch's table
+        sends back out of its input port: mid-repair, the switch that
+        sent it here still forwards with its old table, so sending it
+        back could ping-pong until that switch is reprogrammed.  As in
+        :meth:`_move`, the input slot frees and the credit returns
+        upstream; the packet counts as dropped on this port's
+        transmitter, where ``DynamicSubnetManager.packets_lost`` also
+        counts the dead-port black hole."""
+        buffer = self.buffers[vl]
+        buffer.pop()
+        self.switch.tx[self.port].packets_dropped += 1
+        self._routing[vl] = False
+        upstream = self.upstream
+        if upstream is not None:
+            self.engine.schedule_after(
+                self._flying_ns, lambda: upstream.credit_return(vl)
+            )
+        if buffer.head() is not None:
+            self._start_routing(vl)
 
     def _move(self, vl: int, tx: Transmitter) -> None:
         """Crossbar transfer: input slot frees, credit returns upstream."""
@@ -233,6 +257,11 @@ class SwitchModel:
         self.router = RoutingEngine(
             engine, cfg.routing_time_ns, cfg.routing_engines_per_switch
         )
+        #: Set by ``DynamicSubnetManager.arm``: a packet whose table
+        #: entry points back out of its input port is dropped
+        #: (:meth:`InputUnit._drop_reflected`).  A static subnet's
+        #: tables never do that, so there it raises.
+        self.drops_reflected = False
 
     @property
     def lft(self) -> LinearForwardingTable:

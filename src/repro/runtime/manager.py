@@ -244,6 +244,11 @@ class DynamicSubnetManager:
         if self._armed:
             raise RuntimeError("schedule already armed")
         self._armed = True
+        # Mid-repair, a switch not yet reprogrammed can send a packet to
+        # one whose new entry points straight back: drop it, do not
+        # raise (SwitchModel.drops_reflected).
+        for model in self.net.switches.values():
+            model.drops_reflected = True
         self._scheduled = [
             (
                 event,

@@ -121,16 +121,6 @@ class Engine:
         heapq.heappush(self._heap, (time, self._seq, ev))
         return ev
 
-    def call_after(self, delay: float, callback: Callable[[], None]) -> None:
-        """Schedule a fire-and-forget callback ``delay`` ns from now.
-
-        Like :meth:`schedule_after` but returns no handle: the call
-        cannot be cancelled.  Backends may exploit this (the wheel
-        engine skips the :class:`Event` allocation entirely); here it
-        is a thin wrapper kept for cross-backend API parity.
-        """
-        self.schedule_after(delay, callback)
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------

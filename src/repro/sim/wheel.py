@@ -2,7 +2,7 @@
 
 :class:`WheelEngine` is a drop-in replacement for the heap-based
 :class:`repro.sim.engine.Engine` — same API (``schedule``,
-``schedule_after``, ``call_after``, ``run(until)``, ``step``,
+``schedule_after``, ``run(until)``, ``step``,
 ``cancel`` via :class:`~repro.sim.engine.Event`, ``events_processed``,
 ``peek_time``) and, by construction, the exact same event order, so
 simulation runs are bit-identical across backends (the heap engine
@@ -103,8 +103,9 @@ _SPAN2 = 1 << (_B0 + _B1 + _B2)  # slots per level-2 rotation
 
 
 class _Never:
-    """Placeholder event for uncancellable entries (``call_after``):
-    reads as never-cancelled, so the dispatch loop needs no None test."""
+    """Placeholder event for uncancellable entries (the fused path's
+    credit returns, ``schedule_after`` without a handle): reads as
+    never-cancelled, so the dispatch loop needs no None test."""
 
     __slots__ = ()
     cancelled = False
@@ -219,20 +220,6 @@ class WheelEngine:
         self._seq += 1
         self._insert((time, self._seq, ev, callback), int(time) >> _G)
         return ev
-
-    def call_after(self, delay: float, callback: Callable[[], None]) -> None:
-        """Fire-and-forget :meth:`schedule_after`: no handle, no cancel, no
-        :class:`Event` allocation, not cancellable."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        time = self.now + delay
-        self._seq += 1
-        si = int(time) >> _G
-        cur = self._cur
-        if 0 <= si - cur < _SPAN0:
-            self._l0[si & _M0].append((time, self._seq, _NEVER, callback))
-        else:
-            self._insert((time, self._seq, _NEVER, callback), si)
 
     def schedule_pooled(self, delay: float, ev, callback) -> None:
         """Schedule a pooled event object (fused hop fast path).

@@ -31,6 +31,33 @@ class TestRunFailover:
         assert row["repair_matches_offline"] is True
         assert row["recovery_matches_initial"] is True
 
+    @pytest.mark.parametrize(
+        "load,seed,pattern",
+        [
+            (0.6, 1, "uniform"),
+            (0.6, 2, "uniform"),
+            (0.6, 4, "uniform"),
+            (0.3, 5, "uniform"),
+            (0.3, 6, "uniform"),
+            (0.3, 1, "permutation"),
+            (0.3, 1, "bitcomplement"),
+            (0.3, 1, "alltoall"),
+        ],
+    )
+    def test_reflected_packets_lost_not_fatal(self, load, seed, pattern):
+        """Mid-repair, a packet that a switch not yet reprogrammed sends
+        to one whose new entry points back out of its input port is
+        dropped and counted as lost.  Each of these runs reflects
+        packets that way."""
+        row = run_failover(4, 2, load=load, seed=seed, pattern=pattern)
+        assert row["packets_lost"] > 0
+        assert (
+            row["generated"]
+            == row["delivered"] + row["packets_lost"] + row["backlog"]
+        )
+        assert row["repair_matches_offline"] is True
+        assert row["recovery_matches_initial"] is True
+
     def test_detection_knobs_respected(self):
         row = run_failover(
             4,

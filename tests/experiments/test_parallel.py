@@ -4,15 +4,18 @@ import dataclasses
 import multiprocessing
 import os
 import sys
+import weakref
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro.experiments import parallel
 from repro.experiments.parallel import (
     PointSpec,
     execute_points,
     normalize_jobs,
     run_spec,
+    traffic_key,
 )
 from repro.experiments.runner import sweep_specs
 from repro.experiments.sweep import run_sweep
@@ -73,6 +76,72 @@ def test_execute_points_preserves_spec_order():
     assert [r["offered"] for r in results] == [0.05, 0.05, 0.2, 0.2]
     # And each entry matches the spec's own in-process execution.
     assert results[0] == run_spec(specs[0])
+
+
+def _shared_traffic_specs():
+    """Two loads x two seeds x (2 schemes x 2 VL counts): four traffic
+    keys of four points each, interleaved curve-major as a figure lists
+    them."""
+    return [
+        spec
+        for vls in (1, 2)
+        for scheme in ("slid", "mlid")
+        for spec in sweep_specs(
+            4, 2, scheme, "centric", [0.2, 0.7], cfg=SimConfig(num_vls=vls),
+            seeds=(1, 2), **FAST,
+        )
+    ]
+
+
+def test_traffic_key_ignores_scheme_and_network():
+    spec = PointSpec(m=4, n=2, scheme="mlid", pattern="centric", offered=0.3,
+                     cfg=SimConfig())
+    same = dataclasses.replace(
+        spec, scheme="slid", warmup_ns=1.0,
+        cfg=SimConfig(num_vls=4, injection_queueing="fifo", buffer_packets_per_vl=2),
+    )
+    assert traffic_key(same) == traffic_key(spec)
+    for other in (
+        dataclasses.replace(spec, seed=2),
+        dataclasses.replace(spec, offered=0.4),
+        dataclasses.replace(spec, pattern="uniform"),
+        dataclasses.replace(spec, hotspot_fraction=0.3),
+        dataclasses.replace(spec, m=8),
+        dataclasses.replace(spec, cfg=SimConfig(message_packets=2)),
+    ):
+        assert traffic_key(other) != traffic_key(spec)
+
+
+def test_shared_traffic_points_equal_fresh_and_tapes_die(monkeypatch):
+    """Each group of four points shares one set of tapes, every point
+    equals its own fresh run, and once execute_points returns nothing
+    keeps a group's tapes alive."""
+    specs = _shared_traffic_specs()
+    fresh = [run_spec(spec) for spec in specs]
+    seen = []
+    real = parallel.run_spec
+
+    def spying(spec, traffic=None):
+        seen.append((traffic_key(spec), weakref.ref(traffic)))
+        return real(spec, traffic)
+
+    monkeypatch.setattr(parallel, "run_spec", spying)
+    assert execute_points(specs, jobs=1) == fresh
+    # Group by group: four points of one key after another, sharing one
+    # TrafficTapes (weakref.ref hands out one ref per live object).
+    keys = [key for key, _ in seen]
+    refs = [ref for _, ref in seen]
+    assert len(set(keys)) == 4 and len({id(ref) for ref in refs}) == 4
+    for i in range(16):
+        assert keys[i] == keys[i - i % 4] and refs[i] is refs[i - i % 4]
+    assert all(ref() is None for ref in refs)
+
+
+def test_shared_traffic_jobs2_equals_jobs1():
+    """Chunks of two points split every group across workers, which
+    share tapes within what they receive: bit-identical either way."""
+    specs = _shared_traffic_specs()
+    assert execute_points(specs, jobs=2) == execute_points(specs, jobs=1)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

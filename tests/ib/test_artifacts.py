@@ -81,47 +81,78 @@ def test_cached_measurement_bit_identical_to_fresh():
     assert fresh == cached
 
 
-def test_figure_cached_equals_fresh_one_build_per_curve():
+def test_figure_cached_equals_fresh_one_build_per_curve(monkeypatch):
     """A whole figure through the cache equals the same points built
-    from scratch, and the cache builds once per (scheme, VL) curve."""
+    from scratch, and the cache builds once per (scheme, VL) curve.
+
+    The figure's points also share their offered traffic: the points of
+    one load and seed, every (scheme, VL) curve's, replay the tapes the
+    first of them recorded, while the fresh side draws every point's
+    traffic itself.  Uniform and centric traffic, 1, 2 and 4 VLs,
+    multi-packet messages and FIFO injection queues."""
+    from dataclasses import replace
     from functools import partial
 
+    from repro.experiments import runner
     from repro.experiments.configs import ExperimentConfig
     from repro.experiments.runner import aggregate_sweep, measure_point, sweep_specs
     from repro.experiments.sweep import run_figure
 
-    config = ExperimentConfig(
+    tiny = ExperimentConfig(
         id="tiny", title="tiny", m=4, n=2, pattern="centric",
         schemes=("slid", "mlid"), vl_counts=(1, 2), quick_loads=(0.1, 0.6),
         quick_seeds=(1, 2), quick_warmup_ns=2_000.0, quick_measure_ns=8_000.0,
     )
-    fresh = {}
-    for vls in config.vl_counts:
-        cfg = SimConfig().with_vls(vls)
-        for scheme in config.schemes:
-            specs = sweep_specs(
-                config.m, config.n, scheme, config.pattern, config.quick_loads,
-                cfg=cfg, hotspot_fraction=config.hotspot_fraction,
-                warmup_ns=config.quick_warmup_ns,
-                measure_ns=config.quick_measure_ns, seeds=config.quick_seeds,
-            )
-            results = [
-                measure_point(
-                    partial(build_subnet, s.m, s.n, s.scheme, s.cfg, seed=s.seed),
-                    s.pattern, s.offered, hotspot_fraction=s.hotspot_fraction,
-                    warmup_ns=s.warmup_ns, measure_ns=s.measure_ns,
+    cases = [
+        (tiny, SimConfig()),
+        (replace(tiny, pattern="uniform", vl_counts=(1, 2, 4)), SimConfig()),
+        (
+            replace(tiny, vl_counts=(1, 4)),
+            SimConfig(message_packets=3, injection_queueing="fifo"),
+        ),
+    ]
+    tapes = []
+    real_build = runner.build_subnet
+
+    def build_subnet_spy(*args, traffic=None, **kwargs):
+        tapes.append(traffic)
+        return real_build(*args, traffic=traffic, **kwargs)
+
+    monkeypatch.setattr(runner, "build_subnet", build_subnet_spy)
+    for config, base in cases:
+        clear_artifact_cache()
+        fresh = {}
+        for vls in config.vl_counts:
+            cfg = base.with_vls(vls)
+            for scheme in config.schemes:
+                specs = sweep_specs(
+                    config.m, config.n, scheme, config.pattern, config.quick_loads,
+                    cfg=cfg, hotspot_fraction=config.hotspot_fraction,
+                    warmup_ns=config.quick_warmup_ns,
+                    measure_ns=config.quick_measure_ns, seeds=config.quick_seeds,
                 )
-                for s in specs
-            ]
-            fresh[(scheme, vls)] = aggregate_sweep(
-                scheme, cfg, config.quick_loads, config.quick_seeds, results
-            )
-    assert artifact_cache_info()["misses"] == 0  # fresh builds skip the cache
-    cached = run_figure(config, quick=True, jobs=1).curves
-    assert artifact_cache_info()["misses"] == len(config.schemes) * len(
-        config.vl_counts
-    )
-    assert cached == fresh
+                results = [
+                    measure_point(
+                        partial(build_subnet, s.m, s.n, s.scheme, s.cfg, seed=s.seed),
+                        s.pattern, s.offered, hotspot_fraction=s.hotspot_fraction,
+                        warmup_ns=s.warmup_ns, measure_ns=s.measure_ns,
+                    )
+                    for s in specs
+                ]
+                fresh[(scheme, vls)] = aggregate_sweep(
+                    scheme, cfg, config.quick_loads, config.quick_seeds, results
+                )
+        assert artifact_cache_info()["misses"] == 0  # fresh builds skip the cache
+        del tapes[:]
+        cached = run_figure(config, quick=True, base_cfg=base, jobs=1).curves
+        curves = len(config.schemes) * len(config.vl_counts)
+        assert artifact_cache_info()["misses"] == curves
+        assert cached == fresh
+        # One set of tapes per (load, seed), read by every curve's point.
+        groups = len(config.quick_loads) * len(config.quick_seeds)
+        assert len(tapes) == groups * curves
+        assert len({id(traffic) for traffic in tapes}) == groups
+        assert all(tapes.count(traffic) == curves for traffic in tapes)
 
 
 def test_artifacts_validated_against_request():

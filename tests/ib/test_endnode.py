@@ -6,11 +6,17 @@ import numpy as np
 import pytest
 
 from repro.ib.config import SimConfig
-from repro.ib.endnode import Endnode, FifoInjection, PerDestinationInjection
+from repro.ib.endnode import (
+    Endnode,
+    FifoInjection,
+    PerDestinationInjection,
+    TrafficTapes,
+)
 from repro.ib.packet import Packet
 from repro.sim.engine import Engine
 from repro.sim.stats import LatencyStats, ThroughputMeter, WarmupFilter
 from repro.sim.wheel import WheelEngine
+from repro.traffic.patterns import UniformPattern
 
 
 def make_node(num_vls=1, queueing="per_destination", seed=0, **cfg_kw):
@@ -182,6 +188,111 @@ class TestGeneration:
         assert node.send_now(5).dlid == 777
 
 
+    @pytest.mark.parametrize("engine", [Engine, WheelEngine], ids=["heap", "wheel"])
+    def test_second_start_raises(self, engine):
+        """A node runs one generation process at a time.  Two would
+        share one handle: the heap would run both, and
+        ``stop_generation`` cancel only the newer, while on the wheel
+        the older would reschedule onto the newer's handle."""
+        eng = engine()
+        node = Endnode(eng, SimConfig(), pid=0, slid=1, rng=np.random.default_rng(3))
+        node.dlid_for = lambda s, d: d + 1
+        node.dlid_row = [d + 1 for d in range(4)]
+        node.tx.connect(Recorder(eng))
+        node.choose_destination = lambda rng: 1
+        node.start_generation(0.01)
+        with pytest.raises(RuntimeError, match="already generating"):
+            node.start_generation(0.01)
+        eng.run(until=2_000)
+        node.stop_generation()
+        node.start_generation(0.01)  # a stopped node starts again
+        eng.run(until=4_000)
+        assert node.packets_generated > 0
+
+
+def _recorded_packets(monkeypatch):
+    """Every packet the endnode module builds, in creation order."""
+    import repro.ib.endnode as endnode_module
+
+    made = []
+
+    class RecordedPacket(Packet):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(endnode_module, "Packet", RecordedPacket)
+    return made
+
+
+def _taped_source(traffic, until, rate=0.01, engine=WheelEngine, **cfg_kw):
+    """Node 3 of 16, uniform traffic, on the first stream and tape of
+    ``traffic``: generate until ``until`` ns."""
+    eng = engine()
+    (rng,), (tape,) = traffic.streams(1)
+    node = Endnode(eng, SimConfig(**cfg_kw), pid=3, slid=4, rng=rng, tape=tape)
+    node.dlid_for = lambda s, d: d + 1
+    node.dlid_row = [d + 1 for d in range(16)]
+    node.tx.connect(Recorder(eng))
+    node.choose_destination = UniformPattern(16).chooser(3)
+    node.start_generation(rate)
+    eng.run(until=until)
+    return node
+
+
+class TestTrafficTape:
+    @pytest.mark.parametrize("packets", [1, 3])
+    def test_replay_past_the_tape_end_continues_the_stream(self, monkeypatch, packets):
+        """A node that replays a shorter run's tape and runs past its
+        end offers exactly the packets of a fresh node, and of the heap
+        oracle, which draws inline."""
+        made = _recorded_packets(monkeypatch)
+        short, long = 2_000.0 * packets, 6_000.0 * packets
+        shared = TrafficTapes(7)
+        _taped_source(shared, short, message_packets=packets)
+        (tape,) = shared.tapes
+        recorded = len(tape)
+        del made[:]
+        _taped_source(shared, long, message_packets=packets)
+        replayed = [(p.t_created, p.dst_pid) for p in made]
+        assert len(tape) > recorded > 10  # drew, and recorded, past the end
+        del made[:]
+        fresh = TrafficTapes(7)
+        _taped_source(fresh, long, message_packets=packets)
+        assert [(p.t_created, p.dst_pid) for p in made] == replayed
+        assert fresh.tapes == shared.tapes
+        del made[:]
+        _taped_source(TrafficTapes(7), long, engine=Engine, message_packets=packets)
+        assert [(p.t_created, p.dst_pid) for p in made] == replayed
+
+    @pytest.mark.parametrize(
+        "rate,cfg_kw", [(0.02, {}), (0.01, {"message_packets": 2})],
+        ids=["rate", "message-size"],
+    )
+    def test_replay_at_another_rate_raises(self, rate, cfg_kw):
+        shared = TrafficTapes(7)
+        _taped_source(shared, 2_000.0)
+        with pytest.raises(ValueError, match="recorded at"):
+            _taped_source(shared, 2_000.0, rate=rate, **cfg_kw)
+
+    def test_tapes_hold_numbers_only(self):
+        shared = TrafficTapes(7)
+        node = _taped_source(shared, 2_000.0)
+        (tape,) = shared.tapes
+        assert tape[0] == (100.0, 1)  # interval and message size
+        assert all(type(v) in (int, float) for v in tape[1:])
+        assert node._tape is tape
+
+    def test_streams_sized_once(self):
+        shared = TrafficTapes(7)
+        rngs, tapes = shared.streams(4)
+        assert shared.streams(4) == (rngs, tapes)
+        with pytest.raises(ValueError, match="4 nodes, not 8"):
+            shared.streams(8)
+
+
 class TestVlAssignment:
     def test_single_vl_always_zero(self):
         eng, cfg, node = make_node(num_vls=1)
@@ -207,18 +318,7 @@ class TestVlAssignment:
         the VLs leaves every aggregate statistic of a run unchanged, so
         the differential suite cannot see one; each generated packet's
         VL is checked here instead."""
-        import repro.ib.endnode as endnode_module
-
-        made = []
-
-        class RecordedPacket(Packet):
-            __slots__ = ()
-
-            def __init__(self, *args):
-                super().__init__(*args)
-                made.append(self)
-
-        monkeypatch.setattr(endnode_module, "Packet", RecordedPacket)
+        made = _recorded_packets(monkeypatch)
         eng = WheelEngine()
         cfg = SimConfig(num_vls=4, vl_policy=policy)
         node = Endnode(eng, cfg, pid=3, slid=4, rng=np.random.default_rng(0))

@@ -14,6 +14,11 @@ per-port routing engines, FIFO injection of multi-packet messages,
 and generation stopped and restarted mid-run.  The fused source is
 covered under both VL policies and both injection queues.
 
+The fused source reads its draws through each node's traffic tape,
+while the heap draws inline; so the cases where the wheel replays a
+tape recorded by another point, at another scheme and VL count, check
+replay against fresh draws.
+
 The heap side goes through ``build_subnet``'s ``engine=`` seam, and
 asserts that the seam took: a seam that stopped applying would
 compare the wheel with itself.
@@ -23,6 +28,7 @@ import pytest
 
 from repro.experiments.failover import FAILOVER_COLUMNS, run_failover
 from repro.ib.config import SimConfig
+from repro.ib.endnode import TrafficTapes
 from repro.ib.subnet import build_subnet
 from repro.sim.engine import Engine
 from repro.sim.wheel import WheelEngine
@@ -31,9 +37,11 @@ from repro.traffic.patterns import make_pattern
 ENGINES = {"heap": Engine, "wheel": WheelEngine}
 
 
-def _build(engine, m, n, cfg, seed):
+def _build(engine, m, n, cfg, seed, scheme="mlid", traffic=None):
     """A subnet on a fresh engine of the named backend."""
-    net = build_subnet(m, n, "mlid", cfg=cfg, seed=seed, engine=ENGINES[engine]())
+    net = build_subnet(
+        m, n, scheme, cfg=cfg, seed=seed, engine=ENGINES[engine](), traffic=traffic
+    )
     assert type(net.engine) is ENGINES[engine]
     return net
 
@@ -46,10 +54,13 @@ def _channels(net):
     return [(tx.packets_dropped, tx.packets_sent) for tx in txs]
 
 
-def _measure(engine, m, n, seed, load, pattern="uniform", **cfg_kw):
-    net = _build(engine, m, n, SimConfig(**cfg_kw), seed)
+def _measure(
+    engine, m, n, seed, load, pattern="uniform", scheme="mlid", traffic=None,
+    measure_ns=20_000, **cfg_kw,
+):
+    net = _build(engine, m, n, SimConfig(**cfg_kw), seed, scheme, traffic)
     net.attach_pattern(make_pattern(pattern, net.num_nodes))
-    stats = net.run_measurement(load, warmup_ns=2_000, measure_ns=20_000)
+    stats = net.run_measurement(load, warmup_ns=2_000, measure_ns=measure_ns)
     # Per-destination deliveries in full: the fairness index in `stats`
     # does not change when every count scales alike.
     per_destination = net.throughput.per_destination
@@ -146,11 +157,51 @@ def test_measurement_bit_identical_multi_vl(m, n, pattern, cfg_kw):
     assert heap == wheel
 
 
-def _stop_restart(engine):
+@pytest.mark.parametrize(
+    "m,n,pattern,recorder_vls,cfg_kw",
+    [
+        pytest.param(8, 2, "uniform", 4, {}, id="ft8x2-uniform"),
+        pytest.param(8, 2, "centric", 2, {"num_vls": 4}, id="ft8x2-centric-4vl"),
+        pytest.param(
+            4, 2, "centric", 1,
+            {"num_vls": 2, "injection_queueing": "fifo", "message_packets": 3},
+            id="fifo-messages",
+        ),
+    ],
+)
+def test_replayed_tape_equals_heap_oracle(m, n, pattern, recorder_vls, cfg_kw):
+    """A wheel point replaying tapes that an SLID point at another VL
+    count recorded, over a shorter window, equals the heap oracle drawing
+    fresh: the tape yields the oracle's draws in the oracle's order,
+    and continues the stream past its end."""
+    traffic = TrafficTapes(1)
+    recorder_kw = dict(cfg_kw, num_vls=recorder_vls)
+    _measure(
+        "wheel", m, n, 1, 0.7, pattern,
+        scheme="slid", traffic=traffic, measure_ns=10_000, **recorder_kw,
+    )
+    recorded = sum(len(tape) for tape in traffic.tapes)
+    replay = _measure("wheel", m, n, 1, 0.7, pattern, traffic=traffic, **cfg_kw)
+    assert sum(len(tape) for tape in traffic.tapes) > recorded > 0
+    heap = _measure("heap", m, n, 1, 0.7, pattern, **cfg_kw)
+    assert replay == heap
+
+
+def test_shared_tapes_refused_where_drawn_inline():
+    """The heap draws inline, so it cannot replay a tape; and tapes
+    spawned from one seed replay only that seed."""
+    traffic = TrafficTapes(1)
+    with pytest.raises(ValueError, match="draws inline"):
+        build_subnet(4, 2, "mlid", seed=1, engine=Engine(), traffic=traffic)
+    with pytest.raises(ValueError, match="seed 1"):
+        build_subnet(4, 2, "mlid", seed=2, traffic=traffic)
+
+
+def _stop_restart(engine, traffic=None, num_vls=2):
     """Generation stopped mid-run and restarted before every cancelled
     generation event has come due, then drained."""
-    cfg = SimConfig(num_vls=2)
-    net = _build(engine, 4, 2, cfg, 3)
+    cfg = SimConfig(num_vls=num_vls)
+    net = _build(engine, 4, 2, cfg, 3, traffic=traffic)
     net.attach_pattern(make_pattern("uniform", net.num_nodes))
     rate = cfg.offered_load_to_rate(0.6)
     eng = net.engine
@@ -177,6 +228,11 @@ def test_stop_and_restart_generation_bit_identical():
     assert heap == wheel
     nodes, _, _, _ = wheel
     assert sum(node[0] for node in nodes) == sum(node[1] for node in nodes) > 0
+    # Every start records its own phase: a replay of the same stops and
+    # restarts, at another VL count, still equals the oracle.
+    traffic = TrafficTapes(3)
+    _stop_restart("wheel", traffic, num_vls=1)
+    assert _stop_restart("wheel", traffic) == heap
 
 
 def _nic_fail_revive(engine):
@@ -220,14 +276,12 @@ def test_nic_fail_and_revive_bit_identical():
     assert sum(dropped for dropped, _ in channels) > 0
 
 
-def _failover_row(engine):
+def _failover_row(engine, m=8, n=2, **kwargs):
     eng = ENGINES[engine]()
-    row = run_failover(
-        8, 2, "mlid",
-        t_fail=6_000.0, t_recover=18_000.0, load=0.1, seed=1, engine=eng,
-    )
+    kwargs = {"t_fail": 6_000.0, "t_recover": 18_000.0, "load": 0.1, **kwargs}
+    row = run_failover(m, n, "mlid", seed=1, engine=eng, **kwargs)
     # The run happened on the engine passed in, not on a default one.
-    assert eng.events_processed > 0 and eng.now >= 18_000.0
+    assert eng.events_processed > 0 and eng.now >= kwargs["t_recover"]
     metrics = {col: row[col] for col in FAILOVER_COLUMNS}
     records = [
         (
@@ -256,3 +310,19 @@ def test_failover_metrics_identical_across_backends():
     assert {r[0] for r in records} == {"down", "up"}
     assert metrics["time_to_detect"] > 0.0
     assert metrics["generated"] > 0
+
+
+def test_failover_reflected_drops_identical_across_backends():
+    """FT(4,2) at load 0.6: mid-repair, packets that a stale switch
+    sends to one whose new entry points back out of their input port
+    are dropped (not forwarded, not fatal) the same way on both
+    engines."""
+    kwargs = dict(m=4, n=2, t_fail=20_000.0, t_recover=60_000.0, load=0.6)
+    heap = _failover_row("heap", **kwargs)
+    wheel = _failover_row("wheel", **kwargs)
+    assert heap == wheel
+    metrics, _ = wheel
+    assert metrics["packets_lost"] > 0
+    assert metrics["generated"] == (
+        metrics["delivered"] + metrics["packets_lost"] + metrics["backlog"]
+    )

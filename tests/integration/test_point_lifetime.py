@@ -20,6 +20,7 @@ import pytest
 from repro.experiments.runner import _build_pattern, run_point
 from repro.ib.artifacts import get_artifacts
 from repro.ib.config import SimConfig
+from repro.ib.endnode import TrafficTapes
 from repro.ib.fastpath import HopEvent
 from repro.ib.subnet import build_subnet
 from repro.sim.engine import Engine
@@ -80,6 +81,24 @@ def test_point_leaves_no_cyclic_garbage(collector_off, cfg, pattern):
     result = run_point(M, N, "mlid", pattern, OVERLOAD, cfg=cfg, seed=1, **WINDOWS)
     assert gc.collect() == 0
     assert result["packets"] > 0
+
+
+def test_points_sharing_tapes_leave_no_cyclic_garbage(collector_off):
+    """A recording point and a replaying one: the tapes hold numbers
+    only, so neither point leaves a cycle behind, and the tapes outlive
+    the subnets that read them."""
+    cfg = SimConfig(num_vls=2)
+    _warm(cfg, "centric")
+    _warm(SimConfig(), "centric")
+    traffic = TrafficTapes(1)
+    results = [
+        run_point(M, N, "mlid", "centric", OVERLOAD, cfg=point_cfg, seed=1,
+                  traffic=traffic, **WINDOWS)
+        for point_cfg in (cfg, SimConfig())
+    ]
+    assert gc.collect() == 0
+    assert all(result["packets"] > 0 for result in results)
+    assert all(tape for tape in traffic.tapes)
 
 
 def test_heap_engine_subnet_closed_by_hand(collector_off):

@@ -318,16 +318,6 @@ def test_exception_in_callback_propagates_and_engine_recovers(eng):
     assert eng.events_processed == 2  # the raiser counts as fired
 
 
-def test_call_after_fires_without_handle(eng):
-    fired = []
-    eng.call_after(5.0, lambda: fired.append(eng.now))
-    eng.run()
-    assert fired == [5.0]
-    assert eng.events_processed == 1
-    with pytest.raises(SimulationError):
-        eng.call_after(-1.0, lambda: None)
-
-
 def test_close_drops_pending_and_keeps_counters(eng):
     """close() ends the engine's life: every pending entry, at any
     wheel level or beyond, is dropped unfired; the clock and the
@@ -338,7 +328,7 @@ def test_close_drops_pending_and_keeps_counters(eng):
     eng.schedule(50_000.0, lambda: fired.append(eng.now))  # level 1
     eng.schedule(5e6, lambda: fired.append(eng.now))  # level 2
     eng.schedule(1e9, lambda: fired.append(eng.now))  # overflow
-    eng.call_after(3.0, lambda: fired.append(eng.now))
+    eng.schedule_after(3.0, lambda: fired.append(eng.now))
     eng.run(until=2.0)
     eng.close()
     assert eng.pending == 0

@@ -381,6 +381,21 @@ def test_failover_under_load(capsys):
     assert "OK" in out
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--load", "0.6", "--seed", "1"],
+        ["--load", "0.3", "--pattern", "permutation", "--seed", "1"],
+    ],
+    ids=["uniform-0.6", "permutation-0.3"],
+)
+def test_failover_under_load_survives_mid_repair_reflection(capsys, extra):
+    """Both runs reflect packets back out of their input port mid-repair;
+    those count as lost, and the command succeeds."""
+    assert main(["failover", "4", "2", *extra]) == 0
+    assert "delivery" in capsys.readouterr().out
+
+
 def test_failover_explicit_link(capsys):
     args = [
         "failover", "4", "2",
