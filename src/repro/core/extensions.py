@@ -23,17 +23,20 @@ untouched and change only the selection:
   still occupy pairwise-distinct least common ancestors, while a fixed
   source now spreads across destinations too.
 
+Both override only ``dlid``.  The override guard in
+:class:`~repro.core.scheme.RoutingScheme` therefore sets MLID's closed
+form path selection aside for them, and every DLID matrix and block
+they produce loops over their own ``dlid``.
+
 Ablation A6 (``benchmarks/test_ablation_path_selection.py``) compares
 all selection policies.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.forwarding import MlidScheme
 from repro.core.path_selection import path_offset
-from repro.core.scheme import RoutingScheme, register_scheme
+from repro.core.scheme import register_scheme
 from repro.topology import groups
 from repro.topology.labels import NodeLabel, validate_node_label
 
@@ -70,16 +73,6 @@ class HashedMlidScheme(MlidScheme):
         key = groups.pid(m, n, src) * self.ft.num_nodes + groups.pid(m, n, dst)
         return self.base_lid(dst) + _splitmix(key) % paths
 
-    def dlid_matrix(self) -> np.ndarray:
-        # MlidScheme's vectorized matrix encodes the paper's rank
-        # selection, not this hash — fall back to the per-pair loop so
-        # the dense matrix agrees with ``dlid``.
-        return RoutingScheme.dlid_matrix(self)
-
-    def dlid_rows(self, src_ids: np.ndarray) -> np.ndarray:
-        # Same reason as dlid_matrix.
-        return RoutingScheme.dlid_rows(self, src_ids)
-
 
 class DestStaggeredMlidScheme(MlidScheme):
     """MLID with a destination-rank stagger on top of the paper's rank.
@@ -102,15 +95,6 @@ class DestStaggeredMlidScheme(MlidScheme):
         else:
             stagger = groups.rank_in_gcpg(m, n, alpha + 1, dst) % paths
         return self.base_lid(dst) + (base_offset + stagger) % paths
-
-    def dlid_matrix(self) -> np.ndarray:
-        # See HashedMlidScheme.dlid_matrix: the inherited vectorized
-        # matrix would drop the stagger term.
-        return RoutingScheme.dlid_matrix(self)
-
-    def dlid_rows(self, src_ids: np.ndarray) -> np.ndarray:
-        # See HashedMlidScheme.dlid_rows.
-        return RoutingScheme.dlid_rows(self, src_ids)
 
 
 register_scheme("mlid-hash", HashedMlidScheme)

@@ -57,7 +57,7 @@ from repro.core.scheme import RoutingScheme
 from repro.topology.fattree import FatTree
 from repro.topology.labels import SwitchLabel, format_switch
 
-__all__ = ["FaultRepairKernel", "RepairedTables", "compile_fault_kernel"]
+__all__ = ["FaultRepairKernel", "RepairedTables"]
 
 #: Unreachable-cost sentinel; hop counts stay far below it, and +1
 #: never wraps int32.
@@ -193,10 +193,7 @@ class FaultRepairKernel:
 
         # Fault-free tables, 0-based — the exact plane the scalar
         # oracle repairs from.
-        tables = scheme.build_tables()
-        self.base = np.array(
-            [tables[sw] for sw in ft.switches], dtype=np.int16
-        )
+        self.base = scheme.port_matrix().astype(np.int16)
         self._rows_all = np.arange(num_s, dtype=np.int64)
 
         # Per-repair counters (inspected by tests and the runtime).
@@ -567,17 +564,3 @@ class FaultRepairKernel:
         )
         return np.where(ok, base, repaired), ~ok
 
-
-def compile_fault_kernel(scheme: RoutingScheme) -> FaultRepairKernel:
-    """A memoized *shared* kernel for a scheme.
-
-    Safe for correctness under interleaved callers (each repair leaves
-    a consistent cache), but interleaving defeats the incremental
-    speedup — components tracking a fault timeline (the dynamic SM)
-    own a private instance instead.
-    """
-    kernel = getattr(scheme, "_fault_repair_kernel", None)
-    if kernel is None:
-        kernel = FaultRepairKernel(scheme)
-        scheme._fault_repair_kernel = kernel
-    return kernel

@@ -22,6 +22,11 @@ link-disjoint ascents, and combined with the path-selection scheme a
 packet turns downward exactly at the least common ancestor its source
 selected.  Both facts are machine-verified in the test suite.
 
+The rule reads only ``m``, ``n`` and the scheme's LMC, so it lives
+once, in :class:`FatTreeForwarding` (a scalar ``output_port`` and one
+closed form over arrays), shared by :class:`MlidScheme` and the SLID
+baseline (:mod:`repro.core.slid`), which is this rule at LMC 0.
+
 Deadlock freedom: every route produced is an up*/down* path of the
 tree (ascending phase strictly before descending phase), so the channel
 dependency graph is acyclic — also checked in
@@ -30,20 +35,83 @@ dependency graph is acyclic — also checked in
 
 from __future__ import annotations
 
-from typing import Dict, List
+from functools import cached_property
+from typing import Tuple
 
 import numpy as np
 
 from repro.core.addressing import MlidAddressing
+from repro.core.kernel import fabric_arrays
 from repro.core.path_selection import select_dlid
 from repro.core.scheme import RoutingScheme, register_scheme
 from repro.topology.fattree import FatTree
 from repro.topology.labels import NodeLabel, SwitchLabel
 
-__all__ = ["MlidScheme", "build_mlid_tables"]
+__all__ = ["FatTreeForwarding", "MlidScheme"]
 
 
-class MlidScheme(RoutingScheme):
+class FatTreeForwarding(RoutingScheme):
+    """Equations (1)/(2) over a scheme's own LID plan.
+
+    The forwarding reads only the fabric's ``m``, ``n`` and the
+    scheme's :attr:`lmc`, so MLID (LMC from the addressing scheme) and
+    SLID (LMC 0, where Equation (2)'s offset digits are the
+    destination's own label digits) share it.  Subclasses supply the
+    LID plan and path selection.
+    """
+
+    def output_port(self, switch: SwitchLabel, lid: int) -> int:
+        w, level = switch
+        dest = self.owner(lid)  # validates lid range
+        if w[:level] == dest[:level]:
+            return dest[level]  # Equation (1): descend toward the leaf
+        # Equation (2): ascend on the offset digit for this level.
+        half = self.ft.half
+        return (lid - 1) // half ** (self.ft.n - 1 - level) % half + half
+
+    def _output_port_batch(
+        self, switch_ids: np.ndarray, lids: np.ndarray
+    ) -> np.ndarray:
+        """Equations (1)/(2) for arbitrary (switch, DLID) pairs at once.
+
+        With ``d = (m/2)^(n-1-l)`` at a level-``l`` switch and ``p`` the
+        owner's PID, ``p // d`` holds the owner's label digits 0..l.
+        Equation (1) applies when digits 0..l-1, ``p // d // (m/2)``,
+        equal the switch's label prefix (at the root row always) and
+        descends on digit ``l``; Equation (2) ascends on
+        ``(lid - 1) // d mod (m/2) + m/2``.  ``m`` is a power of two, so
+        each division is a shift.  Every temporary is one value per
+        pair, so the flow model can hop-step millions of routes on
+        fabrics whose tables would never fit in memory.
+        """
+        half = self.ft.half
+        lids0 = lids - 1
+        if lids0.size and (lids0.min() < 0 or lids0.max() >= self.num_lids):
+            raise ValueError(f"LID must be in [1, {self.num_lids}]")
+        bits = half.bit_length() - 1  # m/2 == 2**bits
+        level_first, level_shift = self._levels
+        level = fabric_arrays(self.ft).switch_level[switch_ids]
+        shift = level_shift[level]  # d == 2**shift
+        top = (lids0 >> self.lmc) >> shift
+        root = level == 0
+        # A switch's label value within its level (digit i weighs
+        # (m/2)^(n-2-i)) floors to its level-l prefix.
+        prefix = (switch_ids - level_first[level]) >> shift
+        below = root | (top >> bits == prefix)
+        down = np.where(root, top, top & (half - 1))
+        return np.where(below, down, (lids0 >> shift & (half - 1)) + half)
+
+    @cached_property
+    def _levels(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Per level ``l``: the id of its first switch (ids run level by
+        level) and ``log2 (m/2)^(n-1-l)``, Equation (2)'s divisor."""
+        ft = self.ft
+        levels = np.arange(ft.n)
+        first = np.searchsorted(fabric_arrays(ft).switch_level, levels)
+        return first, (ft.half.bit_length() - 1) * (ft.n - 1 - levels)
+
+
+class MlidScheme(FatTreeForwarding):
     """The paper's Multiple LID routing scheme."""
 
     name = "mlid"
@@ -51,8 +119,6 @@ class MlidScheme(RoutingScheme):
     def __init__(self, ft: FatTree, *, strict_iba: bool = True):
         super().__init__(ft)
         self.addressing = MlidAddressing(ft.m, ft.n, strict_iba=strict_iba)
-        # (m/2)^(n-1-l) divisors for Equation (2), indexed by level.
-        self._divisors = [ft.half ** (ft.n - 1 - l) for l in range(ft.n)]
 
     # -- LID plan ------------------------------------------------------
     @property
@@ -66,11 +132,7 @@ class MlidScheme(RoutingScheme):
     def dlid(self, src: NodeLabel, dst: NodeLabel) -> int:
         return select_dlid(self.addressing, src, dst)
 
-    def dlid_matrix(self) -> np.ndarray:
-        """Vectorized path selection for all pairs at once."""
-        return self.dlid_rows(np.arange(self.ft.num_nodes, dtype=np.int64))
-
-    def dlid_rows(self, src_ids: np.ndarray) -> np.ndarray:
+    def _dlid_rows(self, src_ids: np.ndarray) -> np.ndarray:
         """Vectorized path selection for a block of sources.
 
         Computes, per (src, dst): the gcp length alpha (first differing
@@ -85,7 +147,6 @@ class MlidScheme(RoutingScheme):
         n, half = ft.n, ft.half
         labels = np.array(ft.nodes, dtype=np.int64)  # (N, n)
         count = labels.shape[0]
-        src_ids = np.asarray(src_ids, dtype=np.int64)
         rows = labels[src_ids]  # (R, n)
         # alpha[i, d] = number of leading equal digits.
         eq = rows[:, None, :] == labels[None, :, :]  # (R, N, n)
@@ -109,73 +170,6 @@ class MlidScheme(RoutingScheme):
         out = base[None, :] + offset
         out[alpha == n] = 0
         return out
-
-    # -- forwarding -----------------------------------------------------
-    def output_port(self, switch: SwitchLabel, lid: int) -> int:
-        w, level = switch
-        dest = self.owner(lid)  # validates lid range
-        if w[:level] == dest[:level]:
-            return dest[level]  # Equation (1): descend toward the leaf
-        # Equation (2): ascend on the offset digit for this level.
-        return (lid - 1) // self._divisors[level] % self.ft.half + self.ft.half
-
-    def output_port_batch(
-        self, switch_ids: np.ndarray, lids: np.ndarray
-    ) -> np.ndarray:
-        """Equations (1)/(2) for arbitrary (switch, DLID) pairs at once.
-
-        Closed-form forwarding without any table: the flow-level tracer
-        hop-steps millions of routes through this on fabrics whose LFTs
-        (switches x LIDs) would never fit in memory.
-        """
-        from repro.core.kernel import fabric_arrays
-
-        arrays = fabric_arrays(self.ft)
-        half, n = self.ft.half, self.ft.n
-        switch_ids = np.asarray(switch_ids, dtype=np.int64)
-        lids0 = np.asarray(lids, dtype=np.int64) - 1
-        if lids0.size and (lids0.min() < 0 or lids0.max() >= self.num_lids):
-            raise ValueError(f"LID must be in [1, {self.num_lids}]")
-        dest = arrays.node_digits[lids0 >> self.lmc]  # (K, n)
-        lvl = arrays.switch_level[switch_ids]  # (K,)
-        up = lids0 // np.asarray(self._divisors)[lvl] % half + half
-        # Equation (1) applies when the switch's level-long prefix
-        # matches the destination label (always true at the root row).
-        swd = arrays.switch_digits[switch_ids]  # (K, n - 1)
-        pos = np.arange(n - 1, dtype=np.int64)
-        match = (
-            (swd == dest[:, : n - 1]) | (pos[None, :] >= lvl[:, None])
-        ).all(axis=1)
-        down = dest[np.arange(len(lvl)), lvl]
-        return np.where(match, down, up)
-
-    def build_tables(self) -> Dict[SwitchLabel, List[int]]:
-        """Vectorized table construction (Equations 1 and 2 over the
-        whole LID space per switch at once)."""
-        ft = self.ft
-        half = ft.half
-        lids0 = np.arange(self.num_lids, dtype=np.int64)  # lid - 1
-        dest_pids = lids0 >> self.lmc
-        dest_digits = np.array(ft.nodes, dtype=np.int64)[dest_pids]  # (L, n)
-        tables: Dict[SwitchLabel, List[int]] = {}
-        for sw in ft.switches:
-            w, level = sw
-            up = (lids0 // self._divisors[level]) % half + half
-            if level == 0:
-                ports = dest_digits[:, 0]
-            else:
-                prefix = np.array(w[:level], dtype=np.int64)
-                match = (dest_digits[:, :level] == prefix).all(axis=1)
-                ports = np.where(match, dest_digits[:, level], up)
-            tables[sw] = ports.tolist()
-        return tables
-
-
-def build_mlid_tables(
-    ft: FatTree, *, strict_iba: bool = True
-) -> Dict[SwitchLabel, List[int]]:
-    """Convenience: all linear forwarding tables of the MLID scheme."""
-    return MlidScheme(ft, strict_iba=strict_iba).build_tables()
 
 
 register_scheme("mlid", MlidScheme)

@@ -24,8 +24,12 @@ bound) and answers every static query by array indexing: delivery,
 minimality and up*/down* verification, LCA-usage histograms,
 all-to-one link loads, and channel-dependency-graph edge extraction.
 The hop stepper (:func:`trace_routes`) traces any set of routes to
-any hop budget; :meth:`RouteKernel.retraced` uses it to follow a table
-change by retracing only the DLID columns whose entries moved.
+any hop budget, reading ports from a table or from a scheme's closed
+form forwarding: :meth:`RouteKernel.retraced` uses it to follow a
+table change by retracing only the DLID columns whose entries moved,
+the dynamic SM to trace migrated flows, and the flow model
+(:mod:`repro.experiments.flowlevel`) to trace flow classes on fabrics
+whose tables would not fit in memory.
 
 **Scalar-oracle guarantee.**  The scalar tracer remains the oracle:
 whenever the kernel flags a route as invalid it *replays that route
@@ -36,12 +40,12 @@ asserted in ``tests/core/test_kernel.py``.  Prefer ``trace_path`` for
 one-off interactive traces (no compilation cost) and the kernel for
 anything that touches a whole fabric.
 
-Consistency contract: ``build_tables``/``dlid_matrix`` vectorizations
-must agree with ``output_port``/``dlid``.  Subclasses that override
-the scalar method without the matching vectorized method (common in
-tests that corrupt one table entry) are detected via the MRO and fall
-back to the generic scalar-backed construction, so the corruption
-stays visible to the kernel.
+The kernel reads a scheme only through its public derived forms,
+``port_matrix`` and ``dlid_matrix``.  Their override guard lives in
+:class:`~repro.core.scheme.RoutingScheme`, so a subclass that corrupts
+one ``output_port`` entry (the tests' error doubles) or overrides
+``dlid`` is compiled with its override, exactly as the Subnet Manager
+programs it.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from __future__ import annotations
 import copy
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -176,43 +180,6 @@ def fabric_arrays(ft: FatTree) -> FabricArrays:
     return arrays
 
 
-def _defining_class(cls: type, name: str) -> type:
-    """The class in ``cls``'s MRO that provides attribute ``name``."""
-    for klass in cls.__mro__:
-        if name in vars(klass):
-            return klass
-    raise AttributeError(name)  # pragma: no cover - abstract methods exist
-
-
-def _port_matrix(scheme: RoutingScheme) -> np.ndarray:
-    """(num_switches, num_lids) 0-based port matrix honouring overrides.
-
-    Uses the scheme's (vectorized) ``build_tables`` only when it is
-    defined at or below the class defining ``output_port``; otherwise
-    ``output_port`` was overridden underneath a vectorization that does
-    not know about it, and the generic per-entry construction is used.
-    """
-    cls = type(scheme)
-    tables_cls = _defining_class(cls, "build_tables")
-    port_cls = _defining_class(cls, "output_port")
-    if issubclass(tables_cls, port_cls):
-        tables = scheme.build_tables()
-    else:
-        tables = RoutingScheme.build_tables(scheme)
-    ft = scheme.ft
-    return np.array([tables[sw] for sw in ft.switches], dtype=np.int64)
-
-
-def _selected_matrix(scheme: RoutingScheme) -> np.ndarray:
-    """Dense DLID matrix honouring ``dlid`` overrides (same MRO rule)."""
-    cls = type(scheme)
-    matrix_cls = _defining_class(cls, "dlid_matrix")
-    dlid_cls = _defining_class(cls, "dlid")
-    if issubclass(matrix_cls, dlid_cls):
-        return scheme.dlid_matrix()
-    return RoutingScheme.dlid_matrix(scheme)
-
-
 def _checked_port(
     port_matrix: np.ndarray, num_switches: int, num_lids: int
 ) -> np.ndarray:
@@ -253,20 +220,22 @@ _TRACE_CHUNK = 8192
 
 def trace_routes(
     arrays: FabricArrays,
-    port: np.ndarray,
+    port: Union[np.ndarray, Callable[[np.ndarray, np.ndarray], np.ndarray]],
     start: np.ndarray,
     cols: np.ndarray,
     steps: int,
 ) -> TracedRoutes:
-    """Trace route ``i``: leave switch ``start[i]`` and forward on
-    column ``cols[i]`` of the port matrix ``port`` (0-based ports, one
-    row per switch) for at most ``steps`` hops.
+    """Trace route ``i``: leave switch ``start[i]`` and forward on key
+    ``cols[i]`` for at most ``steps`` hops.
 
-    Batched hop stepping over the routes still active: each hop gathers
-    every active route's output port, resolves the peer through the
-    flattened adjacency, and retires the routes that reached a node or
-    met a port outside [0, m).  A route still active after ``steps``
-    hops stays undelivered.
+    ``port`` gives the 0-based out-port of (switch ids, keys): either a
+    port matrix with one row per switch, read at column ``key``, or a
+    callable such as a scheme's ``output_port_batch``, whose keys are
+    DLIDs.  Batched hop stepping over the routes still active: each hop
+    looks up every active route's output port, resolves the peer
+    through the flattened adjacency, and retires the routes that
+    reached a node or met a port outside [0, m).  A route still active
+    after ``steps`` hops stays undelivered.
     """
     count, m = len(start), arrays.m
     route_switch = np.full((count, steps), -1, np.int32)
@@ -275,8 +244,15 @@ def trace_routes(
     delivered = np.full(count, -1, np.int32)
     bad_port = np.zeros(count, bool)
 
-    width = port.shape[1]
-    flat_port = port.reshape(-1)
+    if callable(port):
+        lookup = port
+    else:
+        width = port.shape[1]
+        flat_port = port.reshape(-1)
+
+        def lookup(cur: np.ndarray, col: np.ndarray) -> np.ndarray:
+            return flat_port[cur * width + col]
+
     peer_switch = arrays.peer_switch.reshape(-1)
     peer_node = arrays.peer_node.reshape(-1)
     start, cols = np.asarray(start), np.asarray(cols)
@@ -286,7 +262,7 @@ def trace_routes(
         cur = start[lo:hi].astype(np.int64)
         col = cols[lo:hi].astype(np.int64)
         for step in range(steps):
-            hop = flat_port[cur * width + col]
+            hop = lookup(cur, col)
             ok = (hop >= 0) & (hop < m)
             if not ok.all():
                 bad_port[active[~ok]] = True
@@ -370,8 +346,9 @@ class RouteKernel:
     # -- alternate constructors ---------------------------------------
     @classmethod
     def from_scheme(cls, scheme: RoutingScheme) -> "RouteKernel":
-        """Compile from the scheme's forwarding tables."""
-        return cls(scheme, _port_matrix(scheme))
+        """Compile from the scheme's forwarding tables
+        (:meth:`~repro.core.scheme.RoutingScheme.port_matrix`)."""
+        return cls(scheme, scheme.port_matrix())
 
     @classmethod
     def from_lfts(cls, scheme: RoutingScheme, lfts) -> "RouteKernel":
@@ -470,7 +447,7 @@ class RouteKernel:
     def selected(self) -> np.ndarray:
         """Dense (num_nodes, num_nodes) selected-DLID matrix."""
         if self._sel is None:
-            self._sel = _selected_matrix(self.scheme)
+            self._sel = self.scheme.dlid_matrix()
         return self._sel
 
     def _set_selected(self, matrix: np.ndarray) -> None:

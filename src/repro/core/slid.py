@@ -19,24 +19,26 @@ Forwarding rule for DLID ``lid`` (destination ``P(p)``) at ``SW<w, l>``:
 
 This is exactly the MLID Equation (2) specialized to LMC = 0, since
 with one LID per node the offset digits collapse onto the destination
-label digits.
+label digits, so the scheme reuses MLID's forwarding
+(:class:`~repro.core.forwarding.FatTreeForwarding`) and keeps only its
+own LID plan and path selection.  It takes nothing of MLID's
+addressing, so MLID's IBA LMC ceiling does not apply: FT(32, 3) needs
+LMC 8 > 7 under MLID and builds here at LMC 0.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
-
 import numpy as np
 
-from repro.core.scheme import RoutingScheme, register_scheme
+from repro.core.forwarding import FatTreeForwarding
+from repro.core.scheme import register_scheme
 from repro.topology import groups
-from repro.topology.fattree import FatTree
-from repro.topology.labels import NodeLabel, SwitchLabel, validate_node_label
+from repro.topology.labels import NodeLabel, validate_node_label
 
-__all__ = ["SlidScheme", "build_slid_tables"]
+__all__ = ["SlidScheme"]
 
 
-class SlidScheme(RoutingScheme):
+class SlidScheme(FatTreeForwarding):
     """The single-LID destination-deterministic baseline."""
 
     name = "slid"
@@ -56,77 +58,14 @@ class SlidScheme(RoutingScheme):
             raise ValueError(f"no path selection for src == dst == {src!r}")
         return self.base_lid(dst)
 
-    def dlid_matrix(self) -> np.ndarray:
+    def _dlid_rows(self, src_ids: np.ndarray) -> np.ndarray:
         """Vectorized: the DLID is the destination's single LID."""
         count = self.ft.num_nodes
-        out = np.tile(np.arange(1, count + 1, dtype=np.int64), (count, 1))
-        np.fill_diagonal(out, 0)
-        return out
-
-    def dlid_rows(self, src_ids: np.ndarray) -> np.ndarray:
-        """Vectorized block form of :meth:`dlid_matrix`."""
-        count = self.ft.num_nodes
-        src_ids = np.asarray(src_ids, dtype=np.int64)
         out = np.tile(
             np.arange(1, count + 1, dtype=np.int64), (len(src_ids), 1)
         )
         out[np.arange(len(src_ids)), src_ids] = 0
         return out
-
-    # -- forwarding -----------------------------------------------------
-    def output_port(self, switch: SwitchLabel, lid: int) -> int:
-        w, level = switch
-        dest = self.owner(lid)  # validates lid range
-        if w[:level] == dest[:level]:
-            return dest[level]  # descend
-        return dest[level] + self.ft.half  # ascend on the dest digit
-
-    def output_port_batch(
-        self, switch_ids: np.ndarray, lids: np.ndarray
-    ) -> np.ndarray:
-        """Closed-form forwarding for arbitrary (switch, DLID) pairs."""
-        from repro.core.kernel import fabric_arrays
-
-        arrays = fabric_arrays(self.ft)
-        half, n = self.ft.half, self.ft.n
-        switch_ids = np.asarray(switch_ids, dtype=np.int64)
-        lids0 = np.asarray(lids, dtype=np.int64) - 1
-        if lids0.size and (lids0.min() < 0 or lids0.max() >= self.num_lids):
-            raise ValueError(f"LID must be in [1, {self.num_lids}]")
-        dest = arrays.node_digits[lids0]  # lid - 1 == PID
-        lvl = arrays.switch_level[switch_ids]
-        swd = arrays.switch_digits[switch_ids]
-        pos = np.arange(n - 1, dtype=np.int64)
-        match = (
-            (swd == dest[:, : n - 1]) | (pos[None, :] >= lvl[:, None])
-        ).all(axis=1)
-        digit = dest[np.arange(len(lvl)), lvl]
-        return np.where(match, digit, digit + half)
-
-    def build_tables(self) -> Dict[SwitchLabel, List[int]]:
-        """Vectorized table construction over the LID space per switch."""
-        ft = self.ft
-        dest_digits = np.array(ft.nodes, dtype=np.int64)  # lid-1 == PID
-        tables: Dict[SwitchLabel, List[int]] = {}
-        for sw in ft.switches:
-            w, level = sw
-            if level == 0:
-                ports = dest_digits[:, 0]
-            else:
-                prefix = np.array(w[:level], dtype=np.int64)
-                match = (dest_digits[:, :level] == prefix).all(axis=1)
-                ports = np.where(
-                    match,
-                    dest_digits[:, level],
-                    dest_digits[:, level] + ft.half,
-                )
-            tables[sw] = ports.tolist()
-        return tables
-
-
-def build_slid_tables(ft: FatTree) -> Dict[SwitchLabel, List[int]]:
-    """Convenience: all linear forwarding tables of the SLID scheme."""
-    return SlidScheme(ft).build_tables()
 
 
 register_scheme("slid", SlidScheme)

@@ -179,10 +179,6 @@ class UpDownScheme(RoutingScheme):
         return self._tables[switch][pid]
 
     # -- diagnostics ------------------------------------------------------
-    def path_length(self, src: NodeLabel, dst: NodeLabel) -> int:
-        """Switch count of the (possibly non-minimal) route."""
-        return len(self._trace_loose(src, dst))
-
     def _trace_loose(self, src: NodeLabel, dst: NodeLabel) -> List[SwitchLabel]:
         """Trace without the minimal-length bound (updn detours)."""
         ft = self.ft

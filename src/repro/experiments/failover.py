@@ -95,7 +95,6 @@ def run_failover(
     pattern: str = "uniform",
     cfg: Optional[SimConfig] = None,
     seed: int = 1,
-    drain: bool = True,
     engine: Optional[Engine] = None,
 ) -> dict:
     """One link-down/link-up failover simulation; returns the report row.
@@ -104,9 +103,9 @@ def run_failover(
     exercises the control plane alone; negative raises ``ValueError``).
     ``link`` is a ``(switch, 0-based port)`` pair, default
     :func:`default_link`.
-    With ``drain`` (default) generation stops at ``run_until`` and the
-    simulation then runs to quiescence so the delivery accounting is
-    exact: ``generated == delivered + packets_lost + backlog``.
+    Generation stops at ``run_until`` and the simulation then runs to
+    quiescence so the delivery accounting is exact:
+    ``generated == delivered + packets_lost + backlog``.
 
     The SM re-sweeps with the vectorized fault-repair kernel;
     ``repair_matches_offline`` checks its mid-outage tables against the
@@ -155,7 +154,7 @@ def run_failover(
         repair_ok = all(live[s] == expected[s] for s in net.ft.switches)
 
     engine.run(until=run_until)
-    if load > 0 and drain:
+    if load > 0:
         for node in net.endnodes:
             node.stop_generation()
         engine.run()

@@ -14,8 +14,9 @@ point *analytically* instead, in three steps:
    source and the hot source's own uniform traffic
    (:class:`repro.traffic.patterns.CentricPattern` semantics with the
    sweep stack's ``hot_pid=0``).
-2. **Streaming trace.**  Each class's route is hop-stepped through
-   the scheme's closed-form ``output_port_batch`` over
+2. **Streaming trace.**  Each class's route is hop-stepped by the
+   route kernel's stepper (:func:`~repro.core.kernel.trace_routes`)
+   through the scheme's public ``output_port_batch`` over
    :class:`~repro.core.kernel.FabricArrays` adjacency — no forwarding
    table and no (leaves x LIDs x steps) route tensor, so FT(32, 3)
    (8192 nodes, 2 097 152 LIDs) compiles in seconds where the kernel
@@ -72,7 +73,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.kernel import _defining_class, fabric_arrays
+from repro.core.kernel import fabric_arrays, trace_routes
 from repro.core.scheme import RoutingScheme, get_scheme
 from repro.experiments import folding
 from repro.experiments.analytical import ejection_efficiency
@@ -106,7 +107,8 @@ SUPPORTED_PATTERNS = ("uniform", "centric")
 #: (chunk x N x n) comparison temporary to ~100 MB on FT(32, 3).
 _SRC_CHUNK = 256
 
-#: Flow classes per trace block — bounds the hop-step temporaries.
+#: Flow classes per trace block — bounds the stepper's (classes x hops)
+#: route arrays.
 _TRACE_CHUNK = 1 << 22
 
 #: Utilization clip for the M/D/1 waiting terms (keeps latencies
@@ -136,27 +138,6 @@ def _scheme_for(m: int, n: int, scheme: str) -> RoutingScheme:
         if "strict_iba" in str(exc):
             return get_scheme(scheme, ft, strict_iba=False)
         raise
-
-
-def _guarded_dlid_rows(scheme: RoutingScheme):
-    """``dlid_rows`` honouring ``dlid`` overrides (kernel's MRO rule)."""
-    cls = type(scheme)
-    if issubclass(
-        _defining_class(cls, "dlid_rows"), _defining_class(cls, "dlid")
-    ):
-        return scheme.dlid_rows
-    return lambda ids: RoutingScheme.dlid_rows(scheme, ids)
-
-
-def _guarded_port_batch(scheme: RoutingScheme):
-    """``output_port_batch`` honouring ``output_port`` overrides."""
-    cls = type(scheme)
-    if issubclass(
-        _defining_class(cls, "output_port_batch"),
-        _defining_class(cls, "output_port"),
-    ):
-        return scheme.output_port_batch
-    return lambda sw, lids: RoutingScheme.output_port_batch(scheme, sw, lids)
 
 
 @dataclass
@@ -285,7 +266,6 @@ def build_flow_model(
         return _build_folded(sch, arrays, pattern, frac)
     total = ft.num_nodes
     key_mod = sch.num_lids + 1  # DLIDs are 1-based; key = leaf*mod + dlid
-    dlid_rows = _guarded_dlid_rows(sch)
     hot = 0  # the sweep stack's CentricPattern hot_pid
 
     # -- flow-class extraction (chunked over sources) ------------------
@@ -295,7 +275,7 @@ def build_flow_model(
     hotsrc_parts: List[np.ndarray] = []
     for start in range(0, total, _SRC_CHUNK):
         ids = np.arange(start, min(start + _SRC_CHUNK, total), dtype=np.int64)
-        rows = dlid_rows(ids)  # (R, N); 0 where src == dst
+        rows = sch.dlid_rows(ids)  # (R, N); 0 where src == dst
         keys = arrays.attach_leaf[ids].astype(np.int64)[:, None] * key_mod + rows
         valid = rows > 0
         uniq, counts = np.unique(keys[valid], return_counts=True)
@@ -403,11 +383,9 @@ def _build_folded(
     dlid = dlid[order]
     groups = [groups[i] for i in order]
 
-    codes = _trace_block(
-        arrays, _guarded_port_batch(sch), leaf_idx, dlid, max_hops=2 * n - 1
+    hops, real_codes = _trace_routes(
+        sch, arrays, leaf_idx, dlid, max_hops=2 * n - 1
     )
-    hops = (codes >= 0).sum(axis=1).astype(np.int32)
-    real_codes = codes[codes >= 0]
     flat_codes = lt.type_of_code[real_codes].astype(np.int32)
     engine_codes = et.type_of_switch[real_codes // m].astype(np.int32)
     offsets = np.zeros(len(class_keys), dtype=np.int64)
@@ -469,28 +447,6 @@ def _build_folded(
 # -- route tracing -----------------------------------------------------
 
 
-def _trace_block(
-    arrays, port_batch, leaf_idx: np.ndarray, dlid: np.ndarray, max_hops: int
-) -> np.ndarray:
-    """Hop-step one block of classes; (len, max_hops) codes, -1 padded."""
-    count = len(leaf_idx)
-    codes = np.full((count, max_hops), -1, dtype=np.int64)
-    cur = arrays.leaf_switch[leaf_idx].astype(np.int64)
-    live = np.arange(count, dtype=np.int64)
-    for step in range(max_hops):
-        ports = port_batch(cur, dlid[live])
-        codes[live, step] = cur * arrays.m + ports
-        ejected = arrays.peer_node[cur, ports] >= 0
-        nxt = arrays.peer_switch[cur, ports]
-        live = live[~ejected]
-        cur = nxt[~ejected].astype(np.int64)
-        if not len(live):
-            return codes
-    raise RuntimeError(
-        f"{len(live)} routes still active after {max_hops} hops"
-    )  # pragma: no cover - schemes are up*/down* by construction
-
-
 def _trace_routes(
     sch: RoutingScheme,
     arrays,
@@ -498,17 +454,32 @@ def _trace_routes(
     dlid: np.ndarray,
     max_hops: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Trace every (leaf, dlid) row; ``(hops, flat_codes)``."""
-    port_batch = _guarded_port_batch(sch)
+    """Trace every (leaf, dlid) row through the scheme's
+    ``output_port_batch`` with the kernel's hop stepper; ``(hops,
+    flat_codes)``, the codes ``switch * m + port`` class-contiguous.
+
+    Blocks of :data:`_TRACE_CHUNK` classes bound the stepper's
+    (classes x hops) route arrays."""
     hops = np.empty(len(leaf_idx), dtype=np.int32)
     code_chunks: List[np.ndarray] = []
     for start in range(0, len(leaf_idx), _TRACE_CHUNK):
         stop = min(start + _TRACE_CHUNK, len(leaf_idx))
-        codes = _trace_block(
-            arrays, port_batch, leaf_idx[start:stop], dlid[start:stop], max_hops
+        routes = trace_routes(
+            arrays,
+            sch.output_port_batch,
+            arrays.leaf_switch[leaf_idx[start:stop]],
+            dlid[start:stop],
+            max_hops,
         )
-        hops[start:stop] = (codes >= 0).sum(axis=1)
-        code_chunks.append(codes[codes >= 0].astype(np.int32))
+        if (routes.delivered < 0).any():  # pragma: no cover - up*/down*
+            raise RuntimeError(
+                f"{int((routes.delivered < 0).sum())} routes still active "
+                f"after {max_hops} hops"
+            )
+        hops[start:stop] = routes.length
+        valid = routes.switch >= 0
+        codes = routes.switch[valid] * arrays.m + routes.port[valid]
+        code_chunks.append(codes)
     return hops, np.concatenate(code_chunks)
 
 

@@ -58,13 +58,15 @@ class LinearForwardingTable:
         This is the Subnet Manager's programming path: validation is a
         single vectorized range check instead of the per-entry loop
         (which dominates LFT construction on large fabrics).  Accepts
-        any integer sequence; an ndarray input (the fault kernel's
-        repaired rows) skips per-element iteration entirely.
+        any integer iterable, read in one C-level pass; an ndarray (a
+        row of the scheme's port matrix, or the fault kernel's repaired
+        rows) is converted without per-element iteration.
         """
         if isinstance(entries, np.ndarray):
-            arr = np.add(entries, 1, dtype=np.int64)
+            arr = entries.astype(np.int64)
         else:
-            arr = np.fromiter((k + 1 for k in entries), dtype=np.int64)
+            arr = np.fromiter(entries, dtype=np.int64)
+        arr += 1
         bad = (arr < 1) | (arr > num_physical_ports)
         if bad.any():
             i = int(np.argmax(bad))

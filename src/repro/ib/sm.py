@@ -119,11 +119,11 @@ class SubnetManager:
     # Forwarding-table programming
     # ------------------------------------------------------------------
     def program_lfts(self) -> Dict[SwitchLabel, LinearForwardingTable]:
-        """Build every switch's LFT with physical (1-based) ports."""
-        tables = self.scheme.build_tables()
+        """Build every switch's LFT with physical (1-based) ports, from
+        the rows of the scheme's :meth:`RoutingScheme.port_matrix`."""
         return {
-            sw: LinearForwardingTable.from_zero_based(entries, self.ft.m)
-            for sw, entries in tables.items()
+            sw: LinearForwardingTable.from_zero_based(row, self.ft.m)
+            for sw, row in zip(self.ft.switches, self.scheme.port_matrix())
         }
 
     def program_delta(

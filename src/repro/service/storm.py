@@ -32,6 +32,9 @@ from repro.topology.labels import SwitchLabel
 
 __all__ = ["flap_schedule", "pick_flap_links", "LinkFlapStorm"]
 
+#: Simulated time the storm thread runs per engine step.
+CHUNK_NS = 2_000.0
+
 
 def pick_flap_links(
     ft: FatTree, count: int
@@ -117,7 +120,6 @@ class LinkFlapStorm:
         schedule: Optional[FaultSchedule] = None,
         flap_links: int = 2,
         horizon_ns: float = 100_000.0,
-        chunk_ns: float = 2_000.0,
         pace_s: float = 0.0,
         keep_lfts: bool = False,
     ):
@@ -132,7 +134,6 @@ class LinkFlapStorm:
         self.horizon_ns = max(
             horizon_ns, max((e.time for e in schedule.events), default=0.0)
         )
-        self.chunk_ns = chunk_ns
         self.pace_s = pace_s
         self.mgr = DynamicSubnetManager(self.net, schedule)
         self.store = SnapshotStore()
@@ -159,7 +160,7 @@ class LinkFlapStorm:
         engine = self.net.engine
         try:
             while not self._stop.is_set() and engine.now < self.horizon_ns:
-                engine.run(until=min(engine.now + self.chunk_ns, self.horizon_ns))
+                engine.run(until=min(engine.now + CHUNK_NS, self.horizon_ns))
                 if self.pace_s > 0:
                     time.sleep(self.pace_s)
             if engine.now < self.horizon_ns:

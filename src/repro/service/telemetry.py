@@ -20,13 +20,15 @@ from repro.topology.labels import format_switch
 
 __all__ = ["telemetry_frame"]
 
+#: Estimated link loads a frame lists, most loaded first.
+TOP_LINKS = 5
+
 
 def telemetry_frame(
     store,
     *,
     storm=None,
     counters: Optional[dict] = None,
-    top_links: int = 5,
 ) -> dict:
     """One telemetry frame (JSON-ready).
 
@@ -47,7 +49,7 @@ def telemetry_frame(
                 "port": port,
                 "load": load,
             }
-            for sw_id, port, load in snap.top_loads(top_links)
+            for sw_id, port, load in snap.top_loads(TOP_LINKS)
         ]
     if storm is not None:
         from repro.ib.instrumentation import loss_report

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.fault import DisconnectedError, FaultSet, FaultTolerantTables
-from repro.core.fault_kernel import FaultRepairKernel, compile_fault_kernel
+from repro.core.fault_kernel import FaultRepairKernel
 from repro.core.scheme import get_scheme
 from repro.topology.fattree import FatTree
 
@@ -198,11 +198,6 @@ class TestDisconnectionParity:
 
 
 class TestCompileCache:
-    def test_compile_fault_kernel_is_memoized(self):
-        ft = FatTree(4, 2)
-        scheme = get_scheme("mlid", ft)
-        assert compile_fault_kernel(scheme) is compile_fault_kernel(scheme)
-
     def test_as_scheme_round_trips_through_simulator_surface(self):
         ft, scheme, kernel = ctx(4, 3, "mlid")
         kernel.reset()

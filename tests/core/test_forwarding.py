@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.forwarding import MlidScheme, build_mlid_tables
+from repro.core.forwarding import MlidScheme
 from repro.core.verification import trace_path
 from repro.topology.fattree import FatTree
 
@@ -94,7 +94,7 @@ class TestEquation2:
 class TestBuildTables:
     def test_tables_cover_every_switch_and_lid(self):
         ft = FatTree(4, 2)
-        tables = build_mlid_tables(ft)
+        tables = MlidScheme(ft).build_tables()
         assert set(tables) == set(ft.switches)
         for entries in tables.values():
             assert len(entries) == MlidScheme(ft).num_lids

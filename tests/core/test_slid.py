@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.slid import SlidScheme, build_slid_tables
+from repro.core.slid import SlidScheme
 from repro.core.verification import trace_path
 from repro.topology.fattree import FatTree
 from repro.topology.labels import node_labels
@@ -78,10 +78,27 @@ class TestForwarding:
     def test_tables_match_output_port(self):
         ft = FatTree(4, 2)
         scheme = SlidScheme(ft)
-        tables = build_slid_tables(ft)
+        tables = scheme.build_tables()
         for sw, entries in tables.items():
             for lid0, k in enumerate(entries):
                 assert k == scheme.output_port(sw, lid0 + 1)
+
+    @pytest.mark.parametrize("m,n", [(4, 2), (8, 2), (4, 3), (8, 3)])
+    def test_tables_follow_prose_rule(self, m, n):
+        """Every table entry is the Section 5 rule, computed from the
+        labels alone: descend on ``p_l`` when the switch's level-``l``
+        prefix is the destination's, otherwise ascend on
+        ``p_l + m/2``."""
+        ft = FatTree(m, n)
+        tables = SlidScheme(ft).build_tables()
+        dests = list(node_labels(m, n))  # LID = PID + 1, in PID order
+        for (w, level), entries in tables.items():
+            expected = [
+                p[level] if tuple(w[:level]) == tuple(p[:level])
+                else p[level] + m // 2
+                for p in dests
+            ]
+            assert entries == expected
 
     @pytest.mark.parametrize("m,n", [(4, 2), (4, 3), (8, 2)])
     def test_lid_space_dense(self, m, n):

@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.forwarding import MlidScheme
 from repro.core.kernel import compile_kernel
-from repro.core.scheme import RoutingScheme, get_scheme
+from repro.core.scheme import get_scheme
 from repro.experiments import flowlevel
 from repro.experiments.analytical import uniform_saturation_bound
 from repro.experiments.configs import ExperimentConfig
@@ -278,8 +278,9 @@ def test_strict_iba_fallback():
 
 
 def test_guarded_dlid_rows_honours_scalar_override():
-    """A scheme overriding scalar ``dlid`` under MLID's vectorized
-    ``dlid_rows`` must fall back to the generic loop (PR-2 bug class)."""
+    """A scheme overriding scalar ``dlid`` under MLID's closed form:
+    the public ``dlid_rows`` the flow compile reads loops over the
+    override (PR-2 bug class)."""
 
     class FixedOffsetMlid(MlidScheme):
         def dlid(self, src, dst):  # always offset 0, unlike MLID
@@ -288,14 +289,20 @@ def test_guarded_dlid_rows_honours_scalar_override():
     ft = FatTree(4, 2)
     sch = FixedOffsetMlid(ft)
     ids = np.arange(ft.num_nodes, dtype=np.int64)
-    rows = flowlevel._guarded_dlid_rows(sch)(ids)
-    expected = RoutingScheme.dlid_rows(sch, ids)
-    assert np.array_equal(rows, expected)
+    rows = sch.dlid_rows(ids)
+    expected = [
+        [0 if s == d else sch.dlid(src, dst) for d, dst in enumerate(ft.nodes)]
+        for s, src in enumerate(ft.nodes)
+    ]
+    assert rows.tolist() == expected
     # Sanity: the override really differs from stock MLID.
     assert not np.array_equal(rows, MlidScheme(ft).dlid_rows(ids))
 
 
 def test_guarded_port_batch_honours_scalar_override():
+    """Same for ``output_port``: the public ``output_port_batch`` the
+    flow trace reads loops over the override."""
+
     class RotatedPortMlid(MlidScheme):
         def output_port(self, switch, lid):
             return (super().output_port(switch, lid) + 1) % self.ft.m
@@ -304,12 +311,13 @@ def test_guarded_port_batch_honours_scalar_override():
     sch = RotatedPortMlid(ft)
     switch_ids = np.array([0, 1, 2, 3], dtype=np.int64)
     lids = np.array([1, 2, 3, 4], dtype=np.int64)
-    got = flowlevel._guarded_port_batch(sch)(switch_ids, lids)
+    got = sch.output_port_batch(switch_ids, lids)
     expected = [
         sch.output_port(ft.switches[int(s)], int(lid))
         for s, lid in zip(switch_ids, lids)
     ]
     assert got.tolist() == expected
+    assert got.tolist() != MlidScheme(ft).output_port_batch(switch_ids, lids).tolist()
 
 
 # -- sweep-stack integration -------------------------------------------
