@@ -511,7 +511,9 @@ class FaultRepairKernel:
             out, broken = self._entries(None, lids)
             self._tables[:, lids] = out
             self._broken[:, lids] = broken
-        rows = np.unique(np.array(endpoints, dtype=np.int64))
+        # Not np.unique: numpy 2.4's imports numpy.ma on its first call,
+        # about 10 ms inside the first incremental repair.
+        rows = np.array(sorted(set(endpoints)), dtype=np.int64)
         for start in range(0, self.num_lids, _LID_CHUNK):
             sel = slice(start, min(start + _LID_CHUNK, self.num_lids))
             out, broken = self._entries(rows, sel)

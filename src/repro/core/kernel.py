@@ -26,7 +26,7 @@ all-to-one link loads, and channel-dependency-graph edge extraction.
 The hop stepper (:func:`trace_routes`) traces any set of routes to
 any hop budget, reading ports from a table or from a scheme's closed
 form forwarding: :meth:`RouteKernel.retraced` uses it to follow a
-table change by retracing only the DLID columns whose entries moved,
+table change by retracing only the routes that cross a changed entry,
 the dynamic SM to trace migrated flows, and the flow model
 (:mod:`repro.experiments.flowlevel`) to trace flow classes on fabrics
 whose tables would not fit in memory.
@@ -217,6 +217,13 @@ class TracedRoutes(NamedTuple):
 #: each hop's temporary arrays.
 _TRACE_CHUNK = 8192
 
+#: Route-tensor cells (leaves x columns x hops) whose walks
+#: :meth:`RouteKernel._advance` tests together; bounds its temporaries.
+_MASK_CHUNK = 1 << 20
+
+#: The per-route arrays a :class:`RouteKernel` writes when it advances.
+_ROUTE_ARRAYS = ("route_switch", "route_port", "route_len", "delivered", "bad_port")
+
 
 def trace_routes(
     arrays: FabricArrays,
@@ -375,37 +382,62 @@ class RouteKernel:
         )
 
     def retraced(self, port_matrix: np.ndarray) -> "RouteKernel":
-        """The kernel of ``port_matrix``, retracing only changed columns.
+        """The kernel of ``port_matrix``: a copy of this kernel, moved to
+        it by :meth:`_advance`.
 
-        A route depends only on its own DLID column of the port matrix,
-        so the result copies this kernel's route arrays and retraces the
-        columns where ``port_matrix`` differs from :attr:`port`.  It
-        equals ``RouteKernel(self.scheme, port_matrix)`` bit for bit,
+        It equals ``RouteKernel(self.scheme, port_matrix)`` bit for bit,
         whatever tables this kernel was compiled from.  This kernel is
         never written, so a published snapshot holding it stays as it
         was.  Scheme- and topology-derived caches (the DLID matrix, the
         gcp table) carry over; route-derived ones start empty.
         """
-        port = _checked_port(port_matrix, self.num_switches, self.num_lids)
-        cols = np.flatnonzero((port != self.port).any(axis=0))
         new = copy.copy(self)
-        new.port = port
-        new.route_switch = self.route_switch.copy()
-        new.route_port = self.route_port.copy()
-        new.route_len = self.route_len.copy()
-        new.delivered = self.delivered.copy()
-        new.bad_port = self.bad_port.copy()
-        if cols.size:
-            routes = trace_columns(self.arrays, port, cols, self.max_steps)
-            new.route_switch[:, cols] = routes.switch
-            new.route_port[:, cols] = routes.port
-            new.route_len[:, cols] = routes.length
-            new.delivered[:, cols] = routes.delivered
-            new.bad_port[:, cols] = routes.bad_port
-        new._checks = None
-        new._sel_weights = None
-        new._sel_loads = None
+        for name in _ROUTE_ARRAYS:
+            setattr(new, name, getattr(self, name).copy())
+        new._advance(port_matrix)
         return new
+
+    def _advance(self, port_matrix: np.ndarray) -> None:
+        """Follow a table change in place: retrace only the routes it
+        can move.
+
+        A delivered route whose recorded walk meets no changed (switch,
+        DLID) entry takes the same hops through the new tables (by
+        induction on the hops), so only the other routes are traced
+        again: those meeting a changed entry, and every undelivered one,
+        since a walk that met a port outside [0, m) does not record the
+        switch it met it at.  The test reads ``route_switch`` over the
+        changed columns only, a few columns at a time, which bounds its
+        temporaries.  Writes this kernel's route arrays: the caller
+        owns it (:meth:`retraced` copies first).
+        """
+        port = _checked_port(port_matrix, self.num_switches, self.num_lids)
+        diff = port != self.port
+        cols = np.flatnonzero(diff.any(axis=0))
+        self.port = port
+        self._checks = None
+        self._sel_weights = None
+        self._sel_loads = None
+        if not cols.size:
+            return
+        chunk = max(1, _MASK_CHUNK // (self.num_leaves * self.max_steps))
+        leaves, lids = [], []
+        for lo in range(0, len(cols), chunk):
+            col = cols[lo : lo + chunk]
+            sw = self.route_switch[:, col]
+            meets = (diff[np.maximum(sw, 0), col[:, None]] & (sw >= 0)).any(axis=2)
+            leaf, k = np.nonzero(meets | (self.delivered[:, col] < 0))
+            leaves.append(leaf)
+            lids.append(col[k])
+        leaf, lid = np.concatenate(leaves), np.concatenate(lids)
+        routes = trace_routes(
+            self.arrays, port, self.leaf_switch[leaf], lid, self.max_steps
+        )
+        self.route_switch[leaf, lid] = routes.switch
+        self.route_port[leaf, lid] = routes.port
+        self.route_len[leaf, lid] = routes.length
+        self.delivered[leaf, lid] = routes.delivered
+        self.bad_port[leaf, lid] = routes.bad_port
 
     # ------------------------------------------------------------------
     # Derived per-route properties (lazy)

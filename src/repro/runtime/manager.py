@@ -32,18 +32,20 @@ failure lifecycle *inside* the discrete-event simulation:
    :class:`ReroutingRecord`; :meth:`DynamicSubnetManager.metrics`
    summarizes time-to-detect, time-to-repair, packets lost, flows
    rerouted and post-repair path-length inflation.  A route depends
-   only on (source leaf, DLID), so the flow statistics trace just the
-   flows whose DLID column the repair changed, before and after, in
-   one batched hop stepper (:func:`~repro.core.kernel.trace_routes`).
+   only on (source leaf, DLID), so the flow statistics read the flows
+   whose DLID column the repair changed off the live kernel, before
+   and after the sweep advances it.
 
 Kernel coherence: the shared
 :class:`~repro.ib.artifacts.RoutingArtifacts` cache is never mutated
-(other subnets may hold the same instance); instead the manager owns a
-*live* :class:`~repro.core.kernel.RouteKernel`.  After a reprogram,
-:meth:`DynamicSubnetManager.live_kernel` advances it with
-:meth:`~repro.core.kernel.RouteKernel.retraced`: a copy that retraces
-only the DLID columns whose forwarding entries changed, equal bit for
-bit to a fresh compile of the switches' current LFTs.
+(other subnets may hold the same instance); instead the manager owns
+one *live* :class:`~repro.core.kernel.RouteKernel`, compiled at
+construction.  Each sweep advances it once, when it completes,
+retracing only the routes whose walk crosses a reprogrammed entry; the
+result equals a fresh compile of the switches' current LFTs bit for
+bit.  :meth:`DynamicSubnetManager.live_kernel` hands out that same
+object and marks it shared, so the next advance copies it first
+(copy-on-write): a kernel once handed out is never written.
 """
 
 from __future__ import annotations
@@ -57,12 +59,7 @@ import numpy as np
 
 from repro.core.fault import FaultSet, LinkId, link_id
 from repro.core.fault_kernel import FaultRepairKernel
-from repro.core.kernel import (
-    RouteKernel,
-    fabric_arrays,
-    trace_columns,
-    trace_routes,
-)
+from repro.core.kernel import RouteKernel, fabric_arrays, trace_routes
 from repro.ib.lft import LinearForwardingTable
 from repro.ib.link import Transmitter
 from repro.ib.sm import SubnetManager
@@ -216,14 +213,19 @@ class DynamicSubnetManager:
         # In-flight delta programming (one sweep at a time; a newer
         # sweep supersedes an unfinished one).
         self._pending_ctx: Optional[dict] = None
-        # Live-kernel coherence: bumped on every reprogram.
+        # Bumped on every reprogrammed switch.
         self._generation = 0
-        self._kernel: Optional[RouteKernel] = None
-        self._kernel_generation = -1
-        # Migration statistics: every flow's leaf row and DLID index,
-        # and the fault-free (leaf, DLID) route lengths; built on the
-        # first repair.
-        self._flows: Optional[Tuple[np.ndarray, ...]] = None
+        # The live kernel: the routes of the tables the last completed
+        # sweep left (generation 0: the initial sweep's), advanced in
+        # place once per sweep unless live_kernel() handed it out.
+        self._kernel = RouteKernel(self.scheme, self._live_port())
+        self._kernel_generation = 0
+        self._kernel_shared = False
+        # live_kernel()'s copy for a mid-sweep generation.
+        self._mid_kernel: Optional[Tuple[int, RouteKernel]] = None
+        # Migration statistics: every flow's leaf row, DLID index and
+        # fault-free route length, in (src, dst) row-major order.
+        self._flows = self._index_flows()
         #: Optional observer called as ``on_sweep(record)`` after each
         #: detection→repair cycle completes (including zero-delta
         #: sweeps).  Fired from inside the engine's callback, after the
@@ -418,7 +420,7 @@ class DynamicSubnetManager:
         """One SubnSet: swap the switch's LFT through the normal path."""
         self.net.switches[sw].lft = table
         self._live[sw] = table.as_array() - 1
-        self._generation += 1  # live kernel is stale now
+        self._generation += 1  # the live kernel advances at the sweep's end
         ctx["programmed"] += 1
         if ctx["programmed"] == len(ctx["items"]):
             self._pending_ctx = None
@@ -480,7 +482,10 @@ class DynamicSubnetManager:
     # Migration statistics
     # ------------------------------------------------------------------
     def _migration_stats(
-        self, before: Tables, known: frozenset
+        self,
+        before: Tables,
+        known: frozenset,
+        kernel: Optional[RouteKernel] = None,
     ) -> Tuple[int, float]:
         """How many flows moved, and how much longer their paths got.
 
@@ -488,24 +493,60 @@ class DynamicSubnetManager:
         selected DLID through the tables, from the source's leaf.  A
         walk still undelivered after ``2n + 2·max(1, |known|) + 2`` hops
         is "no path", and two of those count as the same path.  Only
-        flows whose DLID column changed can move: their paths through
-        ``before`` and through the live tables are traced side by side.
-        Inflation compares the new path length against the fault-free
-        one, averaged over rerouted flows that still have a path.
+        flows whose DLID column changed can move.  Inflation compares
+        the new path length against the fault-free one, averaged over
+        rerouted flows that still have a path.
+
+        ``kernel`` holds the routes of ``before``; by default it is the
+        live kernel, which this call advances to the live tables.  Each
+        compared flow's old route is read from it before the advance and
+        its new route after.  The kernel's hop budget is ``2n + 2``: if
+        a compared route is undelivered within it, in either kernel, the
+        flows are walked through both tables instead (:meth:`_walk_flows`).
         """
         changed = np.zeros(self.scheme.num_lids, dtype=bool)
         for sw, old in before.items():
             live = self._live[sw]
             if live is not old:
                 np.logical_or(changed, old != live, out=changed)
-        if not changed.any():
-            return 0, 1.0
-        if self._flows is None:
-            self._index_flows()
-        arrays = fabric_arrays(self.ft)
         flow_leaf, flow_lix, base_len = self._flows
         hit = changed[flow_lix]
         leaf, lix = flow_leaf[hit], flow_lix[hit]
+        old = self._kernel if kernel is None else kernel
+        old_hops = old.route_port[leaf, lix]
+        old_ok = old.delivered[leaf, lix] >= 0
+        if kernel is None:
+            new = self._advance_kernel()
+        else:
+            new = kernel.retraced(self._live_port())
+        new_ok = new.delivered[leaf, lix] >= 0
+        if old_ok.all() and new_ok.all():
+            moved = (old_hops != new.route_port[leaf, lix]).any(axis=1)
+            length = new.route_len[leaf, lix]
+        else:
+            moved, new_ok, length = self._walk_flows(
+                before, known, changed, leaf, lix
+            )
+        kept = moved & new_ok
+        ratios = (length[kept] / base_len[hit][kept]).tolist()
+        inflation = sum(ratios) / len(ratios) if ratios else 1.0
+        return int(moved.sum()), inflation
+
+    def _walk_flows(
+        self,
+        before: Tables,
+        known: frozenset,
+        changed: np.ndarray,
+        leaf: np.ndarray,
+        lix: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(moved, new walk delivered, new length) of the flows at
+        (``leaf``, ``lix``), walked through ``before`` and through the
+        live tables side by side, in one batched hop stepper over the
+        ``changed`` DLID columns, to the budget ``2n + 2·max(1, |known|)
+        + 2``.  A flow moved if exactly one of its walks is delivered,
+        or both are and their hops differ."""
+        arrays = fabric_arrays(self.ft)
         start = arrays.leaf_switch[leaf]
         cols = np.flatnonzero(changed)
         col = np.searchsorted(cols, lix)
@@ -543,30 +584,39 @@ class DynamicSubnetManager:
         old_hops, new_hops = routes.port[:compared], routes.port[compared:]
         same_hops = (old_hops == new_hops).all(axis=1)
         moved = ~np.where(old_ok & new_ok, same_hops, old_ok == new_ok)
-        kept = moved & new_ok
-        ratios = (
-            routes.length[compared:][kept] / base_len[leaf[kept], lix[kept]]
-        ).tolist()
-        inflation = sum(ratios) / len(ratios) if ratios else 1.0
-        return int(moved.sum()), inflation
+        return moved, new_ok, routes.length[compared:]
 
-    def _index_flows(self) -> None:
-        """Map every flow to its (leaf row, DLID index) once, in (src,
-        dst) row-major order, and trace the fault-free length of every
-        (leaf, DLID) route; the initial sweep delivers each within
-        ``2n − 1`` hops."""
-        arrays = fabric_arrays(self.ft)
+    def _index_flows(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every flow's leaf row and DLID index, in (src, dst) row-major
+        order, and its fault-free route length, read off the
+        generation-0 kernel (the initial sweep delivers every route
+        within ``2n − 1`` hops)."""
         num = self.ft.num_nodes
         src, dst = np.nonzero(~np.eye(num, dtype=bool))
-        baseline = np.stack([self._baseline[sw] for sw in self.ft.switches])
-        base_len = trace_columns(
-            arrays, baseline, np.arange(self.scheme.num_lids), 2 * self.ft.n + 2
-        ).length
-        self._flows = (
-            arrays.attach_leaf[src].astype(np.int64),
-            self.net.dlid_matrix()[src, dst].astype(np.int64) - 1,
-            base_len,
-        )
+        leaf = self._kernel.attach_leaf[src].astype(np.int64)
+        lix = self.net.dlid_matrix()[src, dst].astype(np.int64) - 1
+        return leaf, lix, self._kernel.route_len[leaf, lix]
+
+    # ------------------------------------------------------------------
+    # The live kernel
+    # ------------------------------------------------------------------
+    def _live_port(self) -> np.ndarray:
+        """The live tables as one (switches, LIDs) port matrix."""
+        return np.stack([self._live[sw] for sw in self.ft.switches])
+
+    def _advance_kernel(self) -> RouteKernel:
+        """Advance the live kernel to the live tables, once per sweep,
+        in place unless :meth:`live_kernel` handed it out (then a
+        :meth:`~repro.core.kernel.RouteKernel.retraced` copy)."""
+        port = self._live_port()
+        if self._kernel_shared:
+            self._kernel = self._kernel.retraced(port)
+            self._kernel_shared = False
+        else:
+            self._kernel._advance(port)
+        self._kernel_generation = self._generation
+        self._mid_kernel = None
+        return self._kernel
 
     # ------------------------------------------------------------------
     # Introspection
@@ -574,11 +624,16 @@ class DynamicSubnetManager:
     def live_kernel(self) -> RouteKernel:
         """Route kernel of the tables the switches forward with now.
 
-        Advanced on demand after a reprogram: the previous live kernel
-        is :meth:`~repro.core.kernel.RouteKernel.retraced` over the live
-        tables, so only the DLID columns that changed are traced again,
-        and the result equals a fresh ``RouteKernel.from_lfts`` of the
-        live LFTs bit for bit.  Earlier kernels are never written.  The
+        Between sweeps this is the manager's own kernel, which each
+        sweep advances once (:meth:`_migration_stats`).  Handing it out
+        marks it shared, so the next sweep advances a copy instead: a
+        kernel once returned is never written.  Mid-sweep, after some
+        switches were reprogrammed, the manager's kernel keeps the
+        tables the sweep started from, which the sweep's statistics
+        read; the caller gets a
+        :meth:`~repro.core.kernel.RouteKernel.retraced` copy, cached for
+        that generation.  Either way the result equals a fresh
+        ``RouteKernel.from_lfts`` of the live LFTs bit for bit.  The
         shared :mod:`repro.ib.artifacts` cache is left untouched — its
         kernel describes the fault-free tables.
 
@@ -586,14 +641,13 @@ class DynamicSubnetManager:
         (``2n + 2``); on deep trees a repaired route that detours past
         it shows up as undelivered rather than raising.
         """
-        if self._kernel is None or self._kernel_generation != self._generation:
-            port = np.stack([self._live[sw] for sw in self.ft.switches])
-            if self._kernel is None:
-                self._kernel = RouteKernel(self.scheme, port)
-            else:
-                self._kernel = self._kernel.retraced(port)
-            self._kernel_generation = self._generation
-        return self._kernel
+        if self._kernel_generation == self._generation:
+            self._kernel_shared = True
+            return self._kernel
+        if self._mid_kernel is None or self._mid_kernel[0] != self._generation:
+            kernel = self._kernel.retraced(self._live_port())
+            self._mid_kernel = (self._generation, kernel)
+        return self._mid_kernel[1]
 
     @property
     def generation(self) -> int:

@@ -13,10 +13,12 @@ Consistency model
 -----------------
 * A snapshot is **immutable**: its kernel is the manager's live kernel
   of that generation
-  (:meth:`~repro.runtime.DynamicSubnetManager.live_kernel`), built by
-  copying the previous kernel's route arrays and retracing the DLID
-  columns the sweep changed.  Nothing writes those arrays afterwards;
-  queries answer by zero-copy array indexing.
+  (:meth:`~repro.runtime.DynamicSubnetManager.live_kernel`), which the
+  sweep already advanced to its tables, retracing only the routes that
+  cross a reprogrammed entry.  Publishing hands that kernel over; the
+  manager copies it before the next sweep's advance, so nothing writes
+  its arrays afterwards, and queries answer by zero-copy array
+  indexing.
 * The :class:`SnapshotStore` publishes by a single reference
   assignment, which is atomic under the GIL — a reader in any thread
   sees either the old snapshot or the new one, never a torn mix, and
@@ -236,9 +238,9 @@ class SnapshotPublisher:
 
     Hooks :attr:`DynamicSubnetManager.on_sweep` (chaining any observer
     already installed) and, at attach time, publishes the current state
-    as the baseline.  The manager's live kernel is retraced in the
-    calling (simulation) thread; the store swap is the only thing
-    readers ever see.
+    as the baseline.  The manager's live kernel is advanced in the
+    calling (simulation) thread, by the sweep itself; the store swap is
+    the only thing readers ever see.
 
     ``keep_lfts=True`` additionally archives the (immutable) LFT
     objects of every published generation in :attr:`lft_archive` —

@@ -208,6 +208,57 @@ class TestKernelCoherence:
             kernel.delivered, np.broadcast_to(kernel.lid_owner, kernel.delivered.shape)
         )
 
+    def test_unqueried_kernel_advances_in_place(self):
+        """A manager nobody asks for its kernel never copies it."""
+        net = make_net(8, 2)
+        mgr = run_scenario(net)
+        kernel = mgr._kernel
+        assert len(mgr.records) == 2
+        assert mgr._kernel is kernel
+        assert mgr.live_kernel() is kernel
+
+
+@pytest.fixture(scope="module")
+def storm_traces():
+    """(records, [(sweep index, routes)] of every trace_routes call) over
+    one FT(8,3) mlid storm play, the e2e flap-storm's, traced after the
+    storm's set-up."""
+    import repro.core.kernel
+    import repro.runtime.manager
+    from repro.service import LinkFlapStorm
+
+    storm = LinkFlapStorm(8, 3, "mlid", flap_links=2, horizon_ns=100_000.0)
+    calls = []
+    trace_routes = repro.core.kernel.trace_routes
+
+    def spy(arrays, port, start, cols, steps):
+        calls.append((len(storm.mgr.records), len(start)))
+        return trace_routes(arrays, port, start, cols, steps)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (repro.core.kernel, repro.runtime.manager):
+            patch.setattr(module, "trace_routes", spy, raising=False)
+        storm.net.engine.run()
+    return storm.mgr.records, calls
+
+
+class TestOneTracePerSweep:
+    def test_first_sweep_traces_only_routes_crossing_a_change(self, storm_traces):
+        """The first sweep's advance retraces, once, the 896 routes whose
+        walk crosses a reprogrammed entry: not all 32 leaves of the 704
+        DLID columns it changed (22,528 routes) for the snapshot, plus a
+        second walk of every flow in them for the statistics."""
+        _, calls = storm_traces
+        assert [n for sweep, n in calls if sweep == 0] == [896]
+
+    def test_storm_play_traces_each_sweep_once(self, storm_traces):
+        records, calls = storm_traces
+        assert len(records) == 38
+        assert all(r.switches_programmed for r in records)
+        assert sorted({sweep for sweep, _ in calls}) == list(range(38))
+        assert len(calls) == 38
+        assert sum(n for _, n in calls) == 34_048
+
 
 class TestMigrationAndLoss:
     def test_no_traffic_no_loss(self):

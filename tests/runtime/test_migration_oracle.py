@@ -1,7 +1,9 @@
 """Migration statistics against the per-flow table walk they replaced.
 
-``DynamicSubnetManager._migration_stats`` traces only the DLID columns
-a repair changed, for every leaf at once.  The oracle below is the
+``DynamicSubnetManager._migration_stats`` reads each flow whose DLID
+column a repair changed off the live route kernel, before and after the
+sweep advances it, and walks the tables only when a compared route is
+undelivered within the kernel's hop budget.  The oracle below is the
 original per-(src, dst) Python walk, kept verbatim: every repair record
 must get exactly the same ``flows_rerouted`` and ``path_inflation``
 from both, and a table port outside [0, m) must raise the same
@@ -17,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.kernel import RouteKernel
 from repro.experiments.failover import run_failover
 from repro.ib.config import SimConfig
 from repro.ib.subnet import build_subnet
@@ -210,6 +213,43 @@ def test_superseded_program_matches_walk(checked):
     assert_every_record_matches(checked, mgr)
 
 
+def test_mid_sweep_live_kernel_matches_walk(checked):
+    """A kernel asked for between two switches of one sweep describes the
+    half-programmed tables, and neither it nor a kernel handed out
+    before the sweep is the one the sweep's statistics advance."""
+    net = build_subnet(
+        8, 2, "mlid",
+        SimConfig(detection_latency_ns=0.0, sm_program_time_ns=500.0),
+        seed=1,
+    )
+    root = net.ft.switches_at_level(0)[0]
+    sched = FaultSchedule(net.ft).fail_and_recover(root, 0, 1_000.0, 20_000.0)
+    mgr = DynamicSubnetManager(net, sched)
+    handed_out = mgr.live_kernel()
+    handed_out_routes = handed_out.route_port.copy()
+    step = mgr._program_step
+    mid = []
+
+    def program_step(ctx, sw, table):
+        step(ctx, sw, table)
+        if mgr._pending_ctx is ctx:  # switches of this sweep remain
+            kernel = mgr.live_kernel()
+            fresh = RouteKernel.from_lfts(mgr.scheme, mgr.live_lfts())
+            for name in ("port", "route_switch", "route_port", "route_len",
+                         "delivered", "bad_port"):
+                assert np.array_equal(getattr(kernel, name), getattr(fresh, name)), name
+            assert mgr.live_kernel() is kernel
+            mid.append(kernel)
+
+    mgr._program_step = program_step
+    mgr.arm()
+    net.engine.run()
+    assert [r.kind for r in mgr.records] == ["down", "up"]
+    assert mid
+    assert_every_record_matches(checked, mgr)
+    assert np.array_equal(handed_out.route_port, handed_out_routes)
+
+
 @pytest.mark.parametrize("m,n,scheme", [(8, 3, "mlid"), (4, 3, "slid")])
 def test_failover_without_publisher_matches_walk(checked, m, n, scheme):
     row = run_failover(m, n, scheme)
@@ -270,7 +310,9 @@ def test_perturbed_tables_match_walk(idle_managers, data, shape, known):
                 row[lix] = port
                 tables[switches[sw_id]] = row
         faults = frozenset(range(known))
-        got = _outcome(mgr._migration_stats, before, faults)
+        # The fast path reads the before-routes off a kernel of them.
+        kernel = RouteKernel(mgr.scheme, np.stack([before[sw] for sw in switches]))
+        got = _outcome(mgr._migration_stats, before, faults, kernel)
         want = _outcome(oracle_migration_stats, mgr, before, faults)
         assert got == want
     finally:
