@@ -29,9 +29,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 
 from repro.core.scheme import RoutingScheme
 from repro.topology import groups
@@ -41,6 +39,9 @@ from repro.topology.labels import (
     format_node,
     format_switch,
 )
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "RoutingError",

@@ -19,7 +19,10 @@
   ``run_figure`` (all schemes × VL counts) and its one-curve form
   ``run_sweep``, with saturation detection;
 * :mod:`repro.experiments.report` — renders results as aligned text
-  tables and CSV, the way the benchmarks print them.
+  tables and CSV, the way the benchmarks print them;
+* :mod:`repro.experiments.failover` — one link failure and recovery
+  under the dynamic SM (``run_failover``).  It is not re-exported
+  here: it loads :mod:`repro.runtime`, which no sweep reads.
 """
 
 from repro.experiments.configs import (
@@ -30,7 +33,6 @@ from repro.experiments.configs import (
     get_experiment,
     all_experiments,
 )
-from repro.experiments.failover import FAILOVER_COLUMNS, run_failover
 from repro.experiments.flowlevel import (
     FlowModel,
     build_flow_model,
@@ -72,8 +74,6 @@ __all__ = [
     "get_flow_model",
     "knee_utilization",
     "select_backends",
-    "FAILOVER_COLUMNS",
-    "run_failover",
     "FigureResult",
     "run_figure",
     "saturation_throughput",

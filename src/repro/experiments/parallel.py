@@ -39,8 +39,6 @@ shares tapes within the chunk it receives.
 from __future__ import annotations
 
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -172,7 +170,7 @@ def execute_points(
     offered traffic.  ``jobs=1`` (or ``None``) executes inline.
     ``jobs>1`` fans the group-ordered specs out over a process pool in
     contiguous chunks, which preserves group and curve locality for the
-    per-worker artifact cache.
+    per-worker artifact cache; only then is the process pool imported.
     """
     jobs = normalize_jobs(jobs)
     groups: Dict[tuple, List[int]] = {}
@@ -184,6 +182,9 @@ def execute_points(
     if jobs == 1 or len(specs) <= 1:
         done = _run_groups(ordered)
     else:
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
         # ~4 chunks per worker balances load against cache locality.
         size = max(1, len(specs) // (jobs * 4))
         chunks = [ordered[i : i + size] for i in range(0, len(ordered), size)]

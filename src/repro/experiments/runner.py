@@ -124,7 +124,7 @@ def run_point(
     key (``build_subnet(traffic=...)``).
     """
     cfg = cfg or SimConfig()
-    artifacts = get_artifacts(m, n, scheme, cfg)
+    artifacts = get_artifacts(m, n, scheme)
     return measure_point(
         lambda: build_subnet(
             m, n, scheme, cfg, seed=seed, artifacts=artifacts, traffic=traffic

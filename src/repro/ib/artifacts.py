@@ -3,16 +3,22 @@
 Every point of a paper figure rebuilds the same deterministic setup:
 the :class:`~repro.topology.fattree.FatTree` description, the routing
 scheme (MLID/SLID tables), the Subnet Manager's LFTs and the dense
-DLID path-selection matrix.  None of these depend on the seed or the
-offered load — only on ``(m, n, scheme, cfg)`` — so a sweep of S seeds
-× L loads pays the setup cost S·L times for one distinct answer.
+DLID path-selection matrix.  Equations (1)/(2) fix all of it from the
+fabric and the scheme alone — not the seed, the offered load, the VL
+count or any other :class:`~repro.ib.config.SimConfig` field — so a
+figure's schemes × VL counts × loads × seeds grid has one distinct
+answer per scheme.
 
-:func:`get_artifacts` memoizes that setup per process.  The cache key
-is ``(m, n, scheme-name, cfg)`` (``SimConfig`` is a frozen, hashable
-dataclass, so the full configuration participates in the key; the
-artifacts themselves currently depend only on the topology and scheme,
-but keying on the config keeps the cache trivially correct if a future
-config knob ever influences table construction).
+:func:`get_artifacts` memoizes that setup per process, keyed on
+``(m, n, scheme-name)``.  :func:`build_artifacts` takes no
+configuration, so no configuration can reach the tables: the key is
+complete by construction.
+
+The route kernel compiled from the programmed LFTs
+(:attr:`RoutingArtifacts.kernel`) is built on first read.  Packet
+points never read it; the static analyses and the route-query service
+do, and share it with :func:`~repro.core.kernel.compile_kernel`
+through the scheme's memo slot.
 
 Everything cached is immutable after construction — ``FatTree``,
 scheme tables, :class:`~repro.ib.lft.LinearForwardingTable` entries
@@ -55,8 +61,11 @@ __all__ = [
     "routing_cache_info",
 ]
 
-#: Cache key: (m, n, scheme name, full simulation config).
-ArtifactKey = Tuple[int, int, str, SimConfig]
+#: Cache key: (m, n, scheme name).
+ArtifactKey = Tuple[int, int, str]
+
+#: Serializes first reads of :attr:`RoutingArtifacts.kernel`.
+_kernel_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -66,15 +75,10 @@ class RoutingArtifacts:
     m: int
     n: int
     scheme_name: str
-    cfg: SimConfig
     scheme: RoutingScheme
     lfts: Dict[SwitchLabel, LinearForwardingTable] = field(repr=False)
     #: Flattened (num_nodes * num_nodes) DLID matrix, write-protected.
     dlid_flat: np.ndarray = field(repr=False)
-    #: Route kernel compiled from the programmed LFTs — the compiled
-    #: port/peer arrays every switch forwards through, shared with all
-    #: static analyses (verify, LCA usage, link loads, CDG).
-    kernel: RouteKernel = field(repr=False)
 
     @property
     def ft(self) -> FatTree:
@@ -86,14 +90,32 @@ class RoutingArtifacts:
         first subnet build and shared by every later one."""
         return dlid_row_lists(self.dlid_flat, self.ft.num_nodes)
 
-    @property
-    def key(self) -> ArtifactKey:
-        return (self.m, self.n, self.scheme_name, self.cfg)
+    @cached_property
+    def kernel(self) -> RouteKernel:
+        """Route kernel of the programmed LFTs — the port/peer arrays
+        every switch forwards through, shared with all static analyses
+        (verify, LCA usage, link loads, CDG) and the route-query
+        service.
+
+        Compiled on the first read, with this artifact's DLID matrix,
+        and installed in :func:`~repro.core.kernel.compile_kernel`'s
+        memo slot on the scheme.  If ``compile_kernel(self.scheme)``
+        ran first, this is its kernel.  Concurrent first reads get one
+        object."""
+        with _kernel_lock:
+            kernel = getattr(self.scheme, "_route_kernel", None)
+            if kernel is None:
+                kernel = RouteKernel.from_lfts(self.scheme, self.lfts)
+                nodes = self.ft.num_nodes
+                kernel._set_selected(self.dlid_flat.reshape(nodes, nodes))
+                self.scheme._route_kernel = kernel
+            return kernel
 
     def snapshot(self):
         """Generation-0 :class:`~repro.service.snapshot.RouteSnapshot`
-        over this artifact's kernel — the zero-cost way to stand up a
-        static (storm-less) route-query service."""
+        over this artifact's kernel — the way to stand up a static
+        (storm-less) route-query service.  The first call compiles the
+        kernel; later ones share it."""
         from repro.service.snapshot import baseline_snapshot
 
         return baseline_snapshot(self)
@@ -111,37 +133,28 @@ def dlid_row_lists(dlid_flat: np.ndarray, num_nodes: int) -> List[List[int]]:
     ]
 
 
-def build_artifacts(
-    m: int, n: int, scheme: str, cfg: Optional[SimConfig] = None
-) -> RoutingArtifacts:
-    """Build the shareable routing artifacts for one configuration.
+def build_artifacts(m: int, n: int, scheme: str) -> RoutingArtifacts:
+    """Build the shareable routing artifacts of FT(m, n) under ``scheme``.
 
     This is exactly the setup work :func:`~repro.ib.subnet.build_subnet`
     performs on its fresh-build path: construct FT(m, n), instantiate
     the scheme, run the Subnet Manager's full initialization (sweep
     discovery, LID plan, LFT programming) and materialize the dense
-    DLID matrix.
+    DLID matrix.  The route kernel waits for its first read
+    (:attr:`RoutingArtifacts.kernel`).
     """
-    cfg = cfg or SimConfig()
     ft = FatTree(m, n)
     scheme_obj = get_scheme(scheme, ft)
-    sm = SubnetManager(scheme_obj)
-    lfts = sm.configure()
-    dlid_matrix = scheme_obj.dlid_matrix()
-    dlid_flat = dlid_matrix.reshape(-1)
+    lfts = SubnetManager(scheme_obj).configure()
+    dlid_flat = scheme_obj.dlid_matrix().reshape(-1)
     dlid_flat.setflags(write=False)
-    kernel = RouteKernel.from_lfts(scheme_obj, lfts)
-    kernel._set_selected(dlid_matrix)  # reuse instead of recomputing
-    scheme_obj._route_kernel = kernel  # compile_kernel() memo slot
     return RoutingArtifacts(
         m=m,
         n=n,
         scheme_name=scheme.lower(),
-        cfg=cfg,
         scheme=scheme_obj,
         lfts=lfts,
         dlid_flat=dlid_flat,
-        kernel=kernel,
     )
 
 
@@ -154,17 +167,21 @@ _misses = 0
 def get_artifacts(
     m: int, n: int, scheme: str, cfg: Optional[SimConfig] = None
 ) -> RoutingArtifacts:
-    """Cached :func:`build_artifacts` (per-process, thread-safe)."""
+    """Cached :func:`build_artifacts` (per-process, thread-safe).
+
+    ``cfg`` is ignored: the artifacts depend on ``(m, n, scheme)``
+    alone.  It remains only for ``benchmarks/e2e/workloads.py``, the
+    last caller that passes one, and goes with that file's next change.
+    """
     global _hits, _misses
-    cfg = cfg or SimConfig()
-    key: ArtifactKey = (m, n, scheme.lower(), cfg)
+    key: ArtifactKey = (m, n, scheme.lower())
     with _lock:
         cached = _cache.get(key)
         if cached is not None:
             _hits += 1
             return cached
         _misses += 1
-    built = build_artifacts(m, n, scheme, cfg)
+    built = build_artifacts(m, n, scheme)
     with _lock:
         # Keep the first build if two threads raced; both are equal.
         return _cache.setdefault(key, built)

@@ -224,10 +224,10 @@ class SnapshotStore:
 def baseline_snapshot(artifacts) -> RouteSnapshot:
     """Generation-0 snapshot straight from cached routing artifacts.
 
-    Zero recompilation: the artifact's kernel was already compiled from
-    the programmed LFTs and carries the precomputed DLID matrix, so a
-    static (storm-less) service starts serving without tracing a single
-    route.  ``artifacts`` is a
+    The snapshot holds the artifact's kernel, compiled from the
+    programmed LFTs with the precomputed DLID matrix on its first read
+    and shared with every later one, so a second static (storm-less)
+    service on the same fabric traces no route.  ``artifacts`` is a
     :class:`~repro.ib.artifacts.RoutingArtifacts`.
     """
     return RouteSnapshot(artifacts.kernel, generation=0)

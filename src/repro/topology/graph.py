@@ -3,14 +3,18 @@
 Exports the constructed fat-tree as a :mod:`networkx` graph for
 analyses the simulator does not need on its hot path: bisection width,
 hop diameter, connectivity sanity.  These back the topology property
-tests and the Table-1 benchmark.
+tests.  networkx is imported by the functions that build a graph, so
+importing this module (and :mod:`repro.topology`) does not load it.
 """
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.topology.fattree import FatTree
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["to_networkx", "bisection_links", "diameter_hops"]
 
@@ -21,6 +25,8 @@ __all__ = ["to_networkx", "bisection_links", "diameter_hops"]
 def to_networkx(ft: FatTree) -> nx.Graph:
     """Undirected graph with node vertices ``("node", p)`` and switch
     vertices ``("switch", w, level)``; edges carry the port pair."""
+    import networkx as nx
+
     g = nx.Graph()
     for p in ft.nodes:
         g.add_node(("node", p), kind="node")
@@ -62,6 +68,8 @@ def diameter_hops(ft: FatTree) -> int:
     root, and down n-1 rows: ``2n`` links between switches/nodes.
     Computed from the graph to double-check the closed form.
     """
+    import networkx as nx
+
     g = to_networkx(ft)
     # Eccentricity over node vertices only; fat-trees are small enough
     # here that exact BFS from the corner nodes suffices: the diameter

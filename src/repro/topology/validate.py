@@ -2,20 +2,21 @@
 
 ``validate_fattree`` re-derives every invariant Section 3 of the paper
 states and raises :class:`TopologyError` on the first violation.  It is
-used by the test suite and is cheap enough to run on construction in
-examples (O(switches * m)).
+used by the test suite and Table 1, and is cheap enough to run on
+construction in examples (O(switches * m)).  Connectivity and the link
+count come from one walk over ``ft.ports`` (:func:`link_walk`), so
+validation needs no graph library.
 """
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import Tuple
 
 from repro.topology import groups
 from repro.topology.fattree import FatTree
-from repro.topology.graph import to_networkx
 from repro.topology.labels import format_switch
 
-__all__ = ["TopologyError", "validate_fattree"]
+__all__ = ["TopologyError", "link_walk", "validate_fattree"]
 
 
 class TopologyError(AssertionError):
@@ -110,10 +111,41 @@ def validate_fattree(ft: FatTree) -> None:
         )
 
     # Global connectivity.
-    g = to_networkx(ft)
-    _require(nx.is_connected(g), "FT(m, n) must be connected")
+    links, connected = link_walk(ft)
+    _require(connected, "FT(m, n) must be connected")
     _require(
-        g.number_of_edges()
-        == ft.num_nodes + (ft.num_switches * m - ft.num_nodes) // 2,
+        links == ft.num_nodes + (ft.num_switches * m - ft.num_nodes) // 2,
         "edge count mismatch",
     )
+
+
+def link_walk(ft: FatTree) -> Tuple[int, bool]:
+    """``(links, connected)`` from one walk over ``ft.ports``, starting
+    at the first switch.
+
+    A link is counted once: a node link from its switch, a switch link
+    from its parent's side (the edges of
+    :func:`~repro.topology.graph.to_networkx`).  ``connected`` says the
+    walk reached every switch and every node; nodes hang off switches,
+    so a node is reached through its switch's port.
+    """
+    start = ft.switches[0]
+    seen = {start}
+    nodes = set()
+    links = 0
+    stack = [start]
+    while stack:
+        s = stack.pop()
+        level = s[1]
+        for ep in ft.ports(s):
+            if ep.is_node:
+                nodes.add(ep.node)
+                links += 1
+            elif ep.is_switch:
+                if ep.switch[1] == level + 1:
+                    links += 1
+                if ep.switch not in seen:
+                    seen.add(ep.switch)
+                    stack.append(ep.switch)
+    connected = len(seen) == ft.num_switches and len(nodes) == ft.num_nodes
+    return links, connected

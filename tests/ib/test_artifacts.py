@@ -1,5 +1,8 @@
 """Correctness of the routing-artifact cache."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -22,9 +25,8 @@ def fresh_cache():
 
 def test_cached_build_equals_fresh_build():
     """A cached scheme/LFT build must equal a from-scratch one."""
-    cfg = SimConfig()
-    cached = get_artifacts(4, 2, "mlid", cfg)
-    fresh = build_artifacts(4, 2, "mlid", cfg)
+    cached = get_artifacts(4, 2, "mlid")
+    fresh = build_artifacts(4, 2, "mlid")
     assert cached.lfts.keys() == fresh.lfts.keys()
     for sw in cached.lfts:
         assert cached.lfts[sw] == fresh.lfts[sw]
@@ -34,24 +36,24 @@ def test_cached_build_equals_fresh_build():
 
 
 def test_cache_hits_and_key_sensitivity():
-    cfg = SimConfig()
-    a = get_artifacts(4, 2, "mlid", cfg)
-    b = get_artifacts(4, 2, "mlid", cfg)
+    a = get_artifacts(4, 2, "mlid")
+    b = get_artifacts(4, 2, "mlid")
     assert a is b
     info = artifact_cache_info()
     assert info["hits"] == 1 and info["misses"] == 1 and info["size"] == 1
-    # Any key component change misses: scheme, topology, config.
-    assert get_artifacts(4, 2, "slid", cfg) is not a
-    assert get_artifacts(8, 2, "mlid", cfg) is not a
-    assert get_artifacts(4, 2, "mlid", cfg.with_vls(2)) is not a
-    assert artifact_cache_info()["size"] == 4
+    # Any key component change misses: scheme, topology.
+    assert get_artifacts(4, 2, "slid") is not a
+    assert get_artifacts(8, 2, "mlid") is not a
+    # The ignored config argument is no part of the key.
+    assert get_artifacts(4, 2, "mlid", SimConfig().with_vls(2)) is a
+    assert artifact_cache_info()["size"] == 3
     # Scheme names are case-normalized.
-    assert get_artifacts(4, 2, "MLID", cfg) is a
+    assert get_artifacts(4, 2, "MLID") is a
 
 
 def test_subnet_from_artifacts_matches_fresh_subnet():
     cfg = SimConfig()
-    artifacts = get_artifacts(4, 2, "mlid", cfg)
+    artifacts = get_artifacts(4, 2, "mlid")
     cached_net = build_subnet(4, 2, "mlid", cfg, seed=3, artifacts=artifacts)
     fresh_net = build_subnet(4, 2, "mlid", cfg, seed=3)
     assert cached_net.num_nodes == fresh_net.num_nodes
@@ -81,9 +83,10 @@ def test_cached_measurement_bit_identical_to_fresh():
     assert fresh == cached
 
 
-def test_figure_cached_equals_fresh_one_build_per_curve(monkeypatch):
+def test_figure_cached_equals_fresh_one_build_per_scheme(monkeypatch):
     """A whole figure through the cache equals the same points built
-    from scratch, and the cache builds once per (scheme, VL) curve.
+    from scratch, and the cache builds once per scheme: every VL
+    count's curve reads the same artifacts.
 
     The figure's points also share their offered traffic: the points of
     one load and seed, every (scheme, VL) curve's, replay the tapes the
@@ -146,7 +149,7 @@ def test_figure_cached_equals_fresh_one_build_per_curve(monkeypatch):
         del tapes[:]
         cached = run_figure(config, quick=True, base_cfg=base, jobs=1).curves
         curves = len(config.schemes) * len(config.vl_counts)
-        assert artifact_cache_info()["misses"] == curves
+        assert artifact_cache_info()["misses"] == len(config.schemes)
         assert cached == fresh
         # One set of tapes per (load, seed), read by every curve's point.
         groups = len(config.quick_loads) * len(config.quick_seeds)
@@ -157,7 +160,7 @@ def test_figure_cached_equals_fresh_one_build_per_curve(monkeypatch):
 
 def test_artifacts_validated_against_request():
     cfg = SimConfig()
-    artifacts = get_artifacts(4, 2, "mlid", cfg)
+    artifacts = get_artifacts(4, 2, "mlid")
     with pytest.raises(ValueError):
         build_subnet(8, 2, "mlid", cfg, artifacts=artifacts)
     with pytest.raises(ValueError):
@@ -165,7 +168,7 @@ def test_artifacts_validated_against_request():
 
 
 def test_dlid_matrix_is_write_protected():
-    artifacts = get_artifacts(4, 2, "mlid", SimConfig())
+    artifacts = get_artifacts(4, 2, "mlid")
     with pytest.raises(ValueError):
         artifacts.dlid_flat[0] = 99
 
@@ -175,7 +178,7 @@ def test_artifacts_carry_compiled_kernel():
     from the scheme directly, and verifies the whole fabric."""
     from repro.core.kernel import RouteKernel, compile_kernel
 
-    artifacts = get_artifacts(4, 2, "mlid", SimConfig())
+    artifacts = get_artifacts(4, 2, "mlid")
     kernel = artifacts.kernel
     direct = RouteKernel.from_scheme(artifacts.scheme)
     assert np.array_equal(kernel.port, direct.port)
@@ -195,7 +198,7 @@ def test_kernel_selected_matrix_consistent_for_extensions():
     """mlid-hash artifacts: the cached DLID matrix must agree with the
     scheme's scalar dlid() (regression for the inherited vectorized
     matrix dropping the hash)."""
-    artifacts = get_artifacts(4, 2, "mlid-hash", SimConfig())
+    artifacts = get_artifacts(4, 2, "mlid-hash")
     scheme = artifacts.scheme
     ft = artifacts.ft
     n = ft.num_nodes
@@ -204,3 +207,116 @@ def test_kernel_selected_matrix_consistent_for_extensions():
             if s != d:
                 expected = scheme.dlid(ft.nodes[s], ft.nodes[d])
                 assert artifacts.dlid_flat[s * n + d] == expected
+
+
+def test_one_artifact_serves_every_config(monkeypatch):
+    """Points at 1, 2 and 4 VLs and with multi-packet messages read one
+    artifact object, and at each config a subnet wired from it, and
+    ``run_point``, equal a from-scratch build bit for bit."""
+    from repro.experiments import runner
+    from repro.traffic.patterns import make_pattern
+
+    read = []
+    real_build = runner.build_subnet
+
+    def build_subnet_spy(*args, artifacts=None, **kwargs):
+        read.append(artifacts)
+        return real_build(*args, artifacts=artifacts, **kwargs)
+
+    monkeypatch.setattr(runner, "build_subnet", build_subnet_spy)
+    shared = get_artifacts(4, 2, "mlid")
+    configs = [
+        SimConfig(),
+        SimConfig().with_vls(2),
+        SimConfig().with_vls(4),
+        SimConfig(message_packets=3),
+    ]
+    for cfg in configs:
+        assert get_artifacts(4, 2, "mlid", cfg) is shared
+        cached_net = build_subnet(4, 2, "mlid", cfg, seed=5, artifacts=shared)
+        fresh_net = build_subnet(4, 2, "mlid", cfg, seed=5)
+        for sw, model in cached_net.switches.items():
+            assert model.lft == fresh_net.switches[sw].lft
+        nodes = range(cached_net.num_nodes)
+        assert [cached_net.dlid_for(s, d) for s in nodes for d in nodes if s != d] == [
+            fresh_net.dlid_for(s, d) for s in nodes for d in nodes if s != d
+        ]
+        results = []
+        for net in (cached_net, fresh_net):
+            net.attach_pattern(make_pattern("uniform", net.num_nodes))
+            results.append(net.run_measurement(0.4, warmup_ns=2_000.0, measure_ns=8_000.0))
+            net.close()
+        point = runner.run_point(
+            4, 2, "mlid", "uniform", 0.4, cfg=cfg,
+            warmup_ns=2_000.0, measure_ns=8_000.0, seed=5,
+        )
+        assert results[0] == results[1] == point
+    assert read and all(artifacts is shared for artifacts in read)
+    assert artifact_cache_info()["misses"] == 1
+
+
+def test_quick_figure_compiles_no_route_kernel(monkeypatch):
+    """Packet points never read the route kernel, so a figure on its
+    quick grid compiles none."""
+    from repro.core.kernel import RouteKernel
+    from repro.experiments.configs import ExperimentConfig
+    from repro.experiments.sweep import run_figure
+
+    compiled = []
+    real_init = RouteKernel.__init__
+
+    def init_spy(self, *args, **kwargs):
+        compiled.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RouteKernel, "__init__", init_spy)
+    tiny = ExperimentConfig(
+        id="tiny", title="tiny", m=4, n=2, pattern="uniform",
+        schemes=("slid", "mlid"), vl_counts=(1, 2), quick_loads=(0.2,),
+        quick_seeds=(1,), quick_warmup_ns=2_000.0, quick_measure_ns=5_000.0,
+    )
+    result = run_figure(tiny, quick=True, jobs=1)
+    assert all(result.curves.values())
+    assert artifact_cache_info()["misses"] == 2
+    assert compiled == []
+
+
+def test_kernel_read_after_compile_kernel_is_its_memo():
+    """If ``compile_kernel`` compiled the scheme's kernel first, the
+    artifact returns that kernel instead of compiling its own (the
+    other order is :func:`test_artifacts_carry_compiled_kernel`)."""
+    from repro.core.kernel import compile_kernel
+
+    artifacts = get_artifacts(4, 2, "mlid")
+    kernel = compile_kernel(artifacts.scheme)
+    assert artifacts.kernel is kernel
+
+
+def test_concurrent_first_kernel_reads_get_one_object():
+    """More readers than cores race for the first read; every one gets
+    the one kernel, which is also ``compile_kernel``'s memo."""
+    from repro.core.kernel import compile_kernel
+
+    artifacts = get_artifacts(8, 2, "mlid")
+    readers = 4
+    start = threading.Barrier(readers)
+    got = []
+
+    def read():
+        start.wait(timeout=30)
+        got.append(artifacts.kernel)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read) for _ in range(readers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(got) == readers
+    assert all(kernel is got[0] for kernel in got)
+    assert compile_kernel(artifacts.scheme) is got[0]

@@ -56,11 +56,11 @@ def collector_off():
             gc.enable()
 
 
-def _warm(cfg, pattern):
+def _warm(pattern):
     """Fill the per-process caches a point reads (routing artifacts,
     traffic pattern), then clear out earlier garbage: what remains to
     be found afterwards is the point's own."""
-    artifacts = get_artifacts(M, N, "mlid", cfg)
+    artifacts = get_artifacts(M, N, "mlid")
     _build_pattern(pattern, artifacts.ft.num_nodes, 0.5)
     gc.collect()
 
@@ -68,7 +68,7 @@ def _warm(cfg, pattern):
 def _overloaded(cfg, pattern, engine=None):
     net = build_subnet(
         M, N, "mlid", cfg, seed=1,
-        artifacts=get_artifacts(M, N, "mlid", cfg), engine=engine,
+        artifacts=get_artifacts(M, N, "mlid"), engine=engine,
     )
     net.attach_pattern(_build_pattern(pattern, net.num_nodes, 0.5))
     net.run_measurement(OVERLOAD, **WINDOWS)
@@ -77,7 +77,7 @@ def _overloaded(cfg, pattern, engine=None):
 
 @pytest.mark.parametrize("cfg,pattern", CASES)
 def test_point_leaves_no_cyclic_garbage(collector_off, cfg, pattern):
-    _warm(cfg, pattern)
+    _warm(pattern)
     result = run_point(M, N, "mlid", pattern, OVERLOAD, cfg=cfg, seed=1, **WINDOWS)
     assert gc.collect() == 0
     assert result["packets"] > 0
@@ -88,8 +88,7 @@ def test_points_sharing_tapes_leave_no_cyclic_garbage(collector_off):
     only, so neither point leaves a cycle behind, and the tapes outlive
     the subnets that read them."""
     cfg = SimConfig(num_vls=2)
-    _warm(cfg, "centric")
-    _warm(SimConfig(), "centric")
+    _warm("centric")
     traffic = TrafficTapes(1)
     results = [
         run_point(M, N, "mlid", "centric", OVERLOAD, cfg=point_cfg, seed=1,
@@ -103,7 +102,7 @@ def test_points_sharing_tapes_leave_no_cyclic_garbage(collector_off):
 
 def test_heap_engine_subnet_closed_by_hand(collector_off):
     cfg = SimConfig()
-    _warm(cfg, "centric")
+    _warm("centric")
     net = _overloaded(cfg, "centric", engine=Engine())
     assert type(net.engine) is Engine
     net.close()

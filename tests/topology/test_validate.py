@@ -3,7 +3,8 @@
 import pytest
 
 from repro.topology.fattree import Endpoint, FatTree
-from repro.topology.validate import TopologyError, validate_fattree
+from repro.topology.graph import to_networkx
+from repro.topology.validate import TopologyError, link_walk, validate_fattree
 
 MN = [(4, 1), (4, 2), (4, 3), (8, 2), (8, 3), (16, 2)]
 
@@ -11,6 +12,23 @@ MN = [(4, 1), (4, 2), (4, 3), (8, 2), (8, 3), (16, 2)]
 @pytest.mark.parametrize("m,n", MN)
 def test_constructed_trees_validate(m, n):
     validate_fattree(FatTree(m, n))
+
+
+@pytest.mark.parametrize("m,n", MN)
+def test_link_walk_counts_the_graph_edges(m, n):
+    """The validator's own walk against the networkx export."""
+    ft = FatTree(m, n)
+    assert link_walk(ft) == (to_networkx(ft).number_of_edges(), True)
+
+
+def test_link_walk_detects_disconnection():
+    ft = FatTree(4, 2)
+    leaf = ((0,), 1)
+    for k in ft.up_ports(leaf):  # tamper: cut the leaf off, both ways
+        ep = ft.peer(leaf, k)
+        ft._wiring[ep.switch][ep.port] = Endpoint()
+        ft._wiring[leaf][k] = Endpoint()
+    assert link_walk(ft)[1] is False
 
 
 def test_detects_unwired_port():
