@@ -47,7 +47,7 @@ sweep of a flap storm, and ``run_failover``'s
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import FrozenSet, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -73,14 +73,14 @@ _LidSel = Union[slice, np.ndarray]
 class RepairedTables:
     """One repair result: a snapshot of the kernel's table plane.
 
-    Mirrors the read surface of
-    :class:`~repro.core.fault.FaultTolerantTables` (``tables``,
-    ``repaired_entries``, ``output_port``, ``as_scheme``) so callers can
-    swap backends; ``table_rows`` additionally exposes the per-switch
-    rows as read-only numpy arrays for the delta-programming path.
+    Shares the scalar read surface of
+    :class:`~repro.core.fault.FaultTolerantTables`
+    (``repaired_entries``, ``output_port``, ``as_scheme``); the tables
+    themselves are one read-only (switches × LIDs) ``array``, the
+    matrix the delta-programming path diffs.
     """
 
-    __slots__ = ("scheme", "ft", "faults", "array", "repaired_entries", "_tables")
+    __slots__ = ("scheme", "ft", "faults", "array", "repaired_entries")
 
     def __init__(
         self,
@@ -96,22 +96,6 @@ class RepairedTables:
         #: ``array[switch_id, lid - 1] -> 0-based out port`` (int16).
         self.array = array
         self.repaired_entries = repaired_entries
-        self._tables: Optional[Dict[SwitchLabel, List[int]]] = None
-
-    @property
-    def tables(self) -> Dict[SwitchLabel, List[int]]:
-        """0-based tables in the ``RoutingScheme.build_tables`` shape."""
-        if self._tables is None:
-            self._tables = {
-                sw: row.tolist()
-                for sw, row in zip(self.ft.switches, self.array)
-            }
-        return self._tables
-
-    @property
-    def table_rows(self) -> Dict[SwitchLabel, np.ndarray]:
-        """Per-switch read-only row views (``row[lid - 1] -> port``)."""
-        return {sw: row for sw, row in zip(self.ft.switches, self.array)}
 
     def output_port(self, sw: SwitchLabel, lid: int) -> int:
         """Repaired 0-based out port (same surface as RoutingScheme)."""
@@ -220,7 +204,8 @@ class FaultRepairKernel:
         self._broken: Optional[np.ndarray] = None  # (S, L) bool
 
     def reset(self) -> None:
-        """Public cache drop (benchmarks use it between repetitions)."""
+        """Public cache drop: the next repair is a full one (tests use
+        it to start each case from a cold cache)."""
         self._reset_state()
 
     # ------------------------------------------------------------------

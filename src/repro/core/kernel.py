@@ -364,7 +364,8 @@ class RouteKernel:
         mat = np.empty((ft.num_switches, scheme.num_lids), dtype=np.int64)
         for i, sw in enumerate(ft.switches):
             mat[i] = lfts[sw].as_array()
-        return cls(scheme, mat - 1)
+        mat -= 1
+        return cls(scheme, mat)
 
     # ------------------------------------------------------------------
     # Batched hop stepping

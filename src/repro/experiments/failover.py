@@ -34,11 +34,12 @@ tables and CSV.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
+
+import numpy as np
 
 from repro.core.fault import FaultSet, FaultTolerantTables
 from repro.ib.config import SimConfig
-from repro.ib.lft import LinearForwardingTable
 from repro.ib.subnet import build_subnet
 from repro.runtime import DynamicSubnetManager, FaultSchedule
 from repro.sim.engine import Engine
@@ -69,17 +70,6 @@ FAILOVER_COLUMNS = [
 def default_link(ft: FatTree) -> Tuple[SwitchLabel, int]:
     """The canonical victim: the first root switch's first down link."""
     return ft.switches_at_level(0)[0], 0
-
-
-def _expected_repair(
-    net, faults: FaultSet
-) -> Dict[SwitchLabel, LinearForwardingTable]:
-    """Offline-repaired tables in programmed (physical-port) form."""
-    ftt = FaultTolerantTables(net.scheme, faults)
-    return {
-        sw: LinearForwardingTable.from_zero_based(entries, net.ft.m)
-        for sw, entries in ftt.tables.items()
-    }
 
 
 def run_failover(
@@ -149,9 +139,12 @@ def run_failover(
     repair_ok: Optional[bool] = None
     if any(r.kind == "down" for r in mgr.records):
         faults = FaultSet.from_pairs(net.ft, [(sw, port)])
-        expected = _expected_repair(net, faults)
+        expected = FaultTolerantTables(net.scheme, faults).tables
         live = mgr.live_lfts()
-        repair_ok = all(live[s] == expected[s] for s in net.ft.switches)
+        repair_ok = all(
+            np.array_equal(live[s].as_array() - 1, expected[s])
+            for s in net.ft.switches
+        )
 
     engine.run(until=run_until)
     if load > 0:

@@ -18,7 +18,7 @@ description and a :class:`~repro.core.scheme.RoutingScheme`:
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
@@ -127,36 +127,32 @@ class SubnetManager:
         }
 
     def program_delta(
-        self,
-        live: Dict[SwitchLabel, Sequence[int]],
-        target: Dict[SwitchLabel, Sequence[int]],
+        self, live: np.ndarray, target: np.ndarray
     ) -> Dict[SwitchLabel, Tuple[LinearForwardingTable, int]]:
         """Delta reprogramming: new LFTs for switches whose table moved.
 
-        ``live`` and ``target`` are 0-based paper-port tables
-        (``tables[sw][lid - 1] -> k``, the :meth:`RoutingScheme.build_tables`
-        shape) as lists or numpy arrays; the diff is a vectorized
-        entry-wise compare, and only switches that actually changed pay
-        for LFT materialization.  Those go through the same
-        :meth:`LinearForwardingTable.from_zero_based` conversion the
-        initial sweep uses, so delta-programmed entries get the
-        identical ``k -> k + 1`` port shift and range validation.
+        ``live`` and ``target`` are 0-based paper-port matrices
+        (``matrix[switch_id, lid - 1] -> k``, the
+        :meth:`RoutingScheme.port_matrix` shape) of any integer dtypes;
+        the diff is one entry-wise compare, and only switches that
+        actually changed pay for LFT materialization.  Those go through
+        the same :meth:`LinearForwardingTable.from_zero_based`
+        conversion the initial sweep uses, so delta-programmed entries
+        get the identical ``k -> k + 1`` port shift and range
+        validation.
 
         Switches are emitted in fabric (``ft.switches``) order so the
         caller's switch-by-switch programming schedule is deterministic.
         """
-        out: Dict[SwitchLabel, Tuple[LinearForwardingTable, int]] = {}
-        for sw in self.ft.switches:
-            old = np.asarray(live[sw])
-            new = np.asarray(target[sw])
-            changed = int(np.count_nonzero(old != new))
-            if changed == 0:
-                continue
-            out[sw] = (
-                LinearForwardingTable.from_zero_based(new, self.ft.m),
-                changed,
+        changed = np.count_nonzero(live != target, axis=1)
+        switches, m = self.ft.switches, self.ft.m
+        return {
+            switches[i]: (
+                LinearForwardingTable.from_zero_based(target[i], m),
+                int(changed[i]),
             )
-        return out
+            for i in np.flatnonzero(changed)
+        }
 
     def configure(self) -> Dict[SwitchLabel, LinearForwardingTable]:
         """Full initialization: discovery, LID plan, LFTs."""

@@ -13,8 +13,10 @@ offline; this package runs it *online*, inside a live simulation:
 * :mod:`repro.runtime.manager` — the
   :class:`~repro.runtime.manager.DynamicSubnetManager`: applies
   physical failures to the live subnet, re-sweeps on detection,
-  reuses :class:`~repro.core.fault.FaultTolerantTables` to compute
-  repaired tables, programs LFT *deltas* switch-by-switch through the
+  computes repaired tables with
+  :class:`~repro.core.fault_kernel.FaultRepairKernel` (bit-identical to
+  :class:`~repro.core.fault.FaultTolerantTables`' offline repair),
+  programs LFT *deltas* switch-by-switch through the
   existing LFT-swap path, and collects the failover metrics bundle
   (time-to-detect, time-to-repair, packets lost, flows rerouted,
   path-length inflation).

@@ -21,7 +21,8 @@ failure lifecycle *inside* the discrete-event simulation:
    across consecutive sweeps; bit-identical to the offline
    :class:`~repro.core.fault.FaultTolerantTables`, which the tests
    check after every sweep) — or, when every link is back, restores
-   the cached initial sweep tables bit-for-bit.
+   the kernel's fault-free ``base``, the port matrix the initial sweep
+   programmed, bit for bit.
 4. **Delta programming** — only switches whose table moved are
    reprogrammed, one ``SimConfig.sm_program_time_ns`` apart, through
    the existing :attr:`SwitchModel.lft` swap path (which re-hoists the
@@ -36,16 +37,21 @@ failure lifecycle *inside* the discrete-event simulation:
    whose DLID column the repair changed off the live kernel, before
    and after the sweep advances it.
 
-Kernel coherence: the shared
-:class:`~repro.ib.artifacts.RoutingArtifacts` cache is never mutated
-(other subnets may hold the same instance); instead the manager owns
-one *live* :class:`~repro.core.kernel.RouteKernel`, compiled at
-construction.  Each sweep advances it once, when it completes,
-retracing only the routes whose walk crosses a reprogrammed entry; the
-result equals a fresh compile of the switches' current LFTs bit for
-bit.  :meth:`DynamicSubnetManager.live_kernel` hands out that same
-object and marks it shared, so the next advance copies it first
-(copy-on-write): a kernel once handed out is never written.
+One copy of the forwarding state: the live tables are a single
+(switches × LIDs) 0-based port matrix.  Between sweeps it *is* the
+live :class:`~repro.core.kernel.RouteKernel`'s ``port``, read-only;
+the first switch a sweep programs writes a copy (copy-on-write), and
+the sweep's end hands that copy to the kernel, which only rebinds it.
+The kernel therefore always holds the tables the current sweep
+started from.  The shared :class:`~repro.ib.artifacts.RoutingArtifacts`
+cache is never mutated (other subnets may hold the same instance);
+the manager compiles its own kernel at construction and advances it
+once per sweep, retracing only the routes whose walk crosses a
+reprogrammed entry, so it equals a fresh compile of the switches'
+current LFTs bit for bit.  :meth:`DynamicSubnetManager.live_kernel`
+hands out that same object and marks it shared, so the next advance
+copies it first: a kernel once handed out is never written, and
+neither is any port matrix a kernel holds.
 """
 
 from __future__ import annotations
@@ -70,10 +76,6 @@ from repro.sim.engine import Event
 from repro.topology.labels import SwitchLabel
 
 __all__ = ["DynamicSubnetManager", "FailoverMetrics", "ReroutingRecord"]
-
-#: 0-based tables, one array per switch (``row[lid - 1] -> port``) —
-#: the numpy mirror of the RoutingScheme.build_tables() shape.
-Tables = Dict[SwitchLabel, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -194,19 +196,6 @@ class DynamicSubnetManager:
         # Re-sweep backend: the vectorized fault-repair kernel, compiled
         # lazily on the first faulty sweep; incremental across sweeps.
         self.fault_kernel: Optional[FaultRepairKernel] = None
-        # Live tables mirrored in 0-based array form for delta
-        # computation; the initial sweep's tables double as the
-        # recovery target, so full recovery restores the paper-optimal
-        # tables bit-for-bit.
-        self._live: Tables = {
-            sw: model.lft.as_array() - 1
-            for sw, model in net.switches.items()
-        }
-        self._baseline: Tables = {}
-        for sw, table in self._live.items():
-            frozen = table.copy()
-            frozen.setflags(write=False)
-            self._baseline[sw] = frozen
         self._armed = False
         # (fault event, engine handle) per armed event, in time order.
         self._scheduled: List[Tuple[FaultEvent, Event]] = []
@@ -217,8 +206,16 @@ class DynamicSubnetManager:
         self._generation = 0
         # The live kernel: the routes of the tables the last completed
         # sweep left (generation 0: the initial sweep's), advanced in
-        # place once per sweep unless live_kernel() handed it out.
-        self._kernel = RouteKernel(self.scheme, self._live_port())
+        # place once per sweep unless live_kernel() handed it out.  It
+        # selects DLIDs by the subnet's own matrix; retraced copies
+        # carry it.
+        self._kernel = RouteKernel.from_lfts(self.scheme, self.live_lfts())
+        self._kernel._set_selected(net.dlid_matrix())
+        # The live tables, 0-based (``_live[switch_id, lid - 1] -> port``):
+        # between sweeps the kernel's own port matrix.  Read-only while
+        # a kernel holds it; _program_step writes a copy.
+        self._live = self._kernel.port
+        self._live.setflags(write=False)
         self._kernel_generation = 0
         self._kernel_shared = False
         # live_kernel()'s copy for a mid-sweep generation.
@@ -363,21 +360,15 @@ class DynamicSubnetManager:
             # The last sweep — completed or still programming — already
             # targets exactly this fault set (e.g. a second trap for a
             # coalesced multi-link event): detected, zero delta.
-            self._finish_record(
-                kind, t_event, t_detected, t_detected, known, {}, {}
-            )
+            self._finish_record(kind, t_event, t_detected, t_detected, known, {})
             return
-        self._abort_pending()  # a newer sweep supersedes an unfinished one
-        target = self._target_tables(known)
-        # _program_step rebinds (never mutates) live rows, so aliasing
-        # the current arrays snapshots them.
-        before = dict(self._live)
-        deltas = self.sm.program_delta(self._live, target)
+        # A newer sweep supersedes an unfinished one; completing it
+        # advances the kernel, so the live tables are its port again.
+        self._abort_pending()
+        deltas = self.sm.program_delta(self._live, self._target(known))
         self.programmed_faults = known
         if not deltas:
-            self._finish_record(
-                kind, t_event, t_detected, t_detected, known, {}, before
-            )
+            self._finish_record(kind, t_event, t_detected, t_detected, known, {})
             return
         # Program switch-by-switch: one MAD round per modified switch,
         # serially (fabric order is deterministic — program_delta
@@ -387,7 +378,6 @@ class DynamicSubnetManager:
             "t_event": t_event,
             "t_detected": t_detected,
             "known": known,
-            "before": before,
             "items": list(deltas.items()),
             "programmed": 0,
             "events": [],
@@ -405,21 +395,24 @@ class DynamicSubnetManager:
                 )
             )
 
-    def _target_tables(self, known: frozenset) -> Tables:
-        """0-based tables the SM wants programmed for a fault set."""
-        if not known:
-            # Full recovery: restore the initial sweep, bit-for-bit.
-            return dict(self._baseline)
+    def _target(self, known: frozenset) -> np.ndarray:
+        """0-based port matrix the SM wants programmed for a fault set;
+        full recovery restores the kernel's fault-free ``base``, the
+        scheme's port matrix the initial sweep programmed."""
         if self.fault_kernel is None:
             self.fault_kernel = FaultRepairKernel(self.scheme)
-        return self.fault_kernel.repair(FaultSet(links=known)).table_rows
+        if not known:
+            return self.fault_kernel.base
+        return self.fault_kernel.repair(FaultSet(links=known)).array
 
     def _program_step(
         self, ctx: dict, sw: SwitchLabel, table: LinearForwardingTable
     ) -> None:
         """One SubnSet: swap the switch's LFT through the normal path."""
         self.net.switches[sw].lft = table
-        self._live[sw] = table.as_array() - 1
+        if not self._live.flags.writeable:
+            self._live = self._live.copy()  # a kernel holds the old one
+        self._live[self.ft.switch_id(sw)] = table.as_array() - 1
         self._generation += 1  # the live kernel advances at the sweep's end
         ctx["programmed"] += 1
         if ctx["programmed"] == len(ctx["items"]):
@@ -447,7 +440,6 @@ class DynamicSubnetManager:
             self.engine.now,
             ctx["known"],
             deltas,
-            ctx["before"],
         )
 
     def _finish_record(
@@ -458,11 +450,8 @@ class DynamicSubnetManager:
         t_repaired: float,
         known: frozenset,
         deltas: Dict[SwitchLabel, Tuple[LinearForwardingTable, int]],
-        before: Tables,
     ) -> None:
-        flows, inflation = (
-            self._migration_stats(before, known) if deltas else (0, 1.0)
-        )
+        flows, inflation = self._migration_stats(known) if deltas else (0, 1.0)
         record = ReroutingRecord(
             kind=kind,
             t_event=t_event,
@@ -482,10 +471,7 @@ class DynamicSubnetManager:
     # Migration statistics
     # ------------------------------------------------------------------
     def _migration_stats(
-        self,
-        before: Tables,
-        known: frozenset,
-        kernel: Optional[RouteKernel] = None,
+        self, known: frozenset, kernel: Optional[RouteKernel] = None
     ) -> Tuple[int, float]:
         """How many flows moved, and how much longer their paths got.
 
@@ -497,28 +483,26 @@ class DynamicSubnetManager:
         the new path length against the fault-free one, averaged over
         rerouted flows that still have a path.
 
-        ``kernel`` holds the routes of ``before``; by default it is the
-        live kernel, which this call advances to the live tables.  Each
-        compared flow's old route is read from it before the advance and
-        its new route after.  The kernel's hop budget is ``2n + 2``: if
-        a compared route is undelivered within it, in either kernel, the
-        flows are walked through both tables instead (:meth:`_walk_flows`).
+        The tables before the sweep are ``kernel.port``; by default the
+        kernel is the live one, which still holds them and which this
+        call advances to the live tables.  Each compared flow's old
+        route is read from it before the advance and its new route
+        after.  The kernel's hop budget is ``2n + 2``: if a compared
+        route is undelivered within it, in either kernel, the flows are
+        walked through both tables instead (:meth:`_walk_flows`).
         """
-        changed = np.zeros(self.scheme.num_lids, dtype=bool)
-        for sw, old in before.items():
-            live = self._live[sw]
-            if live is not old:
-                np.logical_or(changed, old != live, out=changed)
+        old = self._kernel if kernel is None else kernel
+        before = old.port
+        changed = (before != self._live).any(axis=0)
         flow_leaf, flow_lix, base_len = self._flows
         hit = changed[flow_lix]
         leaf, lix = flow_leaf[hit], flow_lix[hit]
-        old = self._kernel if kernel is None else kernel
         old_hops = old.route_port[leaf, lix]
         old_ok = old.delivered[leaf, lix] >= 0
         if kernel is None:
             new = self._advance_kernel()
         else:
-            new = kernel.retraced(self._live_port())
+            new = kernel.retraced(self._hand_over())
         new_ok = new.delivered[leaf, lix] >= 0
         if old_ok.all() and new_ok.all():
             moved = (old_hops != new.route_port[leaf, lix]).any(axis=1)
@@ -534,7 +518,7 @@ class DynamicSubnetManager:
 
     def _walk_flows(
         self,
-        before: Tables,
+        before: np.ndarray,
         known: frozenset,
         changed: np.ndarray,
         leaf: np.ndarray,
@@ -551,13 +535,7 @@ class DynamicSubnetManager:
         cols = np.flatnonzero(changed)
         col = np.searchsorted(cols, lix)
         switches = self.ft.switches
-        port = np.concatenate(
-            [
-                np.stack([before[sw][cols] for sw in switches]),
-                np.stack([self._live[sw][cols] for sw in switches]),
-            ],
-            axis=1,
-        )
+        port = np.concatenate([before[:, cols], self._live[:, cols]], axis=1)
         route_start = np.concatenate([start, start])
         route_col = np.concatenate([col, col + len(cols)])
         max_hops = 2 * self.ft.n + 2 * max(1, len(known)) + 2
@@ -600,15 +578,18 @@ class DynamicSubnetManager:
     # ------------------------------------------------------------------
     # The live kernel
     # ------------------------------------------------------------------
-    def _live_port(self) -> np.ndarray:
-        """The live tables as one (switches, LIDs) port matrix."""
-        return np.stack([self._live[sw] for sw in self.ft.switches])
+    def _hand_over(self) -> np.ndarray:
+        """The live tables, made read-only for a kernel to hold: the
+        next :meth:`_program_step` writes a copy."""
+        self._live.setflags(write=False)
+        return self._live
 
     def _advance_kernel(self) -> RouteKernel:
         """Advance the live kernel to the live tables, once per sweep,
         in place unless :meth:`live_kernel` handed it out (then a
-        :meth:`~repro.core.kernel.RouteKernel.retraced` copy)."""
-        port = self._live_port()
+        :meth:`~repro.core.kernel.RouteKernel.retraced` copy).  Either
+        way the kernel takes the live matrix as its ``port``."""
+        port = self._hand_over()
         if self._kernel_shared:
             self._kernel = self._kernel.retraced(port)
             self._kernel_shared = False
@@ -645,7 +626,7 @@ class DynamicSubnetManager:
             self._kernel_shared = True
             return self._kernel
         if self._mid_kernel is None or self._mid_kernel[0] != self._generation:
-            kernel = self._kernel.retraced(self._live_port())
+            kernel = self._kernel.retraced(self._hand_over())
             self._mid_kernel = (self._generation, kernel)
         return self._mid_kernel[1]
 

@@ -6,8 +6,7 @@ matching response dict; the convenience methods just name the ops.
 Raises :class:`ServiceError` when the server answers ``ok: false``, so
 callers deal in payloads, not envelopes.
 
-Not thread-safe — one client per thread (the SLO benchmark opens one
-per worker).
+Not thread-safe — one client per thread.
 """
 
 from __future__ import annotations

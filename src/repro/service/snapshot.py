@@ -244,23 +244,14 @@ class SnapshotPublisher:
 
     ``keep_lfts=True`` additionally archives the (immutable) LFT
     objects of every published generation in :attr:`lft_archive` —
-    the stress tests and the SLO benchmark recompile independent
-    kernels from these to prove answers were never torn.
+    the stress tests and the e2e flap-storm workload check sampled
+    answers against independent kernels compiled from these, to prove
+    answers were never torn.
     """
 
-    def __init__(
-        self,
-        store: SnapshotStore,
-        mgr,
-        *,
-        dlid_matrix: Optional[np.ndarray] = None,
-        keep_lfts: bool = False,
-    ):
+    def __init__(self, store: SnapshotStore, mgr, *, keep_lfts: bool = False):
         self.store = store
         self.mgr = mgr
-        if dlid_matrix is None:
-            dlid_matrix = mgr.scheme.dlid_matrix()
-        self._dlid_matrix = dlid_matrix
         self.lft_archive: Optional[Dict[int, Dict[SwitchLabel, object]]] = (
             {} if keep_lfts else None
         )
@@ -284,16 +275,15 @@ class SnapshotPublisher:
 
     def publish_now(self) -> bool:
         """Publish the manager's live kernel (no-op when the store
-        already holds this generation)."""
+        already holds this generation).  Its DLID selection is the
+        subnet's own matrix, which the manager installed once."""
         mgr = self.mgr
         generation = mgr.generation
         cur = self.store.current
         if cur is not None and cur.generation == generation:
             return False
-        kernel = mgr.live_kernel()
-        kernel._set_selected(self._dlid_matrix)
         snap = RouteSnapshot(
-            kernel,
+            mgr.live_kernel(),
             generation=generation,
             sim_time_ns=mgr.engine.now,
             down_links=frozenset(mgr.down_links),

@@ -137,9 +137,7 @@ class LinkFlapStorm:
         self.pace_s = pace_s
         self.mgr = DynamicSubnetManager(self.net, schedule)
         self.store = SnapshotStore()
-        self.publisher = SnapshotPublisher(
-            self.store, self.mgr, dlid_matrix=None, keep_lfts=keep_lfts
-        ).attach()
+        self.publisher = SnapshotPublisher(self.store, self.mgr, keep_lfts=keep_lfts).attach()
         self.mgr.arm()
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()

@@ -63,8 +63,8 @@ class TestEmptyFaultSet:
         result = kernel.repair(FaultSet())
         assert result.repaired_entries == 0
         tables = scheme.build_tables()
-        for sw in ft.switches:
-            assert result.tables[sw] == list(tables[sw])
+        for sw, row in zip(ft.switches, result.array):
+            assert row.tolist() == list(tables[sw])
 
 
 class TestIdempotence:

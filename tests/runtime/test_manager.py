@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.fault import FaultSet, FaultTolerantTables
+from repro.core.kernel import RouteKernel
 from repro.ib.config import SimConfig
 from repro.ib.subnet import build_subnet
 from repro.runtime import DynamicSubnetManager, FaultSchedule
@@ -216,6 +217,67 @@ class TestKernelCoherence:
         assert len(mgr.records) == 2
         assert mgr._kernel is kernel
         assert mgr.live_kernel() is kernel
+
+
+class TestOneTableCopy:
+    """The live tables are one port matrix: between sweeps the live
+    kernel's own, read-only, and copied by the first switch a sweep
+    programs."""
+
+    @staticmethod
+    def superseding_storm():
+        net = make_net(8, 2, detection_latency_ns=0.0, sm_program_time_ns=500.0)
+        root = net.ft.switches_at_level(0)[0]
+        sched = (
+            FaultSchedule(net.ft)
+            .link_down(1_000.0, root, 0)
+            .link_down(2_000.0, root, 1)  # lands mid-program
+            .link_up(20_000.0, root, 0)
+            .link_up(30_000.0, root, 1)
+        )
+        return net, DynamicSubnetManager(net, sched)
+
+    def test_between_sweeps_live_tables_are_the_kernel_port(self):
+        net, mgr = self.superseding_storm()
+        checked = []
+
+        def check(record):
+            assert mgr._live is mgr._kernel.port
+            assert not mgr._live.flags.writeable
+            checked.append(record)
+
+        check(None)
+        mgr.on_sweep = check
+        mgr.arm()
+        net.engine.run()
+        assert [r.kind for r in checked[1:]] == ["down", "down", "up", "up"]
+        assert checked[1].switches_programmed < checked[2].switches_programmed
+        fresh = RouteKernel.from_lfts(mgr.scheme, mgr.live_lfts())
+        assert np.array_equal(mgr._live, fresh.port)
+
+    def test_kernels_handed_out_keep_their_port(self):
+        net, mgr = self.superseding_storm()
+        first = mgr.live_kernel()
+        first_port = first.port.copy()
+        step = mgr._program_step
+        held = []
+
+        def program_step(ctx, sw, table):
+            step(ctx, sw, table)
+            if mgr._pending_ctx is ctx:  # switches of this sweep remain
+                kernel = mgr.live_kernel()
+                held.append((kernel, kernel.port, kernel.port.copy()))
+
+        mgr._program_step = program_step
+        mgr.arm()
+        net.engine.run()
+        assert len(held) > 4
+        # Each later step wrote a copy, never the matrix a kernel holds.
+        assert len({id(port) for _, port, _ in held}) == len(held)
+        for kernel, port, values in held:
+            assert kernel.port is port
+            assert np.array_equal(port, values)
+        assert np.array_equal(first.port, first_port)
 
 
 @pytest.fixture(scope="module")

@@ -4,15 +4,16 @@
 column a repair changed off the live route kernel, before and after the
 sweep advances it, and walks the tables only when a compared route is
 undelivered within the kernel's hop budget.  The oracle below is the
-original per-(src, dst) Python walk, kept verbatim: every repair record
-must get exactly the same ``flows_rerouted`` and ``path_inflation``
-from both, and a table port outside [0, m) must raise the same
-``ValueError``.
+original per-(src, dst) Python walk, kept verbatim over per-switch
+table rows (row views of the manager's port matrices): every repair
+record must get exactly the same ``flows_rerouted`` and
+``path_inflation`` from both, and a table port outside [0, m) must
+raise the same ``ValueError``.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import pytest
@@ -48,17 +49,23 @@ def _walk(
     return None
 
 
+def rows(mgr, matrix) -> Dict[SwitchLabel, np.ndarray]:
+    """Per-switch row views of a (switches, LIDs) port matrix."""
+    return dict(zip(mgr.ft.switches, matrix))
+
+
 def oracle_migration_stats(mgr, before, known: frozenset) -> Tuple[int, float]:
     """How many flows moved, and how much longer their paths got.
 
     A *flow* is a (src, dst) pair; its path is the walk of the
     selected DLID through the tables.  Inflation compares the new
     path length against the fault-free minimal one (the baseline
-    tables), averaged over rerouted flows.
+    tables: the scheme's port matrix), averaged over rerouted flows.
     """
+    tables, baseline = rows(mgr, mgr._live), rows(mgr, mgr.scheme.port_matrix())
     changed = np.zeros(mgr.scheme.num_lids, dtype=bool)
     for sw, old in before.items():
-        live = mgr._live[sw]
+        live = tables[sw]
         if live is not old:
             np.logical_or(changed, old != live, out=changed)
     if not changed.any():
@@ -75,12 +82,12 @@ def oracle_migration_stats(mgr, before, known: frozenset) -> Tuple[int, float]:
             if not changed[dlid - 1]:
                 continue
             old = _walk(mgr, before, src, dlid, max_hops)
-            new = _walk(mgr, mgr._live, src, dlid, max_hops)
+            new = _walk(mgr, tables, src, dlid, max_hops)
             if old == new:
                 continue
             flows += 1
             if new is not None:
-                base = _walk(mgr, mgr._baseline, src, dlid, max_hops)
+                base = _walk(mgr, baseline, src, dlid, max_hops)
                 ratios.append(len(new) / len(base))
     inflation = sum(ratios) / len(ratios) if ratios else 1.0
     return flows, inflation
@@ -96,9 +103,10 @@ def checked(monkeypatch):
     calls = []
     fast = DynamicSubnetManager._migration_stats
 
-    def both(self, before, known):
-        want = oracle_migration_stats(self, before, known)
-        got = fast(self, before, known)
+    def both(self, known):
+        # The live kernel still holds the tables the sweep started from.
+        want = oracle_migration_stats(self, rows(self, self._kernel.port), known)
+        got = fast(self, known)
         calls.append((self, got, want))
         return got
 
@@ -163,25 +171,26 @@ def test_switch_down_with_link_faults_matches_walk(checked):
     undelivered = []
     fast = DynamicSubnetManager._migration_stats  # the checking wrapper
 
-    def probe(before, known):
+    def probe(known):
         # Walk every flow whose DLID the repair changed, as the
         # statistics do, to see which kinds of route they compare.
+        before, live = rows(mgr, mgr._kernel.port), rows(mgr, mgr._live)
         budget = 2 * ft.n + 2 * max(1, len(known)) + 2
         for src in range(ft.num_nodes):
             for dst in range(ft.num_nodes):
                 dlid = src != dst and net.dlid_for(src, dst)
                 if not dlid or all(
-                    before[sw][dlid - 1] == mgr._live[sw][dlid - 1]
+                    before[sw][dlid - 1] == live[sw][dlid - 1]
                     for sw in ft.switches
                 ):
                     continue
-                for tables in (before, mgr._live):
+                for tables in (before, live):
                     path = _walk(mgr, tables, src, dlid, budget)
                     if path is None:
                         undelivered.append((src, dst))
                     else:
                         longest.append(len(path))
-        return fast(mgr, before, known)
+        return fast(mgr, known)
 
     mgr._migration_stats = probe
     mgr.arm()
@@ -299,22 +308,21 @@ def test_perturbed_tables_match_walk(idle_managers, data, shape, known):
         st.integers(0, lids - 1),
         st.integers(-1, ft.m),
     )
-    saved = dict(mgr._live)
+    saved = mgr._live
     try:
-        before = dict(mgr._baseline)
-        for name, tables in (("before", before), ("live", mgr._live)):
+        before, live = mgr.scheme.port_matrix(), saved.copy()
+        for name, tables in (("before", before), ("live", live)):
             for sw_id, lix, port in data.draw(
                 st.lists(entry, max_size=12), label=name
             ):
-                row = tables[switches[sw_id]].copy()
-                row[lix] = port
-                tables[switches[sw_id]] = row
+                tables[sw_id, lix] = port
+        mgr._live = live
         faults = frozenset(range(known))
-        # The fast path reads the before-routes off a kernel of them.
-        kernel = RouteKernel(mgr.scheme, np.stack([before[sw] for sw in switches]))
-        got = _outcome(mgr._migration_stats, before, faults, kernel)
-        want = _outcome(oracle_migration_stats, mgr, before, faults)
+        # The fast path reads the before-tables and routes off a kernel
+        # of them.
+        kernel = RouteKernel(mgr.scheme, before)
+        got = _outcome(mgr._migration_stats, faults, kernel)
+        want = _outcome(oracle_migration_stats, mgr, rows(mgr, before), faults)
         assert got == want
     finally:
-        mgr._live.clear()
-        mgr._live.update(saved)
+        mgr._live = saved

@@ -122,21 +122,25 @@ class TestBackendEquivalence:
         assert {"full", "incremental"} <= {mode for _, mode in seen}
 
     def test_program_delta_rows_accept_kernel_arrays(self):
-        # The kernel hands the SM read-only int16 rows; the delta path
-        # must diff and materialize them exactly like list tables.
+        # The repair kernel hands the SM a read-only int16 target matrix
+        # and the live tables are the route kernel's int64 port matrix;
+        # the delta path must diff and materialize them exactly like
+        # same-dtype tables.
         from repro.ib.sm import SubnetManager
 
         net = make_net(4, 2)
         sm = SubnetManager(net.scheme)
-        tables = net.scheme.build_tables()
-        live = {sw: np.asarray(t, dtype=np.int16) for sw, t in tables.items()}
-        target = {sw: list(t) for sw, t in tables.items()}
+        live = net.scheme.port_matrix()
+        target = live.astype(np.int16)
+        target.setflags(write=False)
         assert sm.program_delta(live, target) == {}
-        first = net.ft.switches[0]
-        target[first] = list(target[first])
-        target[first][0] = (target[first][0] + 1) % net.ft.m
+        target = target.copy()
+        target[0, 0] = (target[0, 0] + 1) % net.ft.m
+        target.setflags(write=False)
         out = sm.program_delta(live, target)
+        first = net.ft.switches[0]
         assert set(out) == {first}
         lft, changed = out[first]
         assert changed == 1
-        assert lft[1] == target[first][0] + 1
+        assert lft[1] == target[0, 0] + 1
+        assert lft == LinearForwardingTable.from_zero_based(target[0].tolist(), net.ft.m)

@@ -66,3 +66,23 @@ def test_every_sweep_live_kernel_equals_fresh_compile(m, n, scheme):
     # Every snapshot still holds exactly the routes it was published with.
     for snap, arrays in published:
         _assert_same(_arrays(snap.kernel), arrays)
+
+
+def test_published_snapshots_select_by_the_subnet_dlid_matrix():
+    """One DLID matrix per storm: every snapshot's kernel reads the
+    subnet's own, which the manager installed once."""
+    storm = LinkFlapStorm(4, 2, "mlid", flap_links=2, horizon_ns=30_000.0)
+    snaps = [storm.store.get()]
+    publish = storm.mgr.on_sweep
+
+    def keep(record):
+        publish(record)
+        if storm.store.get() is not snaps[-1]:
+            snaps.append(storm.store.get())
+
+    storm.mgr.on_sweep = keep
+    storm.net.engine.run()
+    assert len(snaps) > 2
+    matrix = storm.net.dlid_matrix()
+    for snap in snaps:
+        assert np.shares_memory(snap.kernel.selected, matrix)
