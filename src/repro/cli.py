@@ -203,21 +203,25 @@ def _int_arg(check: Callable[[int], object]) -> Callable[[str], int]:
     return parse
 
 
-def _nonnegative(text: str, what: str = "offered load") -> float:
-    """A finite number >= 0: an offered load, or the quantity ``what``
-    names."""
+def _nonnegative(
+    text: str, what: str = "offered load", positive: bool = False
+) -> float:
+    """A finite number >= 0 (> 0 if ``positive``): an offered load, or
+    the quantity ``what`` names."""
     value = float(text)
-    if not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"{what} must be a finite number >= 0, got {text!r}")
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        bound = "> 0" if positive else ">= 0"
+        raise ValueError(f"{what} must be a finite number {bound}, got {text!r}")
     return value
 
 
-def _float_arg(what: str) -> Callable[[str], float]:
-    """An argparse ``type=`` for one finite number >= 0."""
+def _float_arg(what: str, positive: bool = False) -> Callable[[str], float]:
+    """An argparse ``type=`` for one finite number >= 0 (> 0 if
+    ``positive``)."""
 
     def parse(text: str) -> float:
         try:
-            return _nonnegative(text, what)
+            return _nonnegative(text, what, positive)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -703,8 +707,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seeds", default="1", help="comma-separated seeds")
     p.add_argument("--vls", type=_vls_arg, default=1)
-    p.add_argument("--warmup", type=float, default=15_000.0, help="warmup window (ns)")
-    p.add_argument("--measure", type=float, default=45_000.0, help="measure window (ns)")
+    p.add_argument(
+        "--warmup", type=_float_arg("warmup window (ns)"), default=15_000.0,
+        help="warmup window (ns)",
+    )
+    p.add_argument(
+        "--measure", type=_float_arg("measure window (ns)", positive=True),
+        default=45_000.0, help="measure window (ns)",
+    )
     p.add_argument(
         "--jobs",
         type=_jobs_arg,

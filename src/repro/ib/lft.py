@@ -11,7 +11,7 @@ exactly how the Subnet Manager programs real switches (LinearFDBs).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
 import numpy as np
 
@@ -21,7 +21,7 @@ __all__ = ["LinearForwardingTable"]
 class LinearForwardingTable:
     """Dense DLID → physical-port map for one switch."""
 
-    __slots__ = ("_ports", "_array", "num_physical_ports")
+    __slots__ = ("_ports", "num_physical_ports")
 
     def __init__(
         self,
@@ -46,7 +46,6 @@ class LinearForwardingTable:
                         f"[1, {num_physical_ports}]"
                     )
         self._ports: List[int] = ports
-        self._array: Optional[np.ndarray] = None
         self.num_physical_ports = num_physical_ports
 
     @classmethod
@@ -74,22 +73,18 @@ class LinearForwardingTable:
                 f"LFT entry for LID {i + 1} is port {int(arr[i])}, outside "
                 f"[1, {num_physical_ports}]"
             )
-        table = cls(arr.tolist(), num_physical_ports, _validated=True)
-        arr.setflags(write=False)
-        table._array = arr
-        return table
+        return cls(arr.tolist(), num_physical_ports, _validated=True)
 
     def as_array(self) -> np.ndarray:
         """The table as a read-only int64 array (``[dlid - 1] -> port``).
 
-        Cached; this is what :meth:`repro.core.kernel.RouteKernel.from_lfts`
+        Built on each call, so the table holds one copy of its entries;
+        this is what :meth:`repro.core.kernel.RouteKernel.from_lfts`
         stacks into the next-hop port matrix.
         """
-        if self._array is None:
-            arr = np.asarray(self._ports, dtype=np.int64)
-            arr.setflags(write=False)
-            self._array = arr
-        return self._array
+        arr = np.asarray(self._ports, dtype=np.int64)
+        arr.setflags(write=False)
+        return arr
 
     def lookup(self, dlid: int) -> int:
         """Physical output port for ``dlid``; raises ``KeyError`` for

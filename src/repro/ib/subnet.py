@@ -112,8 +112,13 @@ class Subnet:
         Returns the paper's per-run record: offered load, accepted
         traffic (bytes/ns/node) and mean latency (ns), plus extras.
         """
-        if warmup_ns < 0 or measure_ns <= 0:
-            raise ValueError("warmup must be >= 0 and measure window positive")
+        # Chained so that NaN fails too: a NaN or infinite window
+        # would never reach its end.
+        if not (0 <= warmup_ns < math.inf and 0 < measure_ns < math.inf):
+            raise ValueError(
+                "warmup must be finite and >= 0, and the measure window "
+                f"finite and positive; got {warmup_ns}, {measure_ns}"
+            )
         if self._closed:
             raise RuntimeError("subnet is closed")
         if getattr(self, "_measured", False):

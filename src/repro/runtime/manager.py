@@ -365,7 +365,8 @@ class DynamicSubnetManager:
         # A newer sweep supersedes an unfinished one; completing it
         # advances the kernel, so the live tables are its port again.
         self._abort_pending()
-        deltas = self.sm.program_delta(self._live, self._target(known))
+        target = self._target(known)
+        deltas = self.sm.program_delta(self._live, target)
         self.programmed_faults = known
         if not deltas:
             self._finish_record(kind, t_event, t_detected, t_detected, known, {})
@@ -378,6 +379,7 @@ class DynamicSubnetManager:
             "t_event": t_event,
             "t_detected": t_detected,
             "known": known,
+            "target": target,
             "items": list(deltas.items()),
             "programmed": 0,
             "events": [],
@@ -408,11 +410,13 @@ class DynamicSubnetManager:
     def _program_step(
         self, ctx: dict, sw: SwitchLabel, table: LinearForwardingTable
     ) -> None:
-        """One SubnSet: swap the switch's LFT through the normal path."""
+        """One SubnSet: swap the switch's LFT through the normal path;
+        the live matrix takes the switch's row of the sweep's target."""
         self.net.switches[sw].lft = table
         if not self._live.flags.writeable:
             self._live = self._live.copy()  # a kernel holds the old one
-        self._live[self.ft.switch_id(sw)] = table.as_array() - 1
+        i = self.ft.switch_id(sw)
+        self._live[i] = ctx["target"][i]
         self._generation += 1  # the live kernel advances at the sweep's end
         ctx["programmed"] += 1
         if ctx["programmed"] == len(ctx["items"]):

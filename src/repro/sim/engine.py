@@ -131,17 +131,17 @@ class Engine:
         the next event is strictly later than ``until`` (in which case
         ``now`` is advanced to ``until``).
 
-        Raises :class:`SimulationError` if ``until`` lies in the past:
-        the clock never runs backward.
+        Raises :class:`SimulationError` if ``until`` lies in the past
+        or is NaN: the clock never runs backward.
 
         ``events_processed`` is updated once on return, not per event
         (hot-loop optimization) — callbacks must not read it mid-run.
         """
         if self._running:
             raise SimulationError("engine is already running (re-entrant run())")
-        if until is not None and until < self.now:
+        if until is not None and not until >= self.now:
             raise SimulationError(
-                f"cannot run until t={until}, before now={self.now}"
+                f"cannot run until t={until}, not at or after now={self.now}"
             )
         self._running = True
         # Hot loop: everything it touches is bound to locals, and the
@@ -175,35 +175,6 @@ class Engine:
             self._events_processed += processed
             self._running = False
 
-    def step(self) -> bool:
-        """Process exactly one (non-cancelled) event.
-
-        Returns ``True`` if an event fired, ``False`` if the queue was
-        empty.
-
-        Raises :class:`SimulationError` when called re-entrantly (from
-        inside a firing callback, or while :meth:`run` is active) —
-        the same guard :meth:`run` enforces.
-        """
-        if self._running:
-            raise SimulationError(
-                "engine is already running (re-entrant step())"
-            )
-        self._running = True
-        try:
-            heap = self._heap
-            while heap:
-                time, _seq, ev = heapq.heappop(heap)
-                if ev.cancelled:
-                    continue
-                self.now = time
-                self._events_processed += 1
-                ev.callback()
-                return True
-            return False
-        finally:
-            self._running = False
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -217,25 +188,6 @@ class Engine:
         """Total number of events fired since construction."""
         return self._events_processed
 
-    def peek_time(self) -> Optional[float]:
-        """Timestamp of the next live event, or ``None`` if queue is empty.
-
-        This *reaps* lazily-cancelled entries from the head of the
-        queue (it mutates the heap and shrinks :attr:`pending`) — that
-        is what makes the answer exact rather than a stale upper bound.
-        Because of that mutation it must not be called from inside a
-        firing callback; doing so raises :class:`SimulationError`.
-        """
-        if self._running:
-            raise SimulationError(
-                "peek_time() may not be called from inside a firing "
-                "callback (it mutates the event queue)"
-            )
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
-        return heap[0][0] if heap else None
-
     # ------------------------------------------------------------------
     # End of life
     # ------------------------------------------------------------------
@@ -244,8 +196,7 @@ class Engine:
         the model (``Subnet.close`` calls this).
 
         ``now`` and :attr:`events_processed` stay readable.  Idempotent;
-        like :meth:`peek_time` it raises :class:`SimulationError` from
-        inside a firing callback.
+        raises :class:`SimulationError` from inside a firing callback.
         """
         if self._running:
             raise SimulationError(

@@ -1,10 +1,10 @@
-"""A hierarchical timing-wheel event scheduler: the simulator's engine.
+"""A timing-wheel event scheduler: the simulator's engine.
 
 :class:`WheelEngine` is a drop-in replacement for the heap-based
 :class:`repro.sim.engine.Engine` — same API (``schedule``,
-``schedule_after``, ``run(until)``, ``step``,
-``cancel`` via :class:`~repro.sim.engine.Event`, ``events_processed``,
-``peek_time``) and, by construction, the exact same event order, so
+``schedule_after``, ``run(until)``, ``cancel`` via
+:class:`~repro.sim.engine.Event`, ``events_processed``, ``pending``,
+``close``) and, by construction, the exact same event order, so
 simulation runs are bit-identical across backends (the heap engine
 stays the oracle; see ``tests/integration/test_backend_differential``).
 
@@ -20,13 +20,15 @@ Networks*).
 
 Layout
 ------
-Three hashed wheels (16 ns slots at level 0, then ×1024 and ×131072)
-plus an unbounded overflow heap:
+One hashed wheel of 1024 slots × 16 ns (one rotation ≈ 16.4 µs) plus
+a heap:
 
-* level 0 — 1024 slots × 16 ns      (horizon ≈ 16.4 µs)
-* level 1 —  128 slots × 16.4 µs    (horizon ≈ 2.1 ms)
-* level 2 —  128 slots × 2.1 ms     (horizon ≈ 268 ms)
-* overflow — a plain heap for anything beyond the level-2 horizon.
+* the wheel holds every entry due less than one rotation past the
+  cursor — every delay on the packet hot path (flying 20 ns, routing
+  100 ns, serialization 256 ns, and nearly all generation gaps);
+* the heap holds the rest (fault timers, the rare long generation
+  gap); at each rotation boundary the coming rotation's entries move
+  from the heap onto the wheel.
 
 A slot holds an unordered list of entries ``(time, seq, event, cb)``.
 The cursor ``_cur`` is the next slot not yet drained; when the slot
@@ -37,10 +39,9 @@ generation draws exponential gaps), so the sort restores exact
 ``(time, seq)`` order within it, and ``list.pop()`` dequeues in O(1)
 where a heap would sift.  An insert can only land in the current run
 when its time falls inside the slot being fired (delays are
-non-negative); every hot-path delay exceeds the slot width, so that is
-rare and handled by a re-sort.  When the cursor crosses a level-1
-(level-2) bucket boundary, that bucket cascades down one level by
-re-insertion.
+non-negative) or below a cursor that ``run(until)`` parked past its
+horizon; every hot-path delay exceeds the slot width, so that is rare
+and handled by a re-sort.
 
 Tie-break proof sketch
 ----------------------
@@ -48,30 +49,36 @@ Tie-break proof sketch
 engine.  Two events fire in ``(time, seq)`` order because (a) slots
 are drained in increasing slot order and ``t ↦ ⌊t⌋ >> _G`` is
 monotone, so cross-slot order follows slot order; (b) within a slot
-the descending sort orders the run by ``(time, seq)``; and (c) an
-insert can only land at a slot ``< _cur`` when its time falls inside
-the slot being fired (delays are non-negative), and such entries merge
-into the current run by re-sorting, where ``(time, seq)`` again
-decides.  That is precisely the heap engine's total order, hence
-identical FIFO behaviour for same-time events and bit-identical runs.
+the descending sort orders the run by ``(time, seq)``; (c) a heap
+entry's slot lies at or past the first rotation boundary after the
+cursor it was inserted under, and the entry moves onto the wheel at
+the boundary that starts its own rotation, before any slot of that
+rotation is drained; and (d) an insert can only land at a slot
+``< _cur`` when no entry on the wheel or the heap precedes it, and
+such entries merge into the current run by re-sorting, where
+``(time, seq)`` again decides.  That is precisely the heap engine's
+total order, hence identical FIFO behaviour for same-time events and
+bit-identical runs.
 
 Pooling rules
 -------------
 ``schedule``/``schedule_after`` return fresh :class:`Event` handles —
 holders may legally ``cancel()`` long after the event fired (e.g.
 ``Transmitter.fail``), so those objects are never reused.  Pooled
-objects exist only on the fused hop fast path
-(:mod:`repro.ib.fastpath`): they carry a ``seq`` incarnation token, are
-recycled explicitly by their own final stage callback (or reaped here
-when found cancelled, via their ``pool`` attribute), and
+objects exist only on the fused paths: the hop events of
+:mod:`repro.ib.fastpath`, recycled onto the engine's ``hop_pool`` by
+their own final stage callback (or reaped here when found cancelled,
+via their ``pool`` attribute), and each endnode's one ``_GenEvent``,
+rescheduled in place.  Both carry a ``seq`` incarnation token, and
 ``schedule_pooled`` resets ``cancelled`` on reuse so a stale cancel of
-a recycled object cannot suppress its next incarnation.  A pooled
-object also has ``release()``, which :meth:`WheelEngine.close` calls
-to end its life.
+a recycled object cannot suppress its next incarnation.  A hop event
+also has ``release()``, which :meth:`WheelEngine.close` calls to end
+its life.
 """
 
 from __future__ import annotations
 
+import math
 from heapq import heappop, heappush
 from typing import Callable, Optional
 
@@ -79,27 +86,17 @@ from repro.sim.engine import Event, SimulationError
 
 __all__ = ["WheelEngine"]
 
-# Wheel geometry.  _G is the slot granularity in bits (one level-0
-# slot covers 2**_G ns): coarse enough that the cursor rarely scans an
-# empty slot even for the shortest hot-path delay (flying time, 20 ns),
-# fine enough that a slot's mini-heap stays small.  Entries within a
-# slot are ordered by the mini-heap, so _G affects only speed, never
-# event order.  Level 0 covers every delay on the packet hot path
+# Wheel geometry.  _G is the slot granularity in bits (one slot covers
+# 2**_G ns): coarse enough that the cursor rarely scans an empty slot
+# even for the shortest hot-path delay (flying time, 20 ns), fine
+# enough that a slot's list, sorted when drained, stays short.  The
+# sort orders entries within a slot, so _G affects only speed, never
+# event order.  One rotation covers every delay on the packet hot path
 # (flying 20 ns, routing 100 ns, serialization 256 ns, and nearly all
 # generation gaps), so the common insert is one append.
 _G = 4
-_B0 = 10
-_B1 = 7
-_B2 = 7
-_SIZE0 = 1 << _B0
-_SIZE1 = 1 << _B1
-_SIZE2 = 1 << _B2
-_M0 = _SIZE0 - 1
-_M1 = _SIZE1 - 1
-_M2 = _SIZE2 - 1
-_SPAN0 = 1 << _B0                # slots per level-0 rotation
-_SPAN1 = 1 << (_B0 + _B1)        # slots per level-1 rotation
-_SPAN2 = 1 << (_B0 + _B1 + _B2)  # slots per level-2 rotation
+_SPAN0 = 1024  # slots per rotation
+_M0 = _SPAN0 - 1
 
 
 class _Never:
@@ -128,11 +125,7 @@ class WheelEngine:
         "_run_safe",
         "_runadds",
         "_l0",
-        "_l1",
-        "_l2",
-        "_l1c",
-        "_l2c",
-        "_over",
+        "_far",
     )
 
     #: This backend runs the fused hop fast path (repro.ib.fastpath).
@@ -158,43 +151,33 @@ class WheelEngine:
         #: Entries merged into the current run while it is being fired
         #: (same-slot inserts) — lets run() batch its event accounting.
         self._runadds: int = 0
-        self._l0: list = [[] for _ in range(_SIZE0)]
-        self._l1: list = [[] for _ in range(_SIZE1)]
-        self._l2: list = [[] for _ in range(_SIZE2)]
-        # Upper levels keep occupancy counters (their inserts are cold);
-        # level 0 deliberately does not — the per-insert increment would
-        # tax every hot-path schedule, and _advance can prove level 0
-        # empty by scanning one full rotation instead.
-        self._l1c: int = 0
-        self._l2c: int = 0
-        self._over: list = []
+        # The wheel keeps no occupancy counter — the per-insert
+        # increment would tax every hot-path schedule, and _advance can
+        # prove it empty by scanning one full rotation instead.
+        self._l0: list = [[] for _ in range(_SPAN0)]
+        #: Heap of the entries due a rotation or more past the cursor.
+        self._far: list = []
 
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
     def _insert(self, entry: tuple, si: int) -> None:
-        """Place ``entry`` (whose slot index is ``si``) in the right level."""
-        cur = self._cur
-        if si < cur:
+        """Place ``entry`` (whose slot index is ``si``) in the current
+        run, on the wheel or on the heap."""
+        d = si - self._cur
+        if d < 0:
             # Only reachable for events inside the slot currently being
-            # fired (delays are non-negative): merge into the current
-            # run.  Rare — every hot-path delay exceeds the slot width.
+            # fired, or below a cursor parked past run()'s horizon:
+            # merge into the current run.  Rare — every hot-path delay
+            # exceeds the slot width.
             run = self._curlist
             run.append(entry)
             run.sort(reverse=True)
             self._runadds += 1
-            return
-        d = si - cur
-        if d < _SPAN0:
+        elif d < _SPAN0:
             self._l0[si & _M0].append(entry)
-        elif d < _SPAN1:
-            self._l1[(si >> _B0) & _M1].append(entry)
-            self._l1c += 1
-        elif d < _SPAN2:
-            self._l2[(si >> (_B0 + _B1)) & _M2].append(entry)
-            self._l2c += 1
         else:
-            heappush(self._over, entry)
+            heappush(self._far, entry)
 
     def schedule(
         self, time: float, callback: Callable[[], None], label: str = ""
@@ -245,61 +228,43 @@ class WheelEngine:
     # ------------------------------------------------------------------
     # Cursor advance
     # ------------------------------------------------------------------
-    def _advance(self, until: Optional[float]) -> bool:
-        """Drain the next occupied bucket into the (empty) current run.
+    def _advance(self, until: float) -> bool:
+        """Drain the next occupied slot into the (empty) current run.
 
         Returns ``True`` when entries were moved, ``False`` when the
-        queue is exhausted or the next bucket lies beyond ``until``.
+        queue is exhausted or the next occupied slot lies beyond
+        ``until`` (``math.inf`` for an unbounded run).
         """
         curlist = self._curlist
         l0 = self._l0
+        far = self._far
         cur = self._cur
-        # Level 0 keeps no occupancy counter (the per-insert increment
-        # would tax every hot-path schedule); instead count consecutive
-        # empty slots scanned.  Entries live at slots [cur, cur+_SIZE0)
-        # and no callback fires during _advance, so once a full rotation
-        # scans empty — with every cascade resetting the count — level 0
-        # is provably empty and the scan can be skipped.
+        # Count consecutive empty slots scanned: entries on the wheel
+        # live at slots [cur, cur + _SPAN0) and no callback fires
+        # during _advance, so once a full rotation scans empty — with
+        # every move from the heap resetting the count — the wheel is
+        # provably empty.
         empty = 0
         while True:
             self._cur = cur
-            if not cur & _M0:
-                # Level-0 rotation boundary: cascade upper levels down
-                # *before* scanning this span.  Keyed off cursor
-                # alignment (not loop position) so a call that returned
-                # early at a boundary redoes the (idempotent) cascade
-                # on re-entry instead of skipping it.
-                if not cur & (_SPAN1 - 1):
-                    over = self._over
-                    while over and (int(over[0][0]) >> _G) - cur < _SPAN2:
-                        e = heappop(over)
-                        self._insert(e, int(e[0]) >> _G)
-                        empty = 0
-                    if self._l2c:
-                        bucket2 = self._l2[(cur >> (_B0 + _B1)) & _M2]
-                        if bucket2:
-                            self._l2c -= len(bucket2)
-                            pend = bucket2[:]
-                            bucket2.clear()
-                            for e in pend:
-                                self._insert(e, int(e[0]) >> _G)
-                            empty = 0
-                if self._l1c:
-                    bucket1 = self._l1[(cur >> _B0) & _M1]
-                    if bucket1:
-                        self._l1c -= len(bucket1)
-                        pend = bucket1[:]
-                        bucket1.clear()
-                        for e in pend:
-                            self._insert(e, int(e[0]) >> _G)
-                        empty = 0
-            if empty < _SIZE0:
+            if not cur & _M0 and far:
+                # Rotation boundary: move the coming rotation's entries
+                # from the heap onto the wheel *before* scanning it.
+                # Keyed off cursor alignment (not loop position) so a
+                # call that returned early at a boundary redoes the
+                # (idempotent) move on re-entry instead of skipping it.
+                end = cur + _SPAN0
+                while far and int(far[0][0]) >> _G < end:
+                    e = heappop(far)
+                    l0[(int(e[0]) >> _G) & _M0].append(e)
+                    empty = 0
+            if empty < _SPAN0:
                 span_end = (cur | _M0) + 1
                 t = cur
                 while t < span_end:
                     bucket = l0[t & _M0]
                     if bucket:
-                        if until is not None and (t << _G) > until:
+                        if (t << _G) > until:
                             self._cur = t
                             return False
                         if len(bucket) > 1:  # run was empty: 1 is sorted
@@ -309,24 +274,20 @@ class WheelEngine:
                         self._cur = t + 1
                         # Entries lie in [t<<_G, (t+1)<<_G): inside the
                         # horizon, the whole run needs no per-event check.
-                        self._run_safe = until is None or (
-                            ((t + 1) << _G) <= until
-                        )
+                        self._run_safe = ((t + 1) << _G) <= until
                         return True
                     t += 1
                 empty += span_end - cur
                 cur = span_end
-            elif self._l1c or self._l2c:
-                cur = (cur | _M0) + 1
-            elif self._over:
-                # Everything lives beyond the wheel horizons: jump the
-                # cursor straight to the overflow head and refill.
-                over = self._over
-                cur = int(over[0][0]) >> _G
-                self._cur = cur
-                while over and (int(over[0][0]) >> _G) - cur < _SPAN2:
-                    e = heappop(over)
-                    self._insert(e, int(e[0]) >> _G)
+            elif far:
+                # The wheel is empty: jump the cursor straight to the
+                # rotation of the heap's head, or — when that lies past
+                # the horizon — park it at the first rotation boundary
+                # after the horizon, where a scan would have stopped.
+                cur = (int(far[0][0]) >> _G) & ~_M0
+                if (cur << _G) > until:
+                    self._cur = ((int(until) >> _G) | _M0) + 1
+                    return False
                 empty = 0
                 continue
             else:
@@ -335,12 +296,12 @@ class WheelEngine:
                 # wandered.  The run is empty and no entries exist, so
                 # this is free — whereas an overshot cursor sends every
                 # later insert below it through the merge-and-resort
-                # path (e.g. a peek of an idle engine at t=0 would
-                # leave the cursor a full rotation ahead, making the
-                # first 16 µs of scheduling quadratic).
+                # path (an idle engine run dry at t=0 would leave the
+                # cursor a full rotation ahead, making the first 16 µs
+                # of scheduling quadratic).
                 self._cur = int(self.now) >> _G
                 return False
-            if until is not None and (cur << _G) > until:
+            if (cur << _G) > until:
                 self._cur = cur
                 return False
 
@@ -351,10 +312,11 @@ class WheelEngine:
         """Process events in time order (see Engine.run — same contract)."""
         if self._running:
             raise SimulationError("engine is already running (re-entrant run())")
-        if until is not None and until < self.now:
+        if until is not None and not until >= self.now:
             raise SimulationError(
-                f"cannot run until t={until}, before now={self.now}"
+                f"cannot run until t={until}, not at or after now={self.now}"
             )
+        horizon = math.inf if until is None else until
         self._running = True
         curlist = self._curlist
         pop = curlist.pop  # _advance extends in place; identity is stable
@@ -372,101 +334,49 @@ class WheelEngine:
         n = 0
         reaped = 0
         try:
-            if until is None:
-                while True:
-                    if curlist:
-                        self._runadds = 0
-                        n = len(curlist)
-                        reaped = 0
-                        while curlist:
-                            t, _seq, ev, cb = pop()
-                            if ev.cancelled:
-                                reaped += 1
-                                pool = getattr(ev, "pool", None)
-                                if pool is not None:
-                                    pool.append(ev)
-                                continue
-                            self.now = t
-                            cb()
-                        processed += n + self._runadds - reaped
-                        n = 0
-                    elif not self._advance(None):
-                        break
-            else:
-                done = False
-                while not done:
-                    if curlist:
-                        if self._run_safe:
-                            # Whole run inside the horizon (see
-                            # _advance): no per-event time check.
-                            self._runadds = 0
-                            n = len(curlist)
-                            reaped = 0
-                            while curlist:
-                                t, _seq, ev, cb = pop()
-                                if ev.cancelled:
-                                    reaped += 1
-                                    pool = getattr(ev, "pool", None)
-                                    if pool is not None:
-                                        pool.append(ev)
-                                    continue
-                                self.now = t
-                                cb()
-                            processed += n + self._runadds - reaped
-                            n = 0
-                        else:  # boundary slot: check each entry
-                            while curlist:
-                                t, _seq, ev, cb = pop()
-                                if t > until:
-                                    # Beyond horizon: put it back
-                                    # (at most once per run).
-                                    curlist.append((t, _seq, ev, cb))
-                                    done = True
-                                    break
-                                if ev.cancelled:
-                                    pool = getattr(ev, "pool", None)
-                                    if pool is not None:
-                                        pool.append(ev)
-                                    continue
-                                self.now = t
-                                processed += 1
-                                cb()
-                    elif not self._advance(until):
-                        break
-                if until > self.now:
-                    self.now = until
-        finally:
-            if n:  # a callback raised mid-batch: reconcile its pops
-                processed += n + self._runadds - reaped - len(curlist)
-            self._events_processed += processed
-            self._running = False
-
-    def step(self) -> bool:
-        """Process exactly one live event (see Engine.step — same contract,
-        including the re-entrancy guard)."""
-        if self._running:
-            raise SimulationError(
-                "engine is already running (re-entrant step())"
-            )
-        self._running = True
-        try:
-            curlist = self._curlist
             while True:
-                if curlist:
-                    e = curlist.pop()
-                    ev = e[2]
+                if not curlist:
+                    if not self._advance(horizon):
+                        break
+                elif self._run_safe:
+                    # Whole run inside the horizon (see _advance): no
+                    # per-event time check.
+                    self._runadds = 0
+                    n = len(curlist)
+                    reaped = 0
+                    while curlist:
+                        t, _seq, ev, cb = pop()
+                        if ev.cancelled:
+                            reaped += 1
+                            pool = getattr(ev, "pool", None)
+                            if pool is not None:
+                                pool.append(ev)
+                            continue
+                        self.now = t
+                        cb()
+                    processed += n + self._runadds - reaped
+                    n = 0
+                else:
+                    # Boundary slot: fire entry by entry up to the
+                    # horizon, leaving the rest for a later run.
+                    t, _seq, ev, cb = curlist[-1]
+                    if t > horizon:
+                        break
+                    pop()
                     if ev.cancelled:
                         pool = getattr(ev, "pool", None)
                         if pool is not None:
                             pool.append(ev)
                         continue
-                    self.now = e[0]
-                    self._events_processed += 1
-                    e[3]()
-                    return True
-                if not self._advance(None):
-                    return False
+                    self.now = t
+                    processed += 1
+                    cb()
+            if until is not None and until > self.now:
+                self.now = until
         finally:
+            if n:  # a callback raised mid-batch: reconcile its pops
+                processed += n + self._runadds - reaped - len(curlist)
+            self._events_processed += processed
             self._running = False
 
     # ------------------------------------------------------------------
@@ -477,47 +387,17 @@ class WheelEngine:
         """Number of queue entries (including lazily-cancelled ones).
 
         Derived: every entry lives in exactly one container, so the
-        hot paths keep no separate counter (level 0 is summed here)."""
+        hot paths keep no separate counter (the wheel is summed here)."""
         return (
             len(self._curlist)
             + sum(len(b) for b in self._l0)
-            + self._l1c
-            + self._l2c
-            + len(self._over)
+            + len(self._far)
         )
 
     @property
     def events_processed(self) -> int:
         """Total number of events fired since construction."""
         return self._events_processed
-
-    def peek_time(self) -> Optional[float]:
-        """Timestamp of the next live event, or ``None`` if queue is empty.
-
-        Matches the heap engine: reaps lazily-cancelled entries at the
-        head (shrinking :attr:`pending`) and therefore must not be
-        called from inside a firing callback — raises
-        :class:`SimulationError` if it is.
-        """
-        if self._running:
-            raise SimulationError(
-                "peek_time() may not be called from inside a firing "
-                "callback (it mutates the event queue)"
-            )
-        curlist = self._curlist
-        while True:
-            if curlist:
-                e = curlist[-1]
-                ev = e[2]
-                if ev.cancelled:
-                    del curlist[-1]
-                    pool = getattr(ev, "pool", None)
-                    if pool is not None:
-                        pool.append(ev)
-                    continue
-                return e[0]
-            if not self._advance(None):
-                return None
 
     # ------------------------------------------------------------------
     # End of life
@@ -533,12 +413,11 @@ class WheelEngine:
             raise SimulationError(
                 "close() may not be called from inside a firing callback"
             )
-        for bucket in (self._curlist, self._over, *self._l0, *self._l1, *self._l2):
+        for bucket in (self._curlist, self._far, *self._l0):
             for entry in bucket:
                 if getattr(entry[2], "pool", None) is not None:
                     entry[2].release()
             bucket.clear()
-        self._l1c = self._l2c = 0
         pool = self.hop_pool
         for ev in pool:
             ev.release()
@@ -549,4 +428,3 @@ class WheelEngine:
             f"WheelEngine(now={self.now}, pending={self.pending}, "
             f"processed={self._events_processed})"
         )
-

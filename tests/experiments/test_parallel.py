@@ -153,7 +153,10 @@ def test_failing_point_names_its_spec(jobs):
     bad = dataclasses.replace(good, warmup_ns=-1.0)
     with pytest.raises(ValueError) as info:
         execute_points([good, bad], jobs=jobs)
-    assert str(info.value) == "warmup must be >= 0 and measure window positive"
+    assert str(info.value) == (
+        "warmup must be finite and >= 0, and the measure window finite "
+        "and positive; got -1.0, 10000.0"
+    )
     if sys.version_info >= (3, 11):
         assert info.value.__notes__ == [f"while running {bad!r}"]
 

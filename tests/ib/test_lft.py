@@ -72,15 +72,18 @@ def test_as_array_matches_entries_and_is_read_only():
     assert arr.dtype == np.int64
     with pytest.raises(ValueError):
         arr[0] = 9
-    assert lft.as_array() is arr  # cached
+    # Built on each call: the table keeps one copy, its port list.
+    assert lft.as_array() is not arr
+    assert np.array_equal(lft.as_array(), arr)
 
 
-def test_from_zero_based_as_array_cached_and_equal():
+def test_from_zero_based_as_array_equal():
     lft = LinearForwardingTable.from_zero_based([0, 3, 2], 4)
     arr = lft.as_array()
     assert arr.tolist() == [1, 4, 3]
     with pytest.raises(ValueError):
         arr[0] = 9
+    assert not hasattr(lft, "_array")
 
 
 def test_from_zero_based_validates_range():

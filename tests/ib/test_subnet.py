@@ -122,6 +122,18 @@ class TestMeasurement:
         with pytest.raises(ValueError):
             net.run_measurement(0.05, 1_000, 0.0)
 
+    @pytest.mark.parametrize(
+        "warmup,measure",
+        [(1_000, math.nan), (1_000, math.inf), (math.nan, 5_000), (math.inf, 5_000)],
+    )
+    def test_non_finite_windows_rejected(self, warmup, measure):
+        # At offered load 0 nothing is scheduled, so a window that is
+        # wrongly accepted returns instead of running forever.
+        net = build_subnet(4, 2, "mlid")
+        net.attach_pattern(UniformPattern(net.num_nodes))
+        with pytest.raises(ValueError, match="finite"):
+            net.run_measurement(0.0, warmup, measure)
+
     def test_conservation_generated_equals_delivered_plus_inflight(self):
         net = build_subnet(4, 2, "mlid", seed=7)
         net.attach_pattern(UniformPattern(net.num_nodes))

@@ -1,9 +1,14 @@
 """Stateful property test of the event engine (hypothesis state machine).
 
-Random interleavings of schedule / cancel / step must preserve the
-engine's core contracts: time never runs backward, events fire in
-(time, insertion) order, cancelled events never fire, and counters
-stay consistent.
+Random interleavings of schedule / cancel / run(until) / run() must
+preserve the engine's core contracts: time never runs backward, events
+fire in (time, insertion) order, cancelled events never fire, and
+counters stay consistent.
+
+Delays and spans mix the packet hot path's short ones with ones past
+the wheel's 16.4 µs rotation and past 268 ms, so the wheel's far heap,
+its moves onto the wheel and the cursor's jumps and parking all take
+part in the interleavings.
 """
 
 from hypothesis import settings
@@ -19,6 +24,19 @@ from repro.sim.engine import Engine
 from repro.sim.wheel import WheelEngine
 
 
+# Short (the hot path), past one rotation (~16.4 us), past 268 ms.
+_DELAYS = st.one_of(
+    st.floats(min_value=0.0, max_value=100.0),
+    st.floats(min_value=16_384.0, max_value=5e6),
+    st.floats(min_value=2.7e8, max_value=1e9),
+)
+_SPANS = st.one_of(
+    st.floats(min_value=0.0, max_value=50.0),
+    st.floats(min_value=0.0, max_value=5e6),
+    st.floats(min_value=2.7e8, max_value=1e9),
+)
+
+
 class EngineMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
@@ -28,7 +46,7 @@ class EngineMachine(RuleBasedStateMachine):
         self.cancelled = set()
         self.next_tag = 0
 
-    @rule(delay=st.floats(min_value=0.0, max_value=100.0, allow_nan=False))
+    @rule(delay=_DELAYS)
     def schedule(self, delay):
         tag = self.next_tag
         self.next_tag += 1
@@ -52,13 +70,14 @@ class EngineMachine(RuleBasedStateMachine):
         self.scheduled[tag][1].cancel()
         self.cancelled.add(tag)
 
-    @rule()
-    def step_once(self):
-        self.engine.step()
-
-    @rule(span=st.floats(min_value=0.0, max_value=50.0, allow_nan=False))
+    @rule(span=_SPANS)
     def run_until(self, span):
         self.engine.run(until=self.engine.now + span)
+
+    @rule()
+    def drain(self):
+        self.engine.run()
+        assert self.engine.pending == 0
 
     @invariant()
     def fired_in_order(self):

@@ -1,23 +1,17 @@
 """Wheel-backend-specific tests: geometry edge cases the generic
 engine contract (tests/sim/test_engine.py, run against both backends)
-cannot reach — upper-level cascades, the overflow heap, same-slot
-inserts during a firing run, and the batched event accounting."""
+cannot reach — events past the wheel's rotation (the far heap and its
+moves onto the wheel), same-slot inserts during a firing run, where
+the cursor parks, and the batched event accounting.
+
+The far-event tests keep the times the retired upper wheel levels were
+sized for (level 1 up to ~2.1 ms, level 2 up to ~268 ms, an overflow
+heap past that): each now lies on the far heap."""
 
 import pytest
 
 from repro.sim.engine import Engine
-from repro.sim.wheel import (
-    _G,
-    _SPAN0,
-    _SPAN1,
-    _SPAN2,
-    WheelEngine,
-)
-
-# Horizons in nanoseconds (slot width is 2**_G ns).
-_H0 = _SPAN0 << _G  # level-0 horizon (~16.4 us)
-_H1 = _SPAN1 << _G  # level-1 horizon (~2.1 ms)
-_H2 = _SPAN2 << _G  # level-2 horizon (~268 ms)
+from repro.sim.wheel import _G, _M0, _SPAN0, WheelEngine
 
 
 def test_fractional_times_within_one_slot_sort():
@@ -31,11 +25,11 @@ def test_fractional_times_within_one_slot_sort():
 
 
 def test_level1_cascade():
-    """An event beyond the level-0 horizon cascades down and fires on
-    time, interleaved correctly with near events."""
+    """An event a few rotations ahead moves from the heap onto the
+    wheel and fires on time, interleaved correctly with near events."""
     eng = WheelEngine()
     fired = []
-    far = float(_H0 * 3 + 13)  # level 1 at insert time
+    far = 49165.0  # three rotations and 13 ns ahead
     eng.schedule(far, lambda: fired.append(eng.now))
     eng.schedule(10.0, lambda: fired.append(eng.now))
     eng.run()
@@ -43,10 +37,24 @@ def test_level1_cascade():
     assert eng.events_processed == 2
 
 
+def test_event_one_rotation_ahead():
+    """An event exactly one rotation ahead goes to the heap, and moves
+    onto the wheel at the next boundary even though the rotation
+    scanned before it was empty."""
+    eng = WheelEngine()
+    fired = []
+    far = float(_SPAN0 << _G)  # 16384.0: the first slot of rotation 1
+    eng.schedule(far, lambda: fired.append(eng.now))
+    assert len(eng._far) == 1
+    eng.run()
+    assert fired == [far]
+    assert eng.pending == 0
+
+
 def test_level2_cascade():
     eng = WheelEngine()
     fired = []
-    far = float(_H1 * 2 + 1009)  # level 2 at insert time
+    far = 4195313.0  # ~4.2 ms: 256 rotations ahead
     eng.schedule(far, lambda: fired.append(eng.now))
     eng.schedule(5.0, lambda: fired.append(eng.now))
     eng.run()
@@ -54,27 +62,49 @@ def test_level2_cascade():
 
 
 def test_overflow_heap_beyond_level2():
-    """Events past the level-2 horizon live in the overflow heap and
-    still fire in global time order."""
+    """Events past ~268 ms live on the far heap and still fire in
+    global time order."""
     eng = WheelEngine()
     fired = []
-    times = [float(_H2) + 17.0, float(_H2) * 2 + 3.0, 42.0]
+    times = [268435473.0, 536870915.0, 42.0]
     for t in times:
         eng.schedule(t, lambda t=t: fired.append(t))
-    assert len(eng._over) == 2
+    assert len(eng._far) == 2
     eng.run()
     assert fired == sorted(times)
     assert eng.pending == 0
 
 
 def test_cursor_jumps_across_empty_horizons():
-    """With nothing on any wheel level, the cursor jumps straight to
-    the overflow head instead of scanning millions of empty slots."""
+    """With nothing on the wheel, the cursor jumps straight to the
+    rotation of the heap's head instead of scanning the empty slots
+    between (1e15 ns is ~6e13 slots ahead: a scan would not finish)."""
     eng = WheelEngine()
     fired = []
-    eng.schedule(float(_H2) + 5.0, lambda: fired.append(eng.now))
+    eng.schedule(268435461.0, lambda: fired.append(eng.now))
+    eng.schedule(1e15, lambda: fired.append(eng.now))
     eng.run()
-    assert fired == [float(_H2) + 5.0]
+    assert fired == [268435461.0, 1e15]
+
+
+def test_run_until_parks_at_first_boundary_past_horizon():
+    """Under run(until), an empty wheel whose heap head lies far past
+    the horizon parks the cursor no further than the first rotation
+    boundary after the horizon (where a scan would have stopped), not
+    at the head; inserts on either side of the parked cursor then
+    fire in order."""
+    eng = WheelEngine()
+    fired = []
+    eng.schedule(1e15, lambda: fired.append(eng.now))
+    until = 3 * _SPAN0 * (1 << _G) + 100.0  # inside the fourth rotation
+    eng.run(until=until)
+    assert fired == []
+    assert eng.now == until
+    assert eng._cur <= ((int(until) >> _G) | _M0) + 1
+    for delay in (_SPAN0 << _G, 20.0):  # past, then below, the cursor
+        eng.schedule(eng.now + delay, lambda: fired.append(eng.now))
+    eng.run()
+    assert fired == [until + 20.0, until + (_SPAN0 << _G), 1e15]
 
 
 def test_same_slot_insert_during_firing_run():
@@ -178,10 +208,10 @@ def test_cancelled_reaped_in_batch_accounting():
 
 def test_pending_counts_all_levels():
     eng = WheelEngine()
-    eng.schedule(1.0, lambda: None)                 # level 0
-    eng.schedule(float(_H0 * 2), lambda: None)      # level 1
-    eng.schedule(float(_H1 * 2), lambda: None)      # level 2
-    eng.schedule(float(_H2 * 2), lambda: None)      # overflow
+    eng.schedule(1.0, lambda: None)          # wheel
+    eng.schedule(32768.0, lambda: None)      # far heap from here on
+    eng.schedule(4194304.0, lambda: None)
+    eng.schedule(536870912.0, lambda: None)
     assert eng.pending == 4
     eng.run()
     assert eng.pending == 0
@@ -267,16 +297,15 @@ def test_close_releases_pooled_events():
 
 
 def test_exhausted_advance_parks_cursor_at_now():
-    """Peeking (or running dry) an idle engine must not strand the
-    cursor a rotation ahead of ``now`` — an overshot cursor sends
-    every later insert below it through the merge-and-resort current-
-    run path, making the first level-0 rotation of scheduling
-    quadratic (``peek_time()`` is public Engine API, so a caller may
-    peek an empty engine before anything is scheduled)."""
+    """Running an idle engine dry must not strand the cursor a rotation
+    ahead of ``now`` — an overshot cursor sends every later insert
+    below it through the merge-and-resort current-run path, making
+    the first rotation of scheduling quadratic (a caller may run an
+    empty engine before anything is scheduled)."""
     eng = WheelEngine()
-    assert eng.peek_time() is None
+    eng.run()
     assert eng._cur == int(eng.now) >> _G  # parked, not slot _SPAN0
-    # Inserts after the empty peek take the plain bucket path, not the
+    # Inserts after the empty run take the plain bucket path, not the
     # current-run merge (which would grow _curlist before any run()).
     eng.schedule(5.0, lambda: None)
     assert eng._curlist == []

@@ -354,6 +354,28 @@ def test_sweep_bad_seeds_rejected(seeds):
         main(["sweep", "4", "2", "--seeds", seeds])
 
 
+@pytest.mark.parametrize(
+    "flag,value,problem",
+    [
+        ("--measure", "nan", "measure window (ns) must be a finite number > 0, got 'nan'"),
+        ("--measure", "inf", "measure window (ns) must be a finite number > 0, got 'inf'"),
+        ("--measure", "-5", "measure window (ns) must be a finite number > 0, got '-5'"),
+        ("--measure", "0", "measure window (ns) must be a finite number > 0, got '0'"),
+        ("--warmup", "nan", "warmup window (ns) must be a finite number >= 0, got 'nan'"),
+        ("--warmup", "-1", "warmup window (ns) must be a finite number >= 0, got '-1'"),
+    ],
+)
+def test_sweep_bad_windows_are_usage_errors(flag, value, problem, capsys):
+    # Parsed only, never run: a sweep at a NaN or infinite window would
+    # never reach the window's end.
+    from repro.cli import build_parser
+
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["sweep", "4", "2", flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: {problem}" in capsys.readouterr().err.splitlines()[-1]
+
+
 def test_draw(capsys):
     assert main(["draw", "4", "2"]) == 0
     out = capsys.readouterr().out
