@@ -1,35 +1,13 @@
 """T1 — the paper's Table 1: simulated network sizes.
 
 Static (no simulation): constructs each evaluated FT(m, n), validates
-it structurally, and reports the size/addressing columns.
+it structurally, and reports the size/addressing columns
+(:func:`repro.experiments.configs.table1_rows`, which ``repro table1``
+prints too).
 """
 
-from repro.core.addressing import MlidAddressing
+from repro.experiments.configs import table1_rows as build_rows
 from repro.experiments.report import render_table
-from repro.topology.fattree import FatTree
-from repro.topology.validate import validate_fattree
-
-CONFIGS = [(4, 2), (8, 2), (16, 2), (32, 2), (4, 3), (8, 3)]
-
-
-def build_rows():
-    rows = []
-    for m, n in CONFIGS:
-        ft = FatTree(m, n)
-        validate_fattree(ft)
-        addr = MlidAddressing(m, n)
-        rows.append(
-            {
-                "m-port": m,
-                "n-tree": n,
-                "nodes": ft.num_nodes,
-                "switches": ft.num_switches,
-                "LMC": addr.lmc,
-                "LIDs/node": addr.lids_per_node,
-                "total LIDs": addr.num_lids,
-            }
-        )
-    return rows
 
 
 def test_table1(benchmark, save_result):

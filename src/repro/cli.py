@@ -114,22 +114,9 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(_args: argparse.Namespace) -> int:
-    rows = []
-    for (m, n) in [(4, 2), (8, 2), (16, 2), (32, 2), (4, 3), (8, 3)]:
-        ft = FatTree(m, n)
-        addr = MlidAddressing(m, n)
-        rows.append(
-            {
-                "m": m,
-                "n": n,
-                "nodes": ft.num_nodes,
-                "switches": ft.num_switches,
-                "LMC": addr.lmc,
-                "LIDs/node": addr.lids_per_node,
-                "total LIDs": addr.num_lids,
-            }
-        )
-    print(render_table(rows, title="Table 1: simulated network sizes"))
+    from repro.experiments.configs import table1_rows
+
+    print(render_table(table1_rows(), title="Table 1: simulated network sizes"))
     return 0
 
 
@@ -256,23 +243,16 @@ def _check_vls(vls: int) -> None:
 _vls_arg = _int_arg(_check_vls)
 
 
-def _check_count(count: int) -> None:
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
+def _int_in(what: str, low: int, high: Optional[int] = None) -> Callable[[str], int]:
+    """An argparse ``type=``: an integer ``what`` in [low, high] (no
+    upper bound if ``high`` is None)."""
 
+    def check(value: int) -> None:
+        if value < low or (high is not None and value > high):
+            bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+            raise ValueError(f"{what} must be {bound}, got {value}")
 
-class _LinkCount(argparse.Action):
-    """``faults``' COUNT: at most the fabric's switch-to-switch links,
-    (n - 1) * 2 * (m/2)^n of them (``m n`` are parsed first)."""
-
-    def __call__(self, parser, namespace, count, option_string=None):
-        m, n = namespace.m, namespace.n
-        links = (n - 1) * 2 * (m // 2) ** n
-        if count > links:
-            raise argparse.ArgumentError(
-                self, f"FT({m}, {n}) has {links} switch links, asked to fail {count}"
-            )
-        setattr(namespace, self.dest, count)
+    return _int_arg(check)
 
 
 def _add_arity_args(parser: argparse.ArgumentParser) -> None:
@@ -288,6 +268,25 @@ def _add_arity_args(parser: argparse.ArgumentParser) -> None:
 _jobs_arg = _int_arg(normalize_jobs)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` that runs its ``checks`` once every
+    argument is parsed: the usage errors that need several arguments,
+    whatever their order.  A check returns the error message, or
+    None."""
+
+    def __init__(self, *args, checks=(), **kwargs):
+        super().__init__(*args, **kwargs)
+        self.checks = checks
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        for check in self.checks:
+            problem = check(namespace)
+            if problem is not None:
+                self.error(problem)
+        return namespace, extras
+
+
 def _pattern_problem(args: argparse.Namespace) -> Optional[str]:
     """Why ``--pattern`` cannot drive this FT(m, n) run, or None: flow
     and hybrid points take only the flow model's patterns, and a
@@ -296,13 +295,38 @@ def _pattern_problem(args: argparse.Namespace) -> Optional[str]:
     mode = getattr(args, "mode", "packet")
     if mode != "packet" and args.pattern not in SUPPORTED_PATTERNS:
         return (
-            f"{mode} mode takes {', '.join(SUPPORTED_PATTERNS)}, "
-            f"got {args.pattern!r}"
+            f"argument --pattern: {mode} mode takes "
+            f"{', '.join(SUPPORTED_PATTERNS)}, got {args.pattern!r}"
         )
     try:
         make_pattern(args.pattern, FatTree(args.m, args.n).num_nodes)
     except ValueError as exc:
-        return f"{args.pattern} on FT({args.m}, {args.n}): {exc}"
+        return f"argument --pattern: {args.pattern} on FT({args.m}, {args.n}): {exc}"
+    return None
+
+
+def _count_problem(args: argparse.Namespace) -> Optional[str]:
+    """Why ``faults`` cannot fail COUNT links, or None: FT(m, n) has
+    (n - 1) * 2 * (m/2)^n switch-to-switch links."""
+    links = (args.n - 1) * 2 * (args.m // 2) ** args.n
+    if args.count > links:
+        return (
+            f"argument count: FT({args.m}, {args.n}) has {links} switch "
+            f"links, asked to fail {args.count}"
+        )
+    return None
+
+
+def _flap_links_problem(args: argparse.Namespace) -> Optional[str]:
+    """Why the storm cannot flap ``--flap-links`` links, or None: it
+    flaps root switch-to-switch links, 2 (m/2)^n of them (none on a
+    one-level tree)."""
+    links = 2 * (args.m // 2) ** args.n if args.n > 1 else 0
+    if args.storm and args.flap_links > links:
+        return (
+            f"argument --flap-links: FT({args.m}, {args.n}) has {links} root "
+            f"switch links, asked to flap {args.flap_links}"
+        )
     return None
 
 
@@ -651,7 +675,7 @@ def _add_mode_args(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro-ibft",
         description="Multiple LID routing for fat-tree InfiniBand (IPDPS 2004 reproduction)",
     )
@@ -697,9 +721,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mode_args(p)
     p.set_defaults(func=_cmd_figure)
 
-    p = sub.add_parser("sweep", help="run one offered-load sweep")
+    p = sub.add_parser(
+        "sweep", help="run one offered-load sweep", checks=[_pattern_problem]
+    )
     _add_arity_args(p)
-    p.add_argument("--scheme", default="mlid")
+    p.add_argument("--scheme", default="mlid", choices=available_schemes())
     p.add_argument("--pattern", default="uniform", choices=available_patterns())
     p.add_argument(
         "--loads", type=_loads_arg, default="0.1,0.3,0.7",
@@ -730,26 +756,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-cells", type=int, default=16)
     p.set_defaults(func=_cmd_draw)
 
-    p = sub.add_parser("probe", help="simulate briefly and print a heat report")
+    p = sub.add_parser(
+        "probe", help="simulate briefly and print a heat report",
+        checks=[_pattern_problem],
+    )
     _add_arity_args(p)
-    p.add_argument("--scheme", default="mlid")
+    p.add_argument("--scheme", default="mlid", choices=available_schemes())
     p.add_argument("--pattern", default="uniform", choices=available_patterns())
     p.add_argument("--load", type=_load_arg, default=0.3)
     p.add_argument("--vls", type=_vls_arg, default=1)
     p.set_defaults(func=_cmd_probe)
 
-    p = sub.add_parser("faults", help="repair tables around random link failures")
+    p = sub.add_parser(
+        "faults", help="repair tables around random link failures",
+        checks=[_count_problem],
+    )
     _add_arity_args(p)
     p.add_argument(
-        "count", type=_int_arg(_check_count), action=_LinkCount,
-        help="number of random failed links",
+        "count", type=_int_in("count", 0), help="number of random failed links",
     )
     p.add_argument("--scheme", default="mlid", choices=["mlid", "slid"])
     p.add_argument("--seed", type=_int_arg(_seed), default=0)
     p.set_defaults(func=_cmd_faults)
 
     p = sub.add_parser(
-        "failover", help="live link failure + recovery with the dynamic SM"
+        "failover", help="live link failure + recovery with the dynamic SM",
+        checks=[_pattern_problem],
     )
     _add_arity_args(p)
     p.add_argument("--scheme", default="mlid", choices=["mlid", "slid"])
@@ -800,17 +832,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_failover)
 
     p = sub.add_parser(
-        "serve", help="run the route-query service (TCP, line-delimited JSON)"
+        "serve", help="run the route-query service (TCP, line-delimited JSON)",
+        checks=[_flap_links_problem],
     )
     _add_arity_args(p)
     p.add_argument("--scheme", default="mlid", choices=["mlid", "slid"])
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument(
-        "--port", type=int, default=0, help="TCP port (0 = ephemeral, printed)"
+        "--port", type=_int_in("port", 0, 65535), default=0,
+        help="TCP port (0 = ephemeral, printed)",
     )
     p.add_argument(
         "--telemetry-interval",
-        type=float,
+        type=_float_arg("telemetry interval (s)", positive=True),
         default=1.0,
         help="seconds between telemetry pushes to subscribers",
     )
@@ -829,17 +863,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve the static baseline tables only",
     )
     p.add_argument(
-        "--flap-links", type=int, default=2, help="links flapping in the storm"
+        "--flap-links", type=_int_in("flap links", 1), default=2,
+        help="root links flapping in the storm",
     )
     p.add_argument(
         "--horizon",
-        type=float,
+        type=_float_arg("storm horizon (ns)", positive=True),
         default=100_000.0,
         help="storm duration in simulated ns",
     )
     p.add_argument(
         "--pace",
-        type=float,
+        type=_float_arg("pace (s)"),
         default=0.01,
         help="wall seconds between storm chunks (0 = run flat out)",
     )
@@ -871,20 +906,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("list", help="list experiments, schemes, patterns")
     p.set_defaults(func=_cmd_list)
-
-    for p in sub.choices.values():
-        p.set_defaults(usage_error=p.error)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    # A pattern that does not fit the fabric or the mode is a usage
-    # error too; it needs m, n and --mode, whatever their order.
-    if getattr(args, "pattern", None) is not None:
-        problem = _pattern_problem(args)
-        if problem is not None:
-            args.usage_error(f"argument --pattern: {problem}")
     return args.func(args)
 
 

@@ -211,21 +211,19 @@ class FaultRepairKernel:
     # ------------------------------------------------------------------
     # Entry point
     # ------------------------------------------------------------------
-    def repair(
-        self, faults: FaultSet, *, incremental: bool = True
-    ) -> RepairedTables:
+    def repair(self, faults: FaultSet) -> RepairedTables:
         """Repaired tables for ``faults``; bit-identical to the scalar
         :class:`~repro.core.fault.FaultTolerantTables`.
 
-        With ``incremental`` (default) the sweep reuses the previous
-        call's cached cost planes where the fault delta provably cannot
-        have changed them; pass ``incremental=False`` to force a full
-        batched recompute (the cache is refreshed either way).
+        The sweep reuses the previous call's cached cost planes where
+        the fault delta provably cannot have changed them; after
+        :meth:`reset` it is a full batched recompute (the cache is
+        refreshed either way).
         """
         links = frozenset(faults.links)
         self.repairs += 1
         try:
-            if incremental and self._faults is not None:
+            if self._faults is not None:
                 if links == self._faults:
                     self.last_mode = "cached"
                     self.leaves_recomputed = 0

@@ -51,6 +51,7 @@ programs it.
 from __future__ import annotations
 
 import copy
+import threading
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple, Union
@@ -848,15 +849,21 @@ class RouteKernel:
         )
 
 
+#: Serializes first compiles in :func:`compile_kernel`.
+_kernel_lock = threading.Lock()
+
+
 def compile_kernel(scheme: RoutingScheme) -> RouteKernel:
     """Compile (and memoize on the scheme instance) a scheme's kernel.
 
     Schemes are immutable after construction, so the compiled kernel is
     cached on the instance — repeated static queries (verify + LCA
-    histogram + link loads + CDG) share one compilation.
+    histogram + link loads + CDG) share one compilation.  It is the one
+    kernel memo (``RoutingArtifacts.kernel`` returns it too), and
+    concurrent first calls get one object.
     """
-    kernel = getattr(scheme, "_route_kernel", None)
-    if kernel is None:
-        kernel = RouteKernel.from_scheme(scheme)
-        scheme._route_kernel = kernel
-    return kernel
+    with _kernel_lock:
+        kernel = getattr(scheme, "_route_kernel", None)
+        if kernel is None:
+            kernel = scheme._route_kernel = RouteKernel.from_scheme(scheme)
+        return kernel

@@ -13,7 +13,7 @@ for CI-speed benchmark runs).  Windows scale likewise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 __all__ = [
     "ExperimentConfig",
@@ -22,6 +22,7 @@ __all__ = [
     "ABLATIONS",
     "get_experiment",
     "all_experiments",
+    "table1_rows",
 ]
 
 #: Default load grid (bytes/ns/node offered), low load to past saturation.
@@ -118,12 +119,39 @@ TABLES: Dict[str, ExperimentConfig] = {
     "table1": ExperimentConfig(
         id="table1",
         title="simulated m-port n-tree network sizes",
-        m=0,  # spans several (m, n); see benchmarks/test_table1
+        m=0,  # spans several (m, n); see table1_rows
         n=0,
         pattern="uniform",
         notes="static topology/addressing table; no simulation",
     )
 }
+
+
+def table1_rows() -> List[dict]:
+    """Table 1's rows, one per simulated FT(m, n) in the paper's order,
+    each validated structurally, with its size and MLID addressing."""
+    from repro.core.addressing import MlidAddressing
+    from repro.topology.fattree import FatTree
+    from repro.topology.validate import validate_fattree
+
+    rows = []
+    for m, n in [(4, 2), (8, 2), (16, 2), (32, 2), (4, 3), (8, 3)]:
+        ft = FatTree(m, n)
+        validate_fattree(ft)
+        addr = MlidAddressing(m, n)
+        rows.append(
+            {
+                "m-port": m,
+                "n-tree": n,
+                "nodes": ft.num_nodes,
+                "switches": ft.num_switches,
+                "LMC": addr.lmc,
+                "LIDs/node": addr.lids_per_node,
+                "total LIDs": addr.num_lids,
+            }
+        )
+    return rows
+
 
 #: Ablations (DESIGN.md §4, ids A1-A4).
 ABLATIONS: Dict[str, ExperimentConfig] = {

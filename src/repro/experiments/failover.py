@@ -117,8 +117,8 @@ def run_failover(
         raise ValueError(
             f"run_until={run_until} must leave room past t_recover={t_recover}"
         )
-    # A fresh (uncached) build: the runtime reprograms live LFTs, so the
-    # shared artifact cache must not supply this subnet.
+    # Wired from the cached routing artifacts: the runtime reprograms a
+    # switch by swapping its LFT object, never by writing one.
     net = build_subnet(m, n, scheme, cfg, seed=seed, engine=engine)
     sw, port = link if link is not None else default_link(net.ft)
     initial = {s: model.lft for s, model in net.switches.items()}

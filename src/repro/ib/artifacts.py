@@ -14,24 +14,28 @@ answer per scheme.
 configuration, so no configuration can reach the tables: the key is
 complete by construction.
 
-The route kernel compiled from the programmed LFTs
-(:attr:`RoutingArtifacts.kernel`) is built on first read.  Packet
-points never read it; the static analyses and the route-query service
-do, and share it with :func:`~repro.core.kernel.compile_kernel`
-through the scheme's memo slot.
+:func:`build_artifacts` is the one place a fabric's routing state is
+built: every :func:`~repro.ib.subnet.build_subnet` wires its subnet
+from a :class:`RoutingArtifacts`, cached for a scheme name and built
+uncached for a scheme object (a repaired scheme or a test double).
+
+The route kernel (:attr:`RoutingArtifacts.kernel`) is the scheme's
+:func:`~repro.core.kernel.compile_kernel` memo, compiled on first read
+and selecting DLIDs through the artifact's matrix.  Packet points never
+read it; the static analyses and the route-query service do.
 
 Everything cached is immutable after construction — ``FatTree``,
 scheme tables, :class:`~repro.ib.lft.LinearForwardingTable` entries
 and the (write-protected) DLID array — so one
 :class:`RoutingArtifacts` instance can be shared by any number of
-subnets, sequentially or concurrently.  Per-seed simulator state
-(engine, switches, endnodes, RNG streams) is *never* cached; see
-:func:`repro.ib.subnet.build_subnet`.
+subnets, sequentially or concurrently.  The dynamic Subnet Manager
+reprograms a switch by swapping its LFT object, never by writing one.
+Per-seed simulator state (engine, switches, endnodes, RNG streams) is
+*never* cached; see :func:`repro.ib.subnet.build_subnet`.
 
 Determinism guarantee: ``build_artifacts`` is a pure function of its
-key, and a subnet wired from cached artifacts is indistinguishable
-from a freshly built one, so cached runs are bit-for-bit identical to
-uncached runs (tested in ``tests/ib/test_artifacts.py``).
+key, and an uncached ``build_artifacts`` is the reference the cache is
+tested against, bit for bit (``tests/ib/test_artifacts.py``).
 """
 
 from __future__ import annotations
@@ -39,11 +43,11 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.kernel import RouteKernel
+from repro.core.kernel import RouteKernel, compile_kernel
 from repro.core.scheme import RoutingScheme, get_scheme
 from repro.ib.config import SimConfig
 from repro.ib.lft import LinearForwardingTable
@@ -54,7 +58,6 @@ from repro.topology.labels import SwitchLabel
 __all__ = [
     "RoutingArtifacts",
     "build_artifacts",
-    "dlid_row_lists",
     "get_artifacts",
     "artifact_cache_info",
     "clear_artifact_cache",
@@ -63,9 +66,6 @@ __all__ = [
 
 #: Cache key: (m, n, scheme name).
 ArtifactKey = Tuple[int, int, str]
-
-#: Serializes first reads of :attr:`RoutingArtifacts.kernel`.
-_kernel_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -86,30 +86,31 @@ class RoutingArtifacts:
 
     @cached_property
     def dlid_rows(self) -> List[List[int]]:
-        """:func:`dlid_row_lists` of the DLID matrix, built on the
-        first subnet build and shared by every later one."""
-        return dlid_row_lists(self.dlid_flat, self.ft.num_nodes)
+        """The DLID matrix as one Python list per source PID, indexed by
+        destination PID, for the endnodes' per-packet lookup: built on
+        the first subnet build and shared by every later one.  Equal
+        DLIDs share one ``int`` object across rows."""
+        interned: Dict[int, int] = {}
+        intern = interned.setdefault
+        nodes = self.ft.num_nodes
+        return [
+            [intern(d, d) for d in row]
+            for row in self.dlid_flat.reshape(nodes, nodes).tolist()
+        ]
 
     @cached_property
     def kernel(self) -> RouteKernel:
-        """Route kernel of the programmed LFTs — the port/peer arrays
-        every switch forwards through, shared with all static analyses
-        (verify, LCA usage, link loads, CDG) and the route-query
-        service.
+        """Route kernel of the scheme's tables — the port/peer arrays
+        every switch forwards through (the LFTs hold the same ports,
+        shifted by one), shared with all static analyses (verify, LCA
+        usage, link loads, CDG) and the route-query service.
 
-        Compiled on the first read, with this artifact's DLID matrix,
-        and installed in :func:`~repro.core.kernel.compile_kernel`'s
-        memo slot on the scheme.  If ``compile_kernel(self.scheme)``
-        ran first, this is its kernel.  Concurrent first reads get one
-        object."""
-        with _kernel_lock:
-            kernel = getattr(self.scheme, "_route_kernel", None)
-            if kernel is None:
-                kernel = RouteKernel.from_lfts(self.scheme, self.lfts)
-                nodes = self.ft.num_nodes
-                kernel._set_selected(self.dlid_flat.reshape(nodes, nodes))
-                self.scheme._route_kernel = kernel
-            return kernel
+        :func:`~repro.core.kernel.compile_kernel`'s memo, whichever is
+        read first, selecting DLIDs through this artifact's matrix."""
+        kernel = compile_kernel(self.scheme)
+        nodes = self.ft.num_nodes
+        kernel._set_selected(self.dlid_flat.reshape(nodes, nodes))
+        return kernel
 
     def snapshot(self):
         """Generation-0 :class:`~repro.service.snapshot.RouteSnapshot`
@@ -121,37 +122,31 @@ class RoutingArtifacts:
         return baseline_snapshot(self)
 
 
-def dlid_row_lists(dlid_flat: np.ndarray, num_nodes: int) -> List[List[int]]:
-    """The flattened DLID matrix as one Python list per source PID,
-    indexed by destination PID, for the endnodes' per-packet lookup.
-    Equal DLIDs share one ``int`` object across rows."""
-    interned: Dict[int, int] = {}
-    intern = interned.setdefault
-    return [
-        [intern(d, d) for d in row]
-        for row in dlid_flat.reshape(num_nodes, num_nodes).tolist()
-    ]
+def build_artifacts(
+    m: int, n: int, scheme: Union[str, RoutingScheme]
+) -> RoutingArtifacts:
+    """Build the routing artifacts of FT(m, n) under ``scheme``, uncached.
 
-
-def build_artifacts(m: int, n: int, scheme: str) -> RoutingArtifacts:
-    """Build the shareable routing artifacts of FT(m, n) under ``scheme``.
-
-    This is exactly the setup work :func:`~repro.ib.subnet.build_subnet`
-    performs on its fresh-build path: construct FT(m, n), instantiate
-    the scheme, run the Subnet Manager's full initialization (sweep
-    discovery, LID plan, LFT programming) and materialize the dense
-    DLID matrix.  The route kernel waits for its first read
+    ``scheme`` is a registered name, instantiated on a new FT(m, n), or
+    a scheme instance built for FT(m, n), used as is.  Then the Subnet
+    Manager runs its full initialization (sweep discovery, LID plan,
+    LFT programming) and the dense DLID matrix is materialized.  The
+    route kernel waits for its first read
     (:attr:`RoutingArtifacts.kernel`).
     """
-    ft = FatTree(m, n)
-    scheme_obj = get_scheme(scheme, ft)
+    if isinstance(scheme, str):
+        scheme_obj = get_scheme(scheme, FatTree(m, n))
+    else:
+        scheme_obj = scheme
+        if (scheme_obj.ft.m, scheme_obj.ft.n) != (m, n):
+            raise ValueError("scheme was built for a different FT(m, n)")
     lfts = SubnetManager(scheme_obj).configure()
     dlid_flat = scheme_obj.dlid_matrix().reshape(-1)
     dlid_flat.setflags(write=False)
     return RoutingArtifacts(
         m=m,
         n=n,
-        scheme_name=scheme.lower(),
+        scheme_name=scheme.lower() if isinstance(scheme, str) else scheme_obj.name,
         scheme=scheme_obj,
         lfts=lfts,
         dlid_flat=dlid_flat,

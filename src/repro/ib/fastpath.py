@@ -198,7 +198,7 @@ class HopEvent:
         fwd = unit._fwd
         if 0 <= idx < unit._fwd_n:
             out_port = fwd[idx]
-        else:  # preserve the LFT's out-of-range semantics (drop)
+        else:  # out of range: the LFT's lookup raises KeyError
             out_port = unit.switch.lft.lookup(packet.dlid)
         if out_port == unit.port:
             if not unit.switch.drops_reflected:

@@ -1,9 +1,10 @@
-"""Subnet assembly: fat-tree + routing scheme + simulator components.
+"""Subnet assembly: routing artifacts + simulator components.
 
-:func:`build_subnet` instantiates one simulatable IBFT(m, n) subnet:
-a :class:`~repro.sim.wheel.WheelEngine`, a
-:class:`~repro.ib.switch.SwitchModel` per fat-tree switch (LFTs
-programmed by the :class:`~repro.ib.sm.SubnetManager`), an
+:func:`build_subnet` instantiates one simulatable IBFT(m, n) subnet
+from a :class:`~repro.ib.artifacts.RoutingArtifacts` (the fabric, the
+scheme, the LFTs the :class:`~repro.ib.sm.SubnetManager` programmed
+and the DLID matrix): a :class:`~repro.sim.wheel.WheelEngine`, a
+:class:`~repro.ib.switch.SwitchModel` per fat-tree switch, an
 :class:`~repro.ib.endnode.Endnode` per processing node, and a
 :class:`~repro.ib.link.Transmitter` pair per physical link.  The
 :class:`Subnet` facade then drives traffic and collects the paper's
@@ -17,16 +18,14 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.core.scheme import RoutingScheme, get_scheme
-from repro.ib.artifacts import RoutingArtifacts, dlid_row_lists
+from repro.core.scheme import RoutingScheme
+from repro.ib.artifacts import RoutingArtifacts, build_artifacts, get_artifacts
 from repro.ib.config import SimConfig
 from repro.ib.endnode import Endnode, TrafficTapes
-from repro.ib.sm import SubnetManager
 from repro.ib.switch import SwitchModel
 from repro.sim.engine import Engine
 from repro.sim.stats import LatencyStats, ThroughputMeter, WarmupFilter
 from repro.sim.wheel import WheelEngine
-from repro.topology.fattree import FatTree
 from repro.topology.labels import SwitchLabel, format_switch
 
 __all__ = ["Subnet", "build_subnet"]
@@ -37,35 +36,28 @@ class Subnet:
 
     def __init__(
         self,
-        ft: FatTree,
-        scheme: RoutingScheme,
+        artifacts: RoutingArtifacts,
         cfg: SimConfig,
         engine: Engine,
         switches: Dict[SwitchLabel, SwitchModel],
         endnodes: List[Endnode],
-        dlid_flat: Optional[np.ndarray] = None,
-        dlid_rows: Optional[List[List[int]]] = None,
     ):
-        self.ft = ft
-        self.scheme = scheme
+        self.ft = artifacts.ft
+        self.scheme = artifacts.scheme
         self.cfg = cfg
         self.engine = engine
         self.switches = switches
         self.endnodes = endnodes
         self.latency: Optional[LatencyStats] = None
         self.throughput: Optional[ThroughputMeter] = None
-        # Dense DLID matrix (vectorized per scheme where possible) and
-        # its per-source rows; cached builds pass both in, shared by
-        # every subnet of the fabric.
-        if dlid_flat is None:
-            dlid_flat = scheme.dlid_matrix().reshape(-1)
-        if dlid_rows is None:
-            dlid_rows = dlid_row_lists(dlid_flat, ft.num_nodes)
-        self._dlid = dlid_flat
+        # The artifact's dense DLID matrix and its per-source rows,
+        # shared by every subnet of the fabric.
+        self._dlid = artifacts.dlid_flat
         self._closed = False
+        rows = artifacts.dlid_rows
         for node in endnodes:
             node.dlid_for = self.dlid_for
-            node.dlid_row = dlid_rows[node.pid]
+            node.dlid_row = rows[node.pid]
 
     # ------------------------------------------------------------------
     def dlid_for(self, src_pid: int, dst_pid: int) -> int:
@@ -214,14 +206,14 @@ def build_subnet(
     seed:
         Root seed for all per-node random streams.
     artifacts:
-        Prebuilt seed-independent routing artifacts (see
-        :mod:`repro.ib.artifacts`).  When given, the FatTree, scheme,
-        LFTs and DLID matrix are reused instead of rebuilt — the
-        resulting subnet is bit-for-bit identical to a fresh build.
-        All per-seed state (engine, switches, endnodes, and the RNG
-        streams unless ``traffic`` is given) is still constructed
-        fresh.  Without it, everything is built from scratch (the
-        reference the cache is tested against).
+        The seed-independent routing artifacts to wire from (see
+        :mod:`repro.ib.artifacts`): the FatTree, scheme, LFTs and DLID
+        matrix, shared by every subnet built from them.  Without it, a
+        scheme name reads :func:`~repro.ib.artifacts.get_artifacts`'
+        cache and a scheme instance an uncached
+        :func:`~repro.ib.artifacts.build_artifacts`.  All per-seed
+        state (engine, switches, endnodes, and the RNG streams unless
+        ``traffic`` is given) is constructed fresh.
     engine:
         The event engine to build on, which must be fresh; defaults to
         a new :class:`~repro.sim.wheel.WheelEngine`.  A test seam: the
@@ -238,38 +230,22 @@ def build_subnet(
         ``ValueError``, as does one spawned from another seed.
     """
     cfg = cfg or SimConfig()
-    dlid_flat: Optional[np.ndarray] = None
-    rows: Optional[List[List[int]]] = None
-    if artifacts is not None:
-        if artifacts.m != m or artifacts.n != n:
-            raise ValueError(
-                f"artifacts were built for FT({artifacts.m}, {artifacts.n}), "
-                f"requested FT({m}, {n})"
-            )
-        if isinstance(scheme, str) and artifacts.scheme_name != scheme.lower():
-            raise ValueError(
-                f"artifacts were built for scheme {artifacts.scheme_name!r}, "
-                f"requested {scheme!r}"
-            )
-        ft = artifacts.ft
-        scheme_obj = artifacts.scheme
-        lfts = artifacts.lfts
-        dlid_flat = artifacts.dlid_flat
-        rows = artifacts.dlid_rows
-    else:
-        ft = FatTree(m, n)
+    if artifacts is None:
         if isinstance(scheme, str):
-            scheme_obj = get_scheme(scheme, ft)
+            artifacts = get_artifacts(m, n, scheme)
         else:
-            scheme_obj = scheme
-            if scheme_obj.ft is not ft and (
-                scheme_obj.ft.m != m or scheme_obj.ft.n != n
-            ):
-                raise ValueError("scheme was built for a different FT(m, n)")
-            ft = scheme_obj.ft
-
-        sm = SubnetManager(scheme_obj)
-        lfts = sm.configure()
+            artifacts = build_artifacts(m, n, scheme)
+    elif artifacts.m != m or artifacts.n != n:
+        raise ValueError(
+            f"artifacts were built for FT({artifacts.m}, {artifacts.n}), "
+            f"requested FT({m}, {n})"
+        )
+    elif isinstance(scheme, str) and artifacts.scheme_name != scheme.lower():
+        raise ValueError(
+            f"artifacts were built for scheme {artifacts.scheme_name!r}, "
+            f"requested {scheme!r}"
+        )
+    ft, lfts = artifacts.ft, artifacts.lfts
     if engine is None:
         engine = WheelEngine()
     if traffic is None:
@@ -298,7 +274,7 @@ def build_subnet(
     endnodes: List[Endnode] = []
     for pid, label in enumerate(ft.nodes):
         node = Endnode(
-            engine, cfg, pid=pid, slid=scheme_obj.base_lid(label),
+            engine, cfg, pid=pid, slid=artifacts.scheme.base_lid(label),
             rng=rngs[pid], tape=tapes[pid],
         )
         endnodes.append(node)
@@ -322,7 +298,4 @@ def build_subnet(
                 model.tx[phys].connect(peer_model.rx[peer_phys])
                 peer_model.rx[peer_phys].upstream = model.tx[phys]
 
-    return Subnet(
-        ft, scheme_obj, cfg, engine, switches, endnodes,
-        dlid_flat=dlid_flat, dlid_rows=rows,
-    )
+    return Subnet(artifacts, cfg, engine, switches, endnodes)

@@ -167,7 +167,7 @@ class InputUnit:
         fwd = self._fwd
         if 0 <= idx < len(fwd):
             out_port = fwd[idx]
-        else:  # preserve the LFT's out-of-range semantics (drop)
+        else:  # out of range: the LFT's lookup raises KeyError
             out_port = self.switch.lft.lookup(packet.dlid)
         if out_port == self.port:
             if not self.switch.drops_reflected:

@@ -86,18 +86,12 @@ class RouteQueryService:
     :func:`~repro.service.snapshot.baseline_snapshot`).
     """
 
-    def __init__(
-        self,
-        store: SnapshotStore,
-        *,
-        storm=None,
-        scheme_name: str = "",
-    ):
+    def __init__(self, store: SnapshotStore, *, storm=None):
         self.store = store
         self.storm = storm
         snap = store.get()  # the service is born serving
         self.ft = snap.kernel.ft
-        self.scheme_name = scheme_name or snap.kernel.scheme.name
+        self.scheme_name = snap.kernel.scheme.name
         self.counters: Counter = Counter()
         self._switch_index = {sw: i for i, sw in enumerate(self.ft.switches)}
 

@@ -19,6 +19,7 @@ hook); readers only ever touch the store.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from typing import List, Optional, Tuple
@@ -52,10 +53,10 @@ def pick_flap_links(
     picks: List[Tuple[SwitchLabel, int]] = []
     for port in range(ft.m):
         for sw in roots:
-            if len(picks) == count:
-                return picks
             if ft.peer(sw, port).is_switch:
                 picks.append((sw, port))
+                if len(picks) == count:
+                    return picks
     raise ValueError(
         f"fabric has only {len(picks)} root switch-to-switch links, "
         f"need {count}"
@@ -78,12 +79,15 @@ def flap_schedule(
     ``period_ns``, phase-shifted per link so sweeps keep superseding
     and coalescing — the worst case for snapshot consistency.  Every
     down has its matching up inside the horizon (the storm ends with a
-    fully healthy fabric).
+    fully healthy fabric).  The horizon must be finite: the timeline
+    repeats until it.
     """
     if down_ns <= 0 or down_ns >= period_ns:
         raise ValueError(
             f"need 0 < down_ns < period_ns, got {down_ns} / {period_ns}"
         )
+    if not math.isfinite(horizon_ns):
+        raise ValueError(f"horizon_ns must be finite, got {horizon_ns}")
     victims = links if links is not None else pick_flap_links(ft, count)
     schedule = FaultSchedule(ft)
     stagger = period_ns / max(1, len(victims))
@@ -124,8 +128,8 @@ class LinkFlapStorm:
         keep_lfts: bool = False,
     ):
         cfg = cfg or SimConfig()
-        # Fresh (uncached) build: the runtime reprograms live LFTs, so
-        # the shared artifact cache must not supply this subnet.
+        # Wired from the cached routing artifacts: the runtime swaps a
+        # switch's LFT object and never writes the shared ones.
         self.net: Subnet = build_subnet(m, n, scheme, cfg)
         if schedule is None:
             schedule = flap_schedule(

@@ -40,15 +40,15 @@ def scalar_tables(scheme, faults):
     return arr, ftt.repaired_entries
 
 
-def assert_matches_scalar(kernel, scheme, faults, **kwargs):
+def assert_matches_scalar(kernel, scheme, faults):
     try:
         expected, expected_repairs = scalar_tables(scheme, faults)
     except DisconnectedError as exc:
         with pytest.raises(DisconnectedError) as info:
-            kernel.repair(faults, **kwargs)
+            kernel.repair(faults)
         assert str(info.value) == str(exc)
         return None
-    result = kernel.repair(faults, **kwargs)
+    result = kernel.repair(faults)
     np.testing.assert_array_equal(result.array, expected)
     assert result.repaired_entries == expected_repairs
     return result
@@ -98,7 +98,7 @@ class TestFullRepairDifferential:
         ft, scheme, kernel = ctx(m, n, name)
         kernel.reset()
         fs = FaultSet.random(ft, count, seed=seed)
-        assert_matches_scalar(kernel, scheme, fs, incremental=False)
+        assert_matches_scalar(kernel, scheme, fs)
 
 
 class TestIncrementalDifferential:
@@ -153,9 +153,9 @@ def test_sm_scenarios_ft8x3_scalar_batched_incremental_agree(scenario):
     for fs in sets:
         if fs not in oracle:
             oracle[fs] = scalar_tables(scheme, fs)
-    kernel.reset()
     for fs in sets:
-        result = kernel.repair(fs, incremental=False)
+        kernel.reset()
+        result = kernel.repair(fs)
         np.testing.assert_array_equal(result.array, oracle[fs][0])
         assert result.repaired_entries == oracle[fs][1]
     kernel.reset()

@@ -24,7 +24,7 @@ def fresh_cache():
 
 
 def test_cached_build_equals_fresh_build():
-    """A cached scheme/LFT build must equal a from-scratch one."""
+    """A cached scheme/LFT build must equal an uncached one."""
     cached = get_artifacts(4, 2, "mlid")
     fresh = build_artifacts(4, 2, "mlid")
     assert cached.lfts.keys() == fresh.lfts.keys()
@@ -55,7 +55,9 @@ def test_subnet_from_artifacts_matches_fresh_subnet():
     cfg = SimConfig()
     artifacts = get_artifacts(4, 2, "mlid")
     cached_net = build_subnet(4, 2, "mlid", cfg, seed=3, artifacts=artifacts)
-    fresh_net = build_subnet(4, 2, "mlid", cfg, seed=3)
+    fresh_net = build_subnet(
+        4, 2, "mlid", cfg, seed=3, artifacts=build_artifacts(4, 2, "mlid")
+    )
     assert cached_net.num_nodes == fresh_net.num_nodes
     for sw, model in cached_net.switches.items():
         assert model.lft == fresh_net.switches[sw].lft
@@ -67,12 +69,14 @@ def test_subnet_from_artifacts_matches_fresh_subnet():
 
 def test_cached_measurement_bit_identical_to_fresh():
     """End to end: identical per-seed RNG streams and results.  The
-    fresh side is ``build_subnet`` without artifacts; ``run_point``
-    always goes through the cache."""
+    fresh side is wired from an uncached ``build_artifacts``;
+    ``run_point`` always goes through the cache."""
     from repro.experiments.runner import run_point
     from repro.traffic.patterns import make_pattern
 
-    net = build_subnet(4, 2, "slid", SimConfig(), seed=7)
+    net = build_subnet(
+        4, 2, "slid", SimConfig(), seed=7, artifacts=build_artifacts(4, 2, "slid")
+    )
     net.attach_pattern(make_pattern("uniform", net.num_nodes))
     fresh = net.run_measurement(0.2, warmup_ns=2_000.0, measure_ns=10_000.0)
     cached = run_point(
@@ -84,9 +88,10 @@ def test_cached_measurement_bit_identical_to_fresh():
 
 
 def test_figure_cached_equals_fresh_one_build_per_scheme(monkeypatch):
-    """A whole figure through the cache equals the same points built
-    from scratch, and the cache builds once per scheme: every VL
-    count's curve reads the same artifacts.
+    """A whole figure through the cache equals the same points, each
+    wired from its own uncached ``build_artifacts``, and the cache
+    builds once per scheme: every VL count's curve reads the same
+    artifacts.
 
     The figure's points also share their offered traffic: the points of
     one load and seed, every (scheme, VL) curve's, replay the tapes the
@@ -136,7 +141,10 @@ def test_figure_cached_equals_fresh_one_build_per_scheme(monkeypatch):
                 )
                 results = [
                     measure_point(
-                        partial(build_subnet, s.m, s.n, s.scheme, s.cfg, seed=s.seed),
+                        partial(
+                            build_subnet, s.m, s.n, s.scheme, s.cfg, seed=s.seed,
+                            artifacts=build_artifacts(s.m, s.n, s.scheme),
+                        ),
                         s.pattern, s.offered, hotspot_fraction=s.hotspot_fraction,
                         warmup_ns=s.warmup_ns, measure_ns=s.measure_ns,
                     )
@@ -145,7 +153,7 @@ def test_figure_cached_equals_fresh_one_build_per_scheme(monkeypatch):
                 fresh[(scheme, vls)] = aggregate_sweep(
                     scheme, cfg, config.quick_loads, config.quick_seeds, results
                 )
-        assert artifact_cache_info()["misses"] == 0  # fresh builds skip the cache
+        assert artifact_cache_info()["misses"] == 0  # uncached builds skip it
         del tapes[:]
         cached = run_figure(config, quick=True, base_cfg=base, jobs=1).curves
         curves = len(config.schemes) * len(config.vl_counts)
@@ -174,24 +182,23 @@ def test_dlid_matrix_is_write_protected():
 
 
 def test_artifacts_carry_compiled_kernel():
-    """The kernel compiled from the programmed LFTs equals one compiled
-    from the scheme directly, and verifies the whole fabric."""
+    """The artifact's kernel equals one compiled from its programmed
+    LFTs, and verifies the whole fabric."""
     from repro.core.kernel import RouteKernel, compile_kernel
 
     artifacts = get_artifacts(4, 2, "mlid")
     kernel = artifacts.kernel
-    direct = RouteKernel.from_scheme(artifacts.scheme)
-    assert np.array_equal(kernel.port, direct.port)
-    assert np.array_equal(kernel.route_switch, direct.route_switch)
-    assert np.array_equal(kernel.delivered, direct.delivered)
+    programmed = RouteKernel.from_lfts(artifacts.scheme, artifacts.lfts)
+    assert np.array_equal(kernel.port, programmed.port)
+    assert np.array_equal(kernel.route_switch, programmed.route_switch)
+    assert np.array_equal(kernel.delivered, programmed.delivered)
     nodes = artifacts.ft.num_nodes
     assert kernel.verify() == artifacts.scheme.num_lids * (nodes - 1)
-    # The artifact's DLID matrix is shared with the kernel...
-    assert np.array_equal(
-        kernel.selected.reshape(-1), artifacts.dlid_flat
-    )
-    # ...and compile_kernel() reuses the artifact's compilation.
+    # One memo: compile_kernel() returns the artifact's kernel, which
+    # selects DLIDs through the artifact's own matrix.
     assert compile_kernel(artifacts.scheme) is kernel
+    assert np.shares_memory(kernel.selected, artifacts.dlid_flat)
+    assert np.array_equal(kernel.selected.reshape(-1), artifacts.dlid_flat)
 
 
 def test_kernel_selected_matrix_consistent_for_extensions():
@@ -212,7 +219,8 @@ def test_kernel_selected_matrix_consistent_for_extensions():
 def test_one_artifact_serves_every_config(monkeypatch):
     """Points at 1, 2 and 4 VLs and with multi-packet messages read one
     artifact object, and at each config a subnet wired from it, and
-    ``run_point``, equal a from-scratch build bit for bit."""
+    ``run_point``, equal a subnet wired from an uncached build bit for
+    bit."""
     from repro.experiments import runner
     from repro.traffic.patterns import make_pattern
 
@@ -234,7 +242,9 @@ def test_one_artifact_serves_every_config(monkeypatch):
     for cfg in configs:
         assert get_artifacts(4, 2, "mlid", cfg) is shared
         cached_net = build_subnet(4, 2, "mlid", cfg, seed=5, artifacts=shared)
-        fresh_net = build_subnet(4, 2, "mlid", cfg, seed=5)
+        fresh_net = build_subnet(
+            4, 2, "mlid", cfg, seed=5, artifacts=build_artifacts(4, 2, "mlid")
+        )
         for sw, model in cached_net.switches.items():
             assert model.lft == fresh_net.switches[sw].lft
         nodes = range(cached_net.num_nodes)
@@ -283,13 +293,34 @@ def test_quick_figure_compiles_no_route_kernel(monkeypatch):
 
 def test_kernel_read_after_compile_kernel_is_its_memo():
     """If ``compile_kernel`` compiled the scheme's kernel first, the
-    artifact returns that kernel instead of compiling its own (the
-    other order is :func:`test_artifacts_carry_compiled_kernel`)."""
+    artifact returns that kernel, selecting DLIDs through the
+    artifact's own matrix (the other order is
+    :func:`test_artifacts_carry_compiled_kernel`)."""
     from repro.core.kernel import compile_kernel
 
     artifacts = get_artifacts(4, 2, "mlid")
     kernel = compile_kernel(artifacts.scheme)
     assert artifacts.kernel is kernel
+    assert np.shares_memory(kernel.selected, artifacts.dlid_flat)
+
+
+def test_build_subnet_reads_the_cache_for_a_name_only():
+    """Without ``artifacts``, a scheme name is wired from the cache and
+    a scheme instance from an uncached build of that very instance."""
+    from repro.core.forwarding import MlidScheme
+    from repro.topology.fattree import FatTree
+
+    nets = [build_subnet(4, 2, "mlid"), build_subnet(4, 2, "MLID")]
+    assert artifact_cache_info() == {"hits": 1, "misses": 1, "size": 1}
+    assert nets[0].scheme is nets[1].scheme is get_artifacts(4, 2, "mlid").scheme
+    scheme = MlidScheme(FatTree(4, 2))
+    nets.append(build_subnet(4, 2, scheme))
+    assert nets[-1].scheme is scheme
+    assert artifact_cache_info()["misses"] == 1
+    with pytest.raises(ValueError, match="different FT"):
+        build_subnet(8, 2, scheme)
+    for net in nets:
+        net.close()
 
 
 def test_concurrent_first_kernel_reads_get_one_object():

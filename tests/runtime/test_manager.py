@@ -8,6 +8,7 @@ from repro.core.kernel import RouteKernel
 from repro.ib.config import SimConfig
 from repro.ib.subnet import build_subnet
 from repro.runtime import DynamicSubnetManager, FaultSchedule
+from repro.topology.fattree import FatTree
 from repro.traffic import UniformPattern
 
 
@@ -58,10 +59,11 @@ class TestLifecycle:
             mgr.arm()
 
     def test_schedule_for_other_fabric_rejected(self):
+        # Subnets of one (m, n) share the cached FatTree; another
+        # instance of the same shape is another fabric.
         net = make_net()
-        other = make_net()
         with pytest.raises(ValueError, match="fabric"):
-            DynamicSubnetManager(net, FaultSchedule(other.ft))
+            DynamicSubnetManager(net, FaultSchedule(FatTree(4, 2)))
 
     def test_heartbeat_detection_quantizes(self):
         net = make_net(detection_latency_ns=100.0)

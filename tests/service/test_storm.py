@@ -1,11 +1,23 @@
-"""LinkFlapStorm lifecycle: stopping a storm before its horizon."""
+"""LinkFlapStorm lifecycle: stopping a storm before its horizon, and
+the routing artifacts a storm is wired from."""
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 
+import pytest
+
+from repro.ib.artifacts import (
+    artifact_cache_info,
+    build_artifacts,
+    clear_artifact_cache,
+    get_artifacts,
+)
 from repro.service import LinkFlapStorm
+from repro.service.storm import flap_schedule, pick_flap_links
+from repro.topology.fattree import FatTree
 
 
 def test_stop_mid_horizon_skips_the_rest_of_the_schedule():
@@ -61,3 +73,51 @@ def test_stop_mid_horizon_skips_the_rest_of_the_schedule():
     assert len(mgr.records) - at_stop["sweeps"] <= bound
     # The clock stops shortly after the stop, far from the horizon.
     assert mgr.engine.now < at_stop["now"] + 50_000
+
+
+@pytest.fixture
+def empty_cache():
+    clear_artifact_cache()
+    yield
+    clear_artifact_cache()
+
+
+def test_storms_on_one_fabric_share_one_cached_artifact(empty_cache):
+    storms = [LinkFlapStorm(4, 2), LinkFlapStorm(4, 2)]
+    assert artifact_cache_info() == {"hits": 1, "misses": 1, "size": 1}
+    assert storms[0].net.scheme is storms[1].net.scheme
+
+
+def test_storm_play_leaves_the_cached_tables_as_programmed(empty_cache):
+    """The dynamic SM reprograms a switch by swapping its LFT object: a
+    flap storm that ends with one more link down leaves the shared
+    tables equal to an uncached build."""
+    cached = get_artifacts(4, 2, "mlid")
+    *_, (sw, port) = pick_flap_links(cached.ft, 3)
+    schedule = flap_schedule(cached.ft, count=2).link_down(101_000.0, sw, port)
+    storm = LinkFlapStorm(4, 2, schedule=schedule).start()
+    deadline = time.monotonic() + 30
+    while storm.running() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    storm.stop()
+    assert storm.net.scheme is cached.scheme
+    live = storm.mgr.live_lfts()
+    assert any(live[s] != cached.lfts[s] for s in live)
+    assert cached.lfts == build_artifacts(4, 2, "mlid").lfts
+
+
+def test_pick_flap_links_takes_every_root_link():
+    ft = FatTree(4, 2)
+    picks = pick_flap_links(ft, 8)
+    assert len(set(picks)) == 8
+    assert all(ft.peer(sw, port).is_switch for sw, port in picks)
+    with pytest.raises(ValueError, match="only 8 root"):
+        pick_flap_links(ft, 9)
+
+
+@pytest.mark.parametrize("horizon", [math.inf, math.nan])
+def test_flap_schedule_needs_a_finite_horizon(horizon):
+    # The timeline repeats each flap until the horizon: an infinite one
+    # never ends.
+    with pytest.raises(ValueError, match="finite"):
+        flap_schedule(FatTree(4, 2), horizon_ns=horizon)

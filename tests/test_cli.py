@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -19,10 +21,10 @@ def test_info_oversized_lmc_reported_not_crashed(capsys):
 
 
 def test_table1(capsys):
+    # The one Table 1 builder: the CLI prints the benchmark's evidence.
     assert main(["table1"]) == 0
-    out = capsys.readouterr().out
-    assert "512" in out  # the 32-port 2-tree row
-    assert "LMC" in out
+    evidence = Path(__file__).parents[1] / "benchmarks" / "results" / "table1.txt"
+    assert capsys.readouterr().out == evidence.read_text(encoding="utf-8") + "\n"
 
 
 def test_trace_paper_path(capsys):
@@ -500,6 +502,52 @@ def test_failover_json(capsys):
     assert {"kind", "time_to_detect_ns", "time_to_repair_ns"} <= set(record)
 
 
+SERVE_SWEEP_PROBE_BAD_INPUT = [
+    (["serve", "4", "2", "--port", "99999"], "--port: port must be in [0, 65535], got 99999"),
+    (["serve", "4", "2", "--port", "-1"], "--port: port must be in [0, 65535], got -1"),
+    (["serve", "4", "2", "--flap-links", "0"], "--flap-links: flap links must be >= 1, got 0"),
+    (
+        ["serve", "4", "2", "--flap-links", "99"],
+        "--flap-links: FT(4, 2) has 8 root switch links, asked to flap 99",
+    ),
+    (
+        ["serve", "--flap-links", "9", "4", "2"],
+        "--flap-links: FT(4, 2) has 8 root switch links, asked to flap 9",
+    ),
+    (["serve", "4", "1"], "--flap-links: FT(4, 1) has 0 root switch links, asked to flap 2"),
+    *(
+        (
+            ["serve", "4", "2", flag, value],
+            f"{flag}: {what} must be a finite number {bound}, got {value!r}",
+        )
+        for flag, what, bound, values in [
+            ("--horizon", "storm horizon (ns)", "> 0", ["inf", "nan", "0", "-5"]),
+            ("--pace", "pace (s)", ">= 0", ["-1", "inf"]),
+            ("--telemetry-interval", "telemetry interval (s)", "> 0", ["-1", "0", "nan"]),
+        ]
+        for value in values
+    ),
+    (["sweep", "4", "2", "--scheme", "bogus"], "--scheme: invalid choice: 'bogus'"),
+    (["probe", "4", "2", "--scheme", "bogus"], "--scheme: invalid choice: 'bogus'"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,problem",
+    SERVE_SWEEP_PROBE_BAD_INPUT,
+    ids=[" ".join(argv) for argv, _ in SERVE_SWEEP_PROBE_BAD_INPUT],
+)
+def test_bad_serve_sweep_probe_input_is_a_usage_error(argv, problem, capsys):
+    # Parsed only, never run: a storm at an infinite horizon would add
+    # flap events until memory runs out.
+    from repro.cli import build_parser
+
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert f"argument {problem}" in capsys.readouterr().err.splitlines()[-1]
+
+
 def test_serve_in_parser():
     from repro.cli import build_parser
 
@@ -514,6 +562,12 @@ def test_serve_in_parser():
     assert args.storm is True
     assert args.port == 7777
     assert args.flap_links == 3
+
+    # Every root link may flap; without the storm, none needs to exist.
+    args = build_parser().parse_args(["serve", "4", "2", "--flap-links", "8"])
+    assert args.flap_links == 8
+    args = build_parser().parse_args(["serve", "4", "1", "--no-storm"])
+    assert args.storm is False
 
 
 # ----------------------------------------------------------------------
